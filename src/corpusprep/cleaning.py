@@ -13,7 +13,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, FrozenSet, Iterable, Iterator, Optional
+from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .ingest import Document
 
@@ -134,13 +134,14 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def _strip_punct(token: str) -> str:
+def split_punct(token: str) -> Tuple[str, str, str]:
+    """(leading punctuation, core, trailing punctuation) of one token."""
     start, end = 0, len(token)
     while start < end and _is_punct(token[start]):
         start += 1
     while end > start and _is_punct(token[end - 1]):
         end -= 1
-    return token[start:end]
+    return token[:start], token[start:end], token[end:]
 
 
 def heuristic_filter(doc: Document, thresholds: FilterThresholds) -> Optional[DropReason]:
@@ -154,7 +155,7 @@ def heuristic_filter(doc: Document, thresholds: FilterThresholds) -> Optional[Dr
         return DropReason(TOO_FEW_WORDS, len(words))
 
     stopword_count = sum(
-        1 for word in words if _strip_punct(word.lower()) in thresholds.stopwords
+        1 for word in words if split_punct(word.lower())[1] in thresholds.stopwords
     )
     stopword_ratio = stopword_count / len(words)
     if stopword_ratio > thresholds.max_stopword_ratio:
@@ -169,23 +170,18 @@ def heuristic_filter(doc: Document, thresholds: FilterThresholds) -> Optional[Dr
     return None
 
 
+def _parse_stopwords(lines: Iterable[str]) -> FrozenSet[str]:
+    stripped = (line.strip() for line in lines)
+    return frozenset(line.lower() for line in stripped if line and not line.startswith("#"))
+
+
 def load_stopwords(path: str) -> FrozenSet[str]:
     """Read a stopword list: one lowercase form per line, '#' comments."""
-    forms = set()
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                forms.add(line.lower())
-    return frozenset(forms)
+        return _parse_stopwords(handle)
 
 
 def default_stopwords() -> FrozenSet[str]:
     """The packaged Estonian stopword list."""
     text = resources.files("corpusprep.data").joinpath("stopwords_et.txt").read_text("utf-8")
-    forms = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            forms.add(line.lower())
-    return frozenset(forms)
+    return _parse_stopwords(text.splitlines())

@@ -10,31 +10,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from . import bpe, metrics
-from .cleaning import (
-    FilterThresholds,
-    dedup,
-    default_stopwords,
-    heuristic_filter,
-    load_stopwords,
-    strip_markup,
-)
+from .cleaning import FilterThresholds
 from .config import validate_config
-from .errors import ConfigError, PipelineError, StageError, TextTooShort
-from .ingest import FORMATS, CorpusStats, Document, compute_stats, read_documents, write_documents
-from .langid import default_profiles, detect_language
-from .pipeline import run_pipeline
-from .pretrain import (
-    GenerationConfig,
-    build_instances,
-    read_tfrecords,
-    serialize_example,
-    tokenize_documents,
-    write_tfrecords,
+from .errors import ConfigError, PipelineError, StageError
+from .ingest import FORMATS, CorpusStats, compute_stats, read_documents, write_documents
+from .pipeline import (
+    _clean_stream,
+    casing_lexicon,
+    drop_record,
+    run_pipeline,
+    with_stopwords,
+    write_examples,
 )
-from .truecase import CasingLexicon, build_casing_lexicon, truecase
+from .pretrain import GenerationConfig, read_tfrecords
+from .truecase import truecase
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,98 +65,54 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_clean(args) -> int:
-    def stripped():
-        for doc in read_documents(args.input, args.format):
-            text = strip_markup(doc.text)
-            lemmas = doc.lemmas
-            if lemmas is not None and len(lemmas) != len(text.split()):
-                lemmas = None
-            yield Document(id=doc.id, text=text, lang_tag=doc.lang_tag, lemmas=lemmas)
+def _clean_file(
+    args, stages: List[str], thresholds: FilterThresholds = FilterThresholds(), target_lang="et"
+) -> Tuple[int, List[dict]]:
+    """Run cleaning stages over args.input into args.output; (kept, drop records)."""
+    dropped: List[dict] = []
+    stream = _clean_stream(
+        read_documents(args.input, args.format),
+        stages,
+        thresholds,
+        target_lang,
+        lambda doc, stage, reason: dropped.append(drop_record(doc, stage, reason)),
+        defaultdict(CorpusStats),
+    )
+    return write_documents(stream, args.output, args.output_format), dropped
 
-    count = write_documents(stripped(), args.output, args.output_format)
+
+def _cmd_clean(args) -> int:
+    count, _ = _clean_file(args, ["strip"])
     print(f"cleaned {count} documents -> {args.output}")
     return 0
 
 
 def _cmd_dedup(args) -> int:
-    dropped: List[dict] = []
-
-    def on_drop(doc, reason):
-        dropped.append({"id": doc.id, "stage": "dedup", "reason": reason.kind, "detail": reason.detail})
-
-    kept = write_documents(
-        dedup(read_documents(args.input, args.format), on_drop=on_drop),
-        args.output,
-        args.output_format,
-    )
+    kept, dropped = _clean_file(args, ["dedup"])
     print(f"kept {kept} documents, dropped {len(dropped)} duplicates -> {args.output}")
     _write_report_lines(args.report, dropped)
     return 0
 
 
-def _thresholds_from_args(args) -> FilterThresholds:
-    stopwords = (
-        load_stopwords(args.stopwords) if args.stopwords else default_stopwords()
-    )
-    return FilterThresholds(
+def _cmd_filter(args) -> int:
+    thresholds = FilterThresholds(
         min_words=args.min_words,
         max_stopword_ratio=args.max_stopword_ratio,
         max_punct_ratio=args.max_punct_ratio,
         lang_confidence_min=args.lang_confidence_min,
-        stopwords=stopwords,
     )
-
-
-def _cmd_filter(args) -> int:
-    thresholds = _thresholds_from_args(args)
-    profiles = default_profiles() if not args.no_language else None
-    dropped: List[dict] = []
-
-    def surviving():
-        for doc in read_documents(args.input, args.format):
-            if profiles is not None and doc.lang_tag != args.target_lang:
-                try:
-                    lang, prob = detect_language(doc.text, profiles)
-                except TextTooShort:
-                    lang, prob = None, 0.0
-                if lang != args.target_lang or prob < thresholds.lang_confidence_min:
-                    dropped.append(
-                        {
-                            "id": doc.id,
-                            "stage": "langfilter",
-                            "reason": "NonTargetLanguage",
-                            "detail": {"lang": lang, "prob": round(prob, 6)},
-                        }
-                    )
-                    continue
-            if not args.no_heuristics:
-                reason = heuristic_filter(doc, thresholds)
-                if reason is not None:
-                    dropped.append(
-                        {
-                            "id": doc.id,
-                            "stage": "heuristics",
-                            "reason": reason.kind,
-                            "detail": reason.detail,
-                        }
-                    )
-                    continue
-            yield doc
-
-    kept = write_documents(surviving(), args.output, args.output_format)
+    thresholds = with_stopwords(thresholds, args.stopwords or None)
+    stages = [] if args.no_language else ["langfilter"]
+    if not args.no_heuristics:
+        stages.append("heuristics")
+    kept, dropped = _clean_file(args, stages, thresholds, args.target_lang)
     print(f"kept {kept} documents, dropped {len(dropped)} -> {args.output}")
     _write_report_lines(args.report, dropped)
     return 0
 
 
 def _cmd_truecase(args) -> int:
-    if args.lexicon:
-        lexicon = CasingLexicon.load(args.lexicon)
-    else:
-        lexicon = build_casing_lexicon(
-            doc for doc in read_documents(args.input, args.format) if doc.lemmas is not None
-        )
+    lexicon = casing_lexicon(args.lexicon or None, read_documents(args.input, args.format))
     if args.save_lexicon:
         lexicon.save(args.save_lexicon)
 
@@ -217,16 +166,8 @@ def _generation_from_args(args) -> GenerationConfig:
 def _cmd_make_examples(args) -> int:
     vocab = bpe.Vocab.load(args.vocab, args.merges)
     config = _generation_from_args(args)
-    tokenized = tokenize_documents(read_documents(args.input, args.format), vocab)
-    count = 0
-
-    def examples():
-        nonlocal count
-        for inst in build_instances(tokenized, vocab, config, workers=args.workers):
-            count += 1
-            yield serialize_example(inst, vocab, config)
-
-    paths = write_tfrecords(examples(), args.out_dir, config.shards)
+    docs = read_documents(args.input, args.format)
+    paths, count = write_examples(docs, vocab, config, args.out_dir, args.workers)
     print(f"wrote {count} examples into {len(paths)} shards under {args.out_dir}")
     return 0
 

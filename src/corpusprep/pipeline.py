@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .bpe import Vocab, train_bpe
 from .cleaning import (
@@ -29,12 +29,13 @@ from .cleaning import (
     load_stopwords,
     strip_markup,
 )
-from .config import PipelineConfig, StageToggles
+from .config import PipelineConfig
 from .errors import IoError, MissingLemmas, PipelineError, StageError, TextTooShort
 from .ingest import CorpusStats, Document, read_documents, write_documents
-from .langid import LanguageProfiles, default_profiles, detect_language
+from .langid import default_profiles, detect_language
 from .pretrain import (
     GenerationConfig,
+    SerializedExample,
     build_instances,
     serialize_example,
     tokenize_documents,
@@ -98,23 +99,51 @@ class PipelineReport:
         return out
 
 
-def _wrap(stage: str, exc: Exception) -> StageError:
-    return StageError(stage, exc)
+def drop_record(doc: Document, stage: str, reason: DropReason) -> dict:
+    """One dropped document as written to drops.jsonl and to --report files."""
+    return {"id": doc.id, "stage": stage, "reason": reason.kind, "detail": reason.detail}
+
+
+def with_stopwords(thresholds: FilterThresholds, path: Optional[str]) -> FilterThresholds:
+    """thresholds carrying the stopword list at path, or the packaged list."""
+    stopwords = load_stopwords(path) if path is not None else default_stopwords()
+    return replace(thresholds, stopwords=stopwords)
+
+
+def casing_lexicon(lexicon_path: Optional[str], docs: Iterable[Document]) -> CasingLexicon:
+    """Load the lexicon file if given, else build one from the annotated docs."""
+    if lexicon_path is not None:
+        return CasingLexicon.load(lexicon_path)
+    return build_casing_lexicon(doc for doc in docs if doc.lemmas is not None)
+
+
+def write_examples(
+    docs: Iterable[Document], vocab: Vocab, generation: GenerationConfig, out_dir: str, workers: int
+) -> Tuple[List[str], int]:
+    """Tokenize, build and serialize instances into shards; (paths, count)."""
+    count = 0
+    tokenized = tokenize_documents(docs, vocab)
+
+    def examples() -> Iterator[SerializedExample]:
+        nonlocal count
+        for inst in build_instances(tokenized, vocab, generation, workers=workers):
+            count += 1
+            yield serialize_example(inst, vocab, generation)
+
+    paths = write_tfrecords(examples(), out_dir, generation.shards)
+    return paths, count
 
 
 def _write_docs(stream: Iterator[Document], path: str) -> int:
     """Write the stream as json-lines; write failures attribute to output."""
     try:
         return write_documents(stream, path, "json-lines")
-    except StageError:
-        raise
     except IoError as exc:
-        raise _wrap("output", exc) from exc
+        raise StageError("output", exc) from exc
 
 
 class _DropLog:
     def __init__(self, path: str):
-        self.path = path
         self.by_reason: Dict[str, int] = {}
         self.by_stage: Dict[str, int] = {}
         self._handle = open(path, "w", encoding="utf-8")
@@ -122,10 +151,7 @@ class _DropLog:
     def record(self, doc: Document, stage: str, reason: DropReason) -> None:
         self.by_reason[reason.kind] = self.by_reason.get(reason.kind, 0) + 1
         self.by_stage[stage] = self.by_stage.get(stage, 0) + 1
-        line = json.dumps(
-            {"id": doc.id, "stage": stage, "reason": reason.kind, "detail": reason.detail},
-            ensure_ascii=False,
-        )
+        line = json.dumps(drop_record(doc, stage, reason), ensure_ascii=False)
         self._handle.write(line + "\n")
 
     def close(self) -> None:
@@ -134,14 +160,19 @@ class _DropLog:
 
 def _clean_stream(
     docs: Iterator[Document],
-    stages: StageToggles,
+    stages: List[str],
     thresholds: FilterThresholds,
     target_lang: str,
-    profiles: LanguageProfiles,
-    drops: _DropLog,
+    on_drop: Callable[[Document, str, DropReason], None],
     tallies: Dict[str, CorpusStats],
 ) -> Iterator[Document]:
-    """Drive ingest through heuristics one document at a time."""
+    """Drive ingest through heuristics one document at a time.
+
+    Runs the named cleaning stages in canonical order, reports each dropped
+    document to on_drop(doc, stage, reason) and adds every stage's output
+    to tallies[stage].
+    """
+    profiles = default_profiles() if "langfilter" in stages else None
     seen_digests: set = set()
     reader = iter(docs)
     while True:
@@ -150,10 +181,10 @@ def _clean_stream(
         except StopIteration:
             return
         except PipelineError as exc:
-            raise _wrap("ingest", exc) from exc
+            raise StageError("ingest", exc) from exc
         tallies["ingest"].add_document(doc)
 
-        if stages.strip:
+        if "strip" in stages:
             try:
                 text = strip_markup(doc.text)
                 # tag removal can change tokenization; lemmas stay only while aligned
@@ -162,17 +193,17 @@ def _clean_stream(
                     lemmas = None
                 doc = Document(id=doc.id, text=text, lang_tag=doc.lang_tag, lemmas=lemmas)
             except (PipelineError, ValueError) as exc:
-                raise _wrap("strip", exc) from exc
+                raise StageError("strip", exc) from exc
             tallies["strip"].add_document(doc)
 
-        if stages.langfilter:
+        if "langfilter" in stages:
             if doc.lang_tag != target_lang:
                 try:
                     lang, prob = detect_language(doc.text, profiles)
                 except TextTooShort:
                     lang, prob = None, 0.0
                 if lang != target_lang or prob < thresholds.lang_confidence_min:
-                    drops.record(
+                    on_drop(
                         doc,
                         "langfilter",
                         DropReason(NON_TARGET_LANGUAGE, {"lang": lang, "prob": round(prob, 6)}),
@@ -180,18 +211,18 @@ def _clean_stream(
                     continue
             tallies["langfilter"].add_document(doc)
 
-        if stages.dedup:
+        if "dedup" in stages:
             digest = dedup_key(doc.text)
             if digest in seen_digests:
-                drops.record(doc, "dedup", DropReason(DUPLICATE, digest.hex()))
+                on_drop(doc, "dedup", DropReason(DUPLICATE, digest.hex()))
                 continue
             seen_digests.add(digest)
             tallies["dedup"].add_document(doc)
 
-        if stages.heuristics:
+        if "heuristics" in stages:
             reason = heuristic_filter(doc, thresholds)
             if reason is not None:
-                drops.record(doc, "heuristics", reason)
+                on_drop(doc, "heuristics", reason)
                 continue
             tallies["heuristics"].add_document(doc)
 
@@ -202,26 +233,13 @@ def _truecase_pass(
     temp_path: str,
     out_path: str,
     lexicon_path: Optional[str],
+    staged: int,
     tally: CorpusStats,
-) -> Tuple[CasingLexicon, int]:
+) -> None:
     """Build or load the lexicon, then rewrite the staged corpus."""
-    if lexicon_path is not None:
-        lexicon = CasingLexicon.load(lexicon_path)
-    else:
-        total = 0
-
-        def annotated() -> Iterator[Document]:
-            nonlocal total
-            for doc in read_documents(temp_path, "json-lines"):
-                total += 1
-                if doc.lemmas is not None:
-                    yield doc
-
-        lexicon = build_casing_lexicon(annotated())
-        if total and not len(lexicon):
-            raise MissingLemmas(
-                "no documents carry lemma annotations and no lexicon file was given"
-            )
+    lexicon = casing_lexicon(lexicon_path, read_documents(temp_path, "json-lines"))
+    if lexicon_path is None and staged and not len(lexicon):
+        raise MissingLemmas("no documents carry lemma annotations and no lexicon file was given")
 
     def rewritten() -> Iterator[Document]:
         for doc in read_documents(temp_path, "json-lines"):
@@ -229,8 +247,7 @@ def _truecase_pass(
             tally.add_document(cased)
             yield cased
 
-    count = write_documents(rewritten(), out_path, "json-lines")
-    return lexicon, count
+    write_documents(rewritten(), out_path, "json-lines")
 
 
 def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
@@ -240,48 +257,34 @@ def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
     drops_path = os.path.join(config.out_dir, "drops.jsonl")
     report_path = config.report_path or os.path.join(config.out_dir, "report.jsonl")
 
-    stage_names = ["ingest"] + config.stages.enabled()
-    tallies: Dict[str, CorpusStats] = {name: CorpusStats() for name in stage_names}
-
-    if config.stopwords_path is not None:
-        try:
-            stopwords = load_stopwords(config.stopwords_path)
-        except OSError as exc:
-            raise _wrap("heuristics", exc) from exc
-    else:
-        stopwords = default_stopwords()
-    thresholds = FilterThresholds(
-        min_words=config.thresholds.min_words,
-        max_stopword_ratio=config.thresholds.max_stopword_ratio,
-        max_punct_ratio=config.thresholds.max_punct_ratio,
-        lang_confidence_min=config.thresholds.lang_confidence_min,
-        stopwords=stopwords,
-    )
-    profiles = default_profiles() if config.stages.langfilter else LanguageProfiles()
+    enabled = config.stages.enabled()
+    tallies: Dict[str, CorpusStats] = {name: CorpusStats() for name in ["ingest"] + enabled}
+    try:
+        thresholds = with_stopwords(config.thresholds, config.stopwords_path)
+    except OSError as exc:
+        raise StageError("heuristics", exc) from exc
 
     drops = _DropLog(drops_path)
     try:
         reader = read_documents(config.input_path, config.input_format)
         stream = _clean_stream(
-            reader, config.stages, thresholds, config.target_lang, profiles, drops, tallies
+            reader, enabled, thresholds, config.target_lang, drops.record, tallies
         )
 
         if config.stages.truecase:
             temp_path = os.path.join(config.out_dir, "cleaned.pre-truecase.tmp")
             try:
-                _write_docs(stream, temp_path)
-                tallies["truecase"] = CorpusStats()
+                staged = _write_docs(stream, temp_path)
                 try:
                     _truecase_pass(
                         temp_path,
                         cleaned_path,
                         config.truecase_lexicon_path,
+                        staged,
                         tallies["truecase"],
                     )
-                except StageError:
-                    raise
                 except (PipelineError, OSError) as exc:
-                    raise _wrap("truecase", exc) from exc
+                    raise StageError("truecase", exc) from exc
             finally:
                 if os.path.exists(temp_path):
                     os.remove(temp_path)
@@ -293,48 +296,31 @@ def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
     # stage-by-stage stats: each enabled stage's output is the next input
     stage_reports: List[StageReport] = []
     previous = tallies["ingest"]
-    dropped_at = dict(drops.by_stage)
-    for name in config.stages.enabled():
-        out_stats = tallies.get(name, previous)
-        stage_reports.append(
-            StageReport(
-                stage=name,
-                input=previous,
-                output=out_stats,
-                dropped=dropped_at.get(name, 0),
-            )
-        )
-        previous = out_stats
-
-    before = tallies["ingest"]
-    after = previous
+    for name in enabled:
+        dropped = drops.by_stage.get(name, 0)
+        stage_reports.append(StageReport(name, previous, tallies[name], dropped))
+        previous = tallies[name]
 
     try:
         vocab = train_bpe(read_documents(cleaned_path, "json-lines"), config.vocab_size)
     except PipelineError as exc:
-        raise _wrap("bpe", exc) from exc
+        raise StageError("bpe", exc) from exc
     vocab_path = os.path.join(config.out_dir, "vocab.txt")
     merges_path = os.path.join(config.out_dir, "merges.txt")
     vocab.save(vocab_path, merges_path)
 
-    instance_count = 0
     try:
-        tokenized = tokenize_documents(read_documents(cleaned_path, "json-lines"), vocab)
-
-        def examples():
-            nonlocal instance_count
-            for inst in build_instances(tokenized, vocab, config.generation, workers=workers):
-                instance_count += 1
-                yield serialize_example(inst, vocab, config.generation)
-
-        shard_files = write_tfrecords(examples(), config.out_dir, config.generation.shards)
+        docs = read_documents(cleaned_path, "json-lines")
+        shard_files, instance_count = write_examples(
+            docs, vocab, config.generation, config.out_dir, workers
+        )
     except PipelineError as exc:
-        raise _wrap("examples", exc) from exc
+        raise StageError("examples", exc) from exc
 
     report = PipelineReport(
         stages=stage_reports,
-        before=before,
-        after=after,
+        before=tallies["ingest"],
+        after=previous,
         drops_by_reason=dict(sorted(drops.by_reason.items())),
         artifacts={
             "cleaned": cleaned_path,

@@ -25,19 +25,21 @@ import math
 import multiprocessing
 import os
 import random
+import struct
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .bpe import PAD_ID, SPECIALS, Vocab, encode
 from .errors import (
     CorpusTooSmall,
+    CorruptRecord,
     IoError,
     NoMaskableTokens,
     PieceNotInVocab,
     UnknownFeature,
 )
 from .ingest import Document
-from .tfrecord import encode_example, frame_record, parse_example, read_framed
+from .tfrecord import FRAME_OVERHEAD, encode_example, frame_record, parse_example, read_framed
 
 CLS, SEP, MASK = "[CLS]", "[SEP]", "[MASK]"
 
@@ -408,23 +410,25 @@ def read_tfrecords(paths: Iterable[str]) -> Iterator[SerializedExample]:
 
     Records interleave round-robin across the given paths, one record per
     file per round, which inverts write_tfrecords' assignment: reading the
-    shard list back yields the original arrival order.
+    shard list back yields the original arrival order.  A payload that
+    passes its CRC but does not parse raises CorruptRecord at its offset.
     """
-    streams = [read_framed(path) for path in paths]
+    streams = [[read_framed(path), 0] for path in paths]  # [records, byte offset]
     while streams:
-        exhausted = []
-        for stream in streams:
-            payload = next(stream, None)
+        for entry in list(streams):
+            payload = next(entry[0], None)
             if payload is None:
-                exhausted.append(stream)
+                streams.remove(entry)
                 continue
-            yield _decode_payload(payload)
-        for stream in exhausted:
-            streams.remove(stream)
+            yield _decode_payload(payload, entry[1])
+            entry[1] += FRAME_OVERHEAD + len(payload)
 
 
-def _decode_payload(payload: bytes) -> SerializedExample:
-    features = parse_example(payload)
+def _decode_payload(payload: bytes, offset: int) -> SerializedExample:
+    try:
+        features = parse_example(payload)
+    except (ValueError, struct.error) as exc:
+        raise CorruptRecord(offset, "data", f"malformed payload: {exc}") from exc
     unknown = set(features) - set(FEATURE_ORDER)
     if unknown:
         raise UnknownFeature(f"unexpected feature(s): {sorted(unknown)}")

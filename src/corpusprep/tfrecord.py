@@ -162,9 +162,10 @@ def _parse_float_list(data: bytes) -> List[float]:
                 raise ValueError("packed float block not a multiple of 4 bytes")
             values.extend(struct.unpack(f"<{len(chunk) // 4}f", chunk))
         elif field == 1 and wire == 5:
-            chunk = cursor.data[cursor.pos : cursor.pos + 4]
+            if cursor.pos + 4 > len(cursor.data):
+                raise ValueError("truncated float")
+            values.append(struct.unpack_from("<f", cursor.data, cursor.pos)[0])
             cursor.pos += 4
-            values.append(struct.unpack("<f", chunk)[0])
         else:
             cursor.skip(wire)
     return values
@@ -211,6 +212,9 @@ def parse_example(payload: bytes) -> FeatureDict:
             if name is not None:
                 features[name] = value
     return features
+
+
+FRAME_OVERHEAD = 16  # bytes around each payload: length, length CRC, payload CRC
 
 
 def frame_record(payload: bytes) -> bytes:

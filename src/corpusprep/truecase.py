@@ -10,10 +10,10 @@ sentence-initial capitals and restores capitals on proper nouns.
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
+from .cleaning import split_punct
 from .errors import MalformedRecord, MissingLemmas
 from .ingest import Document
 
@@ -102,19 +102,6 @@ def build_casing_lexicon(docs: Iterable[Document]) -> CasingLexicon:
     return CasingLexicon(entries)
 
 
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
-
-
-def _split_token(token: str) -> Tuple[str, str, str]:
-    start, end = 0, len(token)
-    while start < end and _is_punct(token[start]):
-        start += 1
-    while end > start and _is_punct(token[end - 1]):
-        end -= 1
-    return token[:start], token[start:end], token[end:]
-
-
 def _has_internal_capital(core: str) -> bool:
     return any(ch.isupper() for ch in core[1:])
 
@@ -128,7 +115,7 @@ def truecase_text(text: str, lexicon: CasingLexicon) -> str:
     """
     out = []
     for token in text.split():
-        lead, core, trail = _split_token(token)
+        lead, core, trail = split_punct(token)
         if core and not _has_internal_capital(core):
             canonical = lexicon.lookup(core.lower())
             if canonical is not None:

@@ -361,6 +361,55 @@ class TestRun:
         assert "stage heuristics failed" in capsys.readouterr().err
 
 
+class TestStageParity:
+    def test_subcommand_chain_matches_run(self, capsys, tmp_path, fixture_corpus_path):
+        # run's cleaning stages, one subcommand per stage, must give the same bytes
+        out_dir = str(tmp_path / "out")
+        config = _write_config(tmp_path / "job.conf", fixture_corpus_path, out_dir)
+        assert main(["run", "--config", config]) == 0
+
+        def step(*argv):
+            assert main(list(argv)) == 0
+
+        stripped, tagged, unique, kept, cased = (
+            str(tmp_path / f"{stage}.jsonl") for stage in ("strip", "lang", "dedup", "heur", "case")
+        )
+        reports = [str(tmp_path / f"drops-{stage}.jsonl") for stage in ("lang", "dedup", "heur")]
+        step("clean", fixture_corpus_path, stripped)
+        step("filter", stripped, tagged, "--no-heuristics", "--report", reports[0])
+        step("dedup", tagged, unique, "--report", reports[1])
+        step("filter", unique, kept, "--no-language", "--report", reports[2])
+        step("truecase", kept, cased)
+        capsys.readouterr()
+
+        with open(cased, "rb") as a, open(os.path.join(out_dir, "cleaned.jsonl"), "rb") as b:
+            assert a.read() == b.read()
+        chained = []
+        for report in reports:
+            with open(report, encoding="utf-8") as handle:
+                chained.extend(handle)
+        with open(os.path.join(out_dir, "drops.jsonl"), encoding="utf-8") as handle:
+            logged = list(handle)
+        assert logged
+        assert sorted(chained) == sorted(logged)
+
+    def test_clean_names_failing_stage(self, capsys, tmp_path):
+        src = tmp_path / "bad.jsonl"
+        src.write_text('{"id": "a", "text": "tere"}\nnot json\n', encoding="utf-8")
+        assert main(["clean", str(src), str(tmp_path / "out.jsonl")]) == 2
+        assert "stage ingest failed" in capsys.readouterr().err
+
+
+class TestReadExamplesErrors:
+    def test_malformed_payload_exits_2(self, capsys, tmp_path):
+        from corpusprep.tfrecord import write_framed
+
+        shard = str(tmp_path / "bad.tfrecord")
+        write_framed([b"\x0a\x05\x0a"], shard)  # outer field claims 5 bytes, has 1
+        assert main(["read-examples", shard]) == 2
+        assert "CorruptRecord" in capsys.readouterr().err
+
+
 class TestArgumentErrors:
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1

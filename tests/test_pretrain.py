@@ -12,6 +12,7 @@ import pytest
 from corpusprep.bpe import SPECIALS, Vocab
 from corpusprep.errors import (
     CorpusTooSmall,
+    CorruptRecord,
     NoMaskableTokens,
     PieceNotInVocab,
     UnknownFeature,
@@ -571,3 +572,50 @@ class TestReadValidation:
         write_framed([payload], path)
         with pytest.raises(UnknownFeature):
             list(read_tfrecords([path]))
+
+
+def _field(number: int, payload: bytes) -> bytes:
+    """One length-delimited protobuf field (payloads under 128 bytes)."""
+    assert len(payload) < 128
+    return bytes([number << 3 | 2, len(payload)]) + payload
+
+
+class TestCorruptPayload:
+    """Records whose CRCs hold but whose payload does not parse."""
+
+    def _read(self, tmp_path, payloads):
+        path = str(tmp_path / "corrupt.tfrecord")
+        write_framed(payloads, path)
+        with pytest.raises(CorruptRecord) as exc:
+            list(read_tfrecords([path]))
+        return exc.value
+
+    def _valid(self):
+        return example_payload(
+            SerializedExample(
+                input_ids=(1, 2),
+                input_mask=(1, 1),
+                segment_ids=(0, 0),
+                masked_lm_positions=(1,),
+                masked_lm_ids=(2,),
+                masked_lm_weights=(1.0,),
+                next_sentence_labels=0,
+            )
+        )
+
+    def test_truncated_length_delimited_field(self, tmp_path):
+        valid = self._valid()
+        error = self._read(tmp_path, [valid, valid[:-3]])
+        # the second record starts after the first one's 16 framing bytes
+        assert error.offset == len(valid) + 16
+
+    def test_invalid_utf8_feature_name(self, tmp_path):
+        valid = self._valid()
+        payload = valid.replace(b"input_ids", b"input_id\xff")
+        assert len(payload) == len(valid)
+        assert self._read(tmp_path, [payload]).offset == 0
+
+    def test_short_unpacked_float(self, tmp_path):
+        float_list = b"\x0d\x00\x00"  # field 1, wire type 5, two of four bytes
+        entry = _field(1, b"masked_lm_weights") + _field(2, _field(2, float_list))
+        self._read(tmp_path, [_field(1, _field(1, entry))])
