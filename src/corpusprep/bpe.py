@@ -5,14 +5,23 @@ whitespace-split, every word gets a separate "▁" boundary symbol before its
 characters, and training repeatedly merges the most frequent adjacent symbol
 pair.  Five special pieces occupy ids 0-4 and never take part in merges.
 Unknown characters encode to [UNK]; there is no byte fallback.
+
+Training is incremental (Sennrich et al. 2016): pair counts and a
+pair-to-word index persist across merges, each merge rewrites only the word
+types that hold the merged pair, and a lazy max-heap yields the next pair.
+Encoding replays merges by rank from a table built once per Vocab and
+memoizes piece ids per word on the Vocab; the memo is cleared whenever it
+reaches _MEMO_LIMIT words, so encoder memory stays bounded.
 """
 
 from __future__ import annotations
 
+import heapq
 import unicodedata
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EmptyCorpus, IdOutOfRange, MalformedRecord, UnreadableFile, VocabSizeTooSmall
 from .ingest import Document
@@ -20,6 +29,9 @@ from .ingest import Document
 SPECIALS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 DEFAULT_MARKER = "▁"  # ▁
+# words memoized per vocab before encode clears the memo; a full memo takes
+# about 2 MB (120-140 bytes per word)
+_MEMO_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -30,6 +42,8 @@ class Vocab:
     merges: Tuple[Tuple[str, str], ...]
     marker: str = DEFAULT_MARKER
     piece_to_id: Dict[str, int] = field(init=False, repr=False, compare=False)
+    merge_ranks: Dict[Tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    word_ids: Dict[str, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.pieces[: len(SPECIALS)] != SPECIALS:
@@ -43,6 +57,15 @@ class Vocab:
             if left in SPECIALS or right in SPECIALS:
                 raise ValueError("special tokens cannot appear in merges")
         object.__setattr__(self, "piece_to_id", mapping)
+        # a merge listed twice keeps its later rank
+        object.__setattr__(
+            self, "merge_ranks", {pair: rank for rank, pair in enumerate(self.merges)}
+        )
+        object.__setattr__(self, "word_ids", {})
+
+    def __reduce__(self):
+        # rebuild the derived maps on unpickling instead of shipping encode's memo
+        return (type(self), (self.pieces, self.merges, self.marker))
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -93,6 +116,11 @@ def train_bpe(
     Ties on pair frequency break by lexicographic order of the concatenated
     piece, then of the pair itself, so training is deterministic for a given
     corpus.  Stops early only when the corpus has no pairs left to merge.
+
+    The max-heap of (-count, concat, pair) is lazy: an entry whose pair has
+    lost count since it was pushed goes back in at its current count, and
+    one whose pair has gained count is dropped, since every net gain pushes
+    a fresh entry.
     """
     words = _word_counts(docs)
     if not words:
@@ -110,31 +138,71 @@ def train_bpe(
     pieces: List[str] = list(SPECIALS) + sorted(alphabet)
     known = set(pieces)
     merges: List[Tuple[str, str]] = []
-    symbolized: Dict[Tuple[str, ...], int] = {
-        (word_boundary_marker, *word): freq for word, freq in words.items()
-    }
+    symbolized: List[Tuple[str, ...]] = [(word_boundary_marker, *word) for word in words]
+    freqs: List[int] = list(words.values())
+
+    # counts: live pair frequencies; where: word indices that contained each
+    # pair at some point (duplicates and stale entries are checked on use)
+    counts: Dict[Tuple[str, str], int] = defaultdict(int)
+    where: Dict[Tuple[str, str], array] = defaultdict(lambda: array("I"))
+    for index, symbols in enumerate(symbolized):
+        for pair in zip(symbols, symbols[1:]):
+            counts[pair] += freqs[index]
+            where[pair].append(index)
+    heap = [
+        (-count, pair[0] + pair[1], pair)
+        for pair, count in counts.items()
+        if pair[0] + pair[1] not in SPECIALS
+    ]
+    heapq.heapify(heap)
 
     while len(pieces) < vocab_size:
-        pair_counts: Counter = Counter()
-        for symbols, freq in symbolized.items():
-            for left, right in zip(symbols, symbols[1:]):
-                pair_counts[(left, right)] += freq
-        candidates = {
-            pair: count for pair, count in pair_counts.items() if pair[0] + pair[1] not in SPECIALS
-        }
-        if not candidates:
+        best = _pop_best(heap, counts)
+        if best is None:
             break
-        best = min(candidates, key=lambda p: (-candidates[p], p[0] + p[1], p))
         merges.append(best)
         merged = best[0] + best[1]
         if merged not in known:
             known.add(merged)
             pieces.append(merged)
-        symbolized = {
-            _apply_merge(symbols, best): freq for symbols, freq in symbolized.items()
-        }
+        deltas: Dict[Tuple[str, str], int] = defaultdict(int)
+        for index in sorted(set(where.pop(best))):
+            symbols = symbolized[index]
+            old = list(zip(symbols, symbols[1:]))
+            if best not in old:
+                continue
+            symbols = symbolized[index] = _apply_merge(symbols, best)
+            new = list(zip(symbols, symbols[1:]))
+            freq = freqs[index]
+            for pair in old:
+                deltas[pair] -= freq
+            for pair in new:
+                deltas[pair] += freq
+            for pair in set(new).difference(old):
+                where[pair].append(index)
+        for pair, delta in deltas.items():
+            if not delta:
+                continue
+            count = counts[pair] = counts[pair] + delta
+            if not count:
+                del counts[pair]
+                where.pop(pair, None)
+            elif delta > 0 and pair[0] + pair[1] not in SPECIALS:
+                heapq.heappush(heap, (-count, pair[0] + pair[1], pair))
 
     return Vocab(pieces=tuple(pieces), merges=tuple(merges), marker=word_boundary_marker)
+
+
+def _pop_best(heap: list, counts: Dict[Tuple[str, str], int]) -> Optional[Tuple[str, str]]:
+    """Pop heap entries until one carries its pair's current count."""
+    while heap:
+        neg_count, concat, pair = heapq.heappop(heap)
+        count = counts.get(pair, 0)
+        if count == -neg_count:
+            return pair
+        if 0 < count < -neg_count:
+            heapq.heappush(heap, (-count, concat, pair))
+    return None
 
 
 def _apply_merge(symbols: Sequence[str], pair: Tuple[str, str]) -> Tuple[str, ...]:
@@ -152,23 +220,37 @@ def _apply_merge(symbols: Sequence[str], pair: Tuple[str, str]) -> Tuple[str, ..
 
 
 def encode(text: str, vocab: Vocab) -> List[int]:
-    """NFKC-normalize, split on whitespace, replay merges per word by rank."""
-    ranks = {pair: rank for rank, pair in enumerate(vocab.merges)}
+    """NFKC-normalize, split on whitespace, replay merges per word by rank.
+
+    Piece ids per word are memoized on the vocab; the memo is cleared once
+    it holds _MEMO_LIMIT words, so its memory stays bounded.
+    """
+    memo = vocab.word_ids
     ids: List[int] = []
     for word in unicodedata.normalize("NFKC", text).split():
-        symbols: Tuple[str, ...] = (vocab.marker, *word)
-        while len(symbols) > 1:
-            best_rank = None
-            best_pair = None
-            for pair in zip(symbols, symbols[1:]):
-                rank = ranks.get(pair)
-                if rank is not None and (best_rank is None or rank < best_rank):
-                    best_rank, best_pair = rank, pair
-            if best_pair is None:
-                break
-            symbols = _apply_merge(symbols, best_pair)
-        ids.extend(vocab.piece_to_id.get(symbol, UNK_ID) for symbol in symbols)
+        word_ids = memo.get(word)
+        if word_ids is None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            word_ids = memo[word] = _encode_word(word, vocab)
+        ids.extend(word_ids)
     return ids
+
+
+def _encode_word(word: str, vocab: Vocab) -> Tuple[int, ...]:
+    ranks = vocab.merge_ranks
+    symbols: Tuple[str, ...] = (vocab.marker, *word)
+    while len(symbols) > 1:
+        best_rank = None
+        best_pair = None
+        for pair in zip(symbols, symbols[1:]):
+            rank = ranks.get(pair)
+            if rank is not None and (best_rank is None or rank < best_rank):
+                best_rank, best_pair = rank, pair
+        if best_pair is None:
+            break
+        symbols = _apply_merge(symbols, best_pair)
+    return tuple(vocab.piece_to_id.get(symbol, UNK_ID) for symbol in symbols)
 
 
 def decode(ids: Sequence[int], vocab: Vocab) -> str:

@@ -25,6 +25,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 import struct
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, List, Sequence, Tuple
@@ -116,6 +117,7 @@ def tokenize_documents(docs: Iterable[Document], vocab: Vocab) -> List[Tokenized
                 sentences.append(tuple(vocab.pieces[i] for i in ids))
         if sentences:
             out.append(TokenizedDoc(id=doc.id, sentences=tuple(sentences)))
+    vocab.word_ids.clear()  # the encode memo is not needed after this pass
     return out
 
 
@@ -378,6 +380,9 @@ def example_payload(example: SerializedExample) -> bytes:
     return encode_example(features, FEATURE_ORDER)
 
 
+_SHARD_NAME = re.compile(r"pretrain-\d+-of-\d+\.tfrecord")
+
+
 def shard_paths(out_dir: str, shards: int) -> List[str]:
     return [
         os.path.join(out_dir, f"pretrain-{i}-of-{shards}.tfrecord") for i in range(shards)
@@ -387,10 +392,18 @@ def shard_paths(out_dir: str, shards: int) -> List[str]:
 def write_tfrecords(
     examples: Iterable[SerializedExample], out_dir: str, shards: int
 ) -> List[str]:
-    """Distribute examples round-robin by arrival index over shard files."""
+    """Distribute examples round-robin by arrival index over shard files.
+
+    Shard files of an earlier run with another shard count are removed
+    first, so the pretrain-*.tfrecord glob matches only this run's shards.
+    """
     paths = shard_paths(out_dir, shards)
     try:
         os.makedirs(out_dir, exist_ok=True)
+        for name in os.listdir(out_dir):
+            path = os.path.join(out_dir, name)
+            if _SHARD_NAME.fullmatch(name) and path not in paths:
+                os.remove(path)
         handles = [open(path, "wb") for path in paths]
     except OSError as exc:
         raise IoError(str(exc)) from exc

@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import pytest
 
+from bpe_oracle import oracle_train_bpe
 from corpusprep.bpe import SPECIALS, decode, encode, train_bpe
 from corpusprep.cleaning import dedup
 from corpusprep.config import PipelineConfig
@@ -267,6 +268,8 @@ def test_criterion_7_bpe(tmp_path):
     second = train_bpe(iter(docs), 120)
     assert first.pieces == second.pieces and first.merges == second.merges
     assert len(first.pieces) == 120
+    reference = oracle_train_bpe(iter(docs), 120)
+    assert first.pieces == reference.pieces and first.merges == reference.merges
 
     sampler = random.Random(20260817)
     for _ in range(1000):
@@ -275,8 +278,8 @@ def test_criterion_7_bpe(tmp_path):
             for _ in range(sampler.randint(1, 6))
         )
         assert decode(encode(text, first), first) == " ".join(text.split())
-    _report(7, "first merge matches oracle; training deterministic at exact size; "
-               "1000 encode/decode round trips hold")
+    _report(7, "first merge and full merge sequence match oracle; training deterministic "
+               "at exact size; 1000 encode/decode round trips hold")
 
 
 # --- 8: scorer parity --------------------------------------------------------

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import unicodedata
 from collections import Counter
 
 import pytest
+from bpe_oracle import oracle_encode, oracle_train_bpe
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusprep import bpe
 from corpusprep.bpe import (
     DEFAULT_MARKER,
     MASK_ID,
@@ -195,13 +198,12 @@ class TestEncodeDecode:
             decode([-1], vocab)
 
     def test_encode_applies_merges_by_rank(self):
-        # rank order must be replayed, not recomputed: train on text where
-        # the first merge is (marker, a) and check encode uses it
+        # rank order must be replayed, not recomputed: (marker, a) occurs 4
+        # times and (a, b) once, so (marker, a) is the first merge
         vocab = train_bpe(_docs("a a a ab"), vocab_size=12)
-        first = vocab.merges[0]
+        assert vocab.merges[0] == (DEFAULT_MARKER, "a")
         ids = encode("a", vocab)
-        if first == (DEFAULT_MARKER, "a"):
-            assert [vocab.pieces[i] for i in ids] == [DEFAULT_MARKER + "a"]
+        assert [vocab.pieces[i] for i in ids] == [DEFAULT_MARKER + "a"]
 
     def test_nfkc_applied_before_encoding(self):
         vocab = train_bpe(_docs("abc"), vocab_size=10)
@@ -220,6 +222,138 @@ class TestEncodeDecode:
             ]
             text = " ".join(words)
             assert decode(encode(text, vocab), vocab) == text
+
+
+def _assert_matches_oracle(texts, vocab_size, marker=DEFAULT_MARKER, probes=()):
+    """Full pieces and merges, then encode ids with the memo cold and warm."""
+    expected = oracle_train_bpe(_docs(*texts), vocab_size, marker)
+    actual = train_bpe(_docs(*texts), vocab_size, marker)
+    assert actual.pieces == expected.pieces
+    assert actual.merges == expected.merges
+    lines = [*texts, *probes]
+    reference = [oracle_encode(line, expected) for line in lines]
+    assert [encode(line, actual) for line in lines] == reference  # cold
+    assert [encode(line, actual) for line in lines] == reference  # warm
+    return actual
+
+
+class TestMergeSequenceOracle:
+    """train_bpe and encode against the full-recount reference in bpe_oracle."""
+
+    def test_full_sequence_matches_oracle_on_random_corpora(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            alphabet = rng.choice(["ab", "abc", "abcd", "aab", "kaslt", "[PAD]x"])
+            texts = [
+                " ".join(
+                    "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 9)))
+                    for _ in range(rng.randint(1, 25))
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+            floor = len(SPECIALS) + len(set("".join(texts).replace(" ", ""))) + 1
+            probes = ["".join(rng.choice(alphabet + "z") for _ in range(6)) for _ in range(5)]
+            _assert_matches_oracle(texts, floor + rng.randint(1, 80), probes=probes)
+
+    def test_tie_break_on_count_then_concatenation(self):
+        # every pair occurs twice; concatenations order "ab" < "cd" < "▁ab" < "▁cd"
+        vocab = _assert_matches_oracle(["ab ab cd cd"], 100)
+        m = DEFAULT_MARKER
+        assert list(vocab.merges) == [("a", "b"), ("c", "d"), (m, "ab"), (m, "cd")]
+        products = ("ab", "cd", m + "ab", m + "cd")
+        assert vocab.pieces[len(SPECIALS):] == ("a", "b", "c", "d", m) + products
+
+    def test_tie_on_concatenation_breaks_by_pair(self):
+        # marker "ca", word "cac": after (a, c) the symbols are ca c ac, and
+        # (c, ac) and (ca, c) both make "cac" once; ("c", "ac") < ("ca", "c")
+        vocab = _assert_matches_oracle(["cac"], 100, marker="ca")
+        assert list(vocab.merges) == [("a", "c"), ("c", "ac"), ("ca", "cac")]
+
+    def test_overlapping_pair_counted_twice_merged_once(self):
+        # "aaa" holds (a, a) twice, so it ties (b, c) from "bc bc" at 2 and wins
+        # on "aa" < "bc"; the merge rewrites "aaa" to aa a, not to one piece
+        m = DEFAULT_MARKER
+        vocab = _assert_matches_oracle(["aaa bc bc"], 100, probes=["aaaa aaaaa"])
+        assert list(vocab.merges) == [
+            ("a", "a"), ("b", "c"), (m, "bc"), ("aa", "a"), (m, "aaa"),
+        ]
+        first = train_bpe(_docs("aaa bc bc"), vocab_size=len(SPECIALS) + 4 + 1)
+        assert first.merges == (("a", "a"),)
+        assert [first.pieces[i] for i in encode("aaa", first)] == [m, "aa", "a"]
+
+    def test_even_run_merges_into_equal_halves(self):
+        m = DEFAULT_MARKER
+        vocab = _assert_matches_oracle(["aaaa"], 100)
+        assert list(vocab.merges) == [("a", "a"), ("aa", "aa"), (m, "aaaa")]
+
+    def test_merge_reproducing_an_existing_piece_adds_none(self):
+        # with marker "ab" the first merge (a, b) makes the marker piece again:
+        # it is listed in merges but the inventory grows only with (ab, ab)
+        vocab = _assert_matches_oracle(["ab ab"], 9, marker="ab")
+        assert list(vocab.merges) == [("a", "b"), ("ab", "ab")]
+        assert vocab.pieces == SPECIALS + ("a", "ab", "b", "abab")
+
+    def test_special_characters_never_merge_into_a_special(self):
+        # after (A,D), (AD,]), (P,AD]) the best pair by concatenation would be
+        # ([, PAD]) = "[PAD]"; it is skipped and (▁, [) merges instead
+        m = DEFAULT_MARKER
+        vocab = _assert_matches_oracle(["[PAD]"], 100, probes=["[PAD] [MASK]"])
+        assert list(vocab.merges) == [
+            ("A", "D"), ("AD", "]"), ("P", "AD]"), (m, "["), (m + "[", "PAD]"),
+        ]
+        assert not {left + right for left, right in vocab.merges} & set(SPECIALS)
+        three = train_bpe(_docs("[PAD]"), vocab_size=len(SPECIALS) + 6 + 3)
+        ids = encode("[PAD]", three)
+        assert [three.pieces[i] for i in ids] == [m, "[", "PAD]"]
+        assert min(ids) >= len(SPECIALS)
+
+
+_oracle_words = st.lists(
+    st.text(alphabet="abc▁[PAD]", min_size=1, max_size=8), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_words, st.integers(min_value=1, max_value=40))
+def test_merge_sequence_matches_oracle_property(words, extra):
+    text = " ".join(words)
+    floor = len(SPECIALS) + len(set(text.replace(" ", "")) | {DEFAULT_MARKER})
+    _assert_matches_oracle([text], floor + extra, probes=[" ".join(reversed(words))])
+
+
+class TestEncodeCache:
+    def test_warm_cache_leaves_vocab_unchanged(self, tmp_path):
+        vocab = train_bpe(_docs("tere tulemast tartu tallinna"), vocab_size=30)
+        twin = train_bpe(_docs("tere tulemast tartu tallinna"), vocab_size=30)
+
+        def saved(name):
+            vp, mp = tmp_path / f"{name}.vocab", tmp_path / f"{name}.merges"
+            vocab.save(str(vp), str(mp))
+            return vp.read_bytes(), mp.read_bytes()
+
+        before = (repr(vocab), hash(vocab), pickle.dumps(vocab), saved("cold"))
+        ids = encode("tere tartu tere tallinn", vocab)
+        assert vocab.word_ids  # the memo is warm
+        assert vocab == twin
+        assert (repr(vocab), hash(vocab), pickle.dumps(vocab), saved("warm")) == before
+        restored = pickle.loads(pickle.dumps(vocab))
+        assert restored == vocab and not restored.word_ids
+        assert restored.merge_ranks == vocab.merge_ranks
+        assert encode("tere tartu tere tallinn", restored) == ids
+
+    def test_memo_past_its_bound_changes_no_ids(self, monkeypatch):
+        monkeypatch.setattr(bpe, "_MEMO_LIMIT", 3)
+        corpus = "kask kajakas kaskaad kastan kaktus"
+        vocab = train_bpe(_docs(corpus), vocab_size=30)
+        expected_vocab = oracle_train_bpe(_docs(corpus), 30)
+        rng = random.Random(5)
+        for _ in range(200):
+            text = " ".join(
+                "".join(rng.choice("kasjtun") for _ in range(rng.randint(1, 7)))
+                for _ in range(rng.randint(1, 8))
+            )
+            assert encode(text, vocab) == oracle_encode(text, expected_vocab)
+            assert len(vocab.word_ids) <= 3
 
 
 _alpha_words = st.lists(

@@ -7,6 +7,7 @@ wired to the same entry point.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import subprocess
@@ -321,6 +322,26 @@ class TestRun:
             name for name in os.listdir(out_b) if name.endswith(".tfrecord")
         )
         assert shard_names == [f"pretrain-{i}-of-3.tfrecord" for i in range(3)]
+
+    def test_rerun_with_fewer_shards_removes_stale_shards(
+        self, capsys, tmp_path, fixture_corpus_path
+    ):
+        out_dir = str(tmp_path / "out")
+        config = _write_config(tmp_path / "job.conf", fixture_corpus_path, out_dir)
+        assert main(["run", "--config", config, "--shards", "3"]) == 0
+        assert main(["run", "--config", config, "--shards", "2"]) == 0
+        capsys.readouterr()
+        shards = sorted(glob.glob(os.path.join(out_dir, "pretrain-*.tfrecord")))
+        assert [os.path.basename(path) for path in shards] == [
+            "pretrain-0-of-2.tfrecord", "pretrain-1-of-2.tfrecord",
+        ]
+        summary = next(
+            row for row in _read_lines(os.path.join(out_dir, "report.jsonl"))
+            if row["type"] == "summary"
+        )
+        assert main(["read-examples", *shards]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == summary["instances"] > 0
 
     def test_seed_flag_only_counts_when_given(self, capsys, tmp_path, fixture_corpus_path):
         # same config seed spelled implicitly and explicitly must agree;

@@ -414,6 +414,7 @@ class TestTokenizeDocuments:
         assert len(docs[0].sentences) == 2
         joined = [p for s in docs[0].sentences for p in s]
         assert all(isinstance(p, str) for p in joined)
+        assert not vocab.word_ids  # the encode memo is freed after the pass
 
     def test_blank_lines_skipped(self):
         from corpusprep.bpe import train_bpe
