@@ -15,9 +15,11 @@ from typing import Dict, List, Optional, Tuple
 
 from . import bpe, metrics
 from .cleaning import FilterThresholds
-from .config import validate_config
+from .config import _SCHEMA, PipelineConfig, numeric_fields, validate_config
 from .errors import ConfigError, PipelineError, StageError
-from .ingest import FORMATS, CorpusStats, compute_stats, read_documents, write_documents
+from .ingest import (
+    FORMATS, CorpusStats, compute_stats, read_documents, write_documents, write_jsonl
+)
 from .pipeline import (
     _clean_stream,
     casing_lexicon,
@@ -39,11 +41,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=12345, help="random seed")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers")
-    parser.add_argument("--format", choices=FORMATS, default="json-lines", help="input format")
-    parser.add_argument("--report", default=None, help="json-lines report path")
+# flags several subcommands take; each subcommand names the ones its handler reads
+_SHARED_FLAGS: Dict[str, dict] = {
+    "--format": dict(choices=FORMATS, default=PipelineConfig.input_format, help="input format"),
+    "--report": dict(help="json-lines report path"),
+    "--workers": dict(type=int, default=1, help="parallel workers"),
+}
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """One --flag per numeric field of the dataclass, typed and defaulted by it."""
+    for f in numeric_fields(cls):
+        flag = "--" + f.name.replace("_", "-")
+        parser.add_argument(flag, type=type(f.default), default=f.default)
+
+
+def _from_args(cls, args):
+    return cls(**{f.name: getattr(args, f.name) for f in numeric_fields(cls)})
 
 
 def _print_stats(stats: CorpusStats) -> None:
@@ -51,11 +65,8 @@ def _print_stats(stats: CorpusStats) -> None:
 
 
 def _write_report_lines(path: Optional[str], records: List[dict]) -> None:
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8") as out:
-        for record in records:
-            out.write(json.dumps(record, ensure_ascii=False) + "\n")
+    if path is not None:
+        write_jsonl(records, path)
 
 
 def _cmd_stats(args) -> int:
@@ -66,7 +77,7 @@ def _cmd_stats(args) -> int:
 
 
 def _clean_file(
-    args, stages: List[str], thresholds: FilterThresholds = FilterThresholds(), target_lang="et"
+    args, stages: List[str], thresholds: FilterThresholds = FilterThresholds(), target_lang=None
 ) -> Tuple[int, List[dict]]:
     """Run cleaning stages over args.input into args.output; (kept, drop records)."""
     dropped: List[dict] = []
@@ -95,13 +106,7 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    thresholds = FilterThresholds(
-        min_words=args.min_words,
-        max_stopword_ratio=args.max_stopword_ratio,
-        max_punct_ratio=args.max_punct_ratio,
-        lang_confidence_min=args.lang_confidence_min,
-    )
-    thresholds = with_stopwords(thresholds, args.stopwords or None)
+    thresholds = with_stopwords(_from_args(FilterThresholds, args), args.stopwords or None)
     stages = [] if args.no_language else ["langfilter"]
     if not args.no_heuristics:
         stages.append("heuristics")
@@ -151,21 +156,9 @@ def _cmd_bpe_encode(args) -> int:
     return 0
 
 
-def _generation_from_args(args) -> GenerationConfig:
-    return GenerationConfig(
-        max_seq_length=args.max_seq_length,
-        masked_lm_prob=args.masked_lm_prob,
-        random_next_prob=args.random_next_prob,
-        short_seq_prob=args.short_seq_prob,
-        dupe_factor=args.dupe_factor,
-        shards=args.shards,
-        seed=args.seed,
-    )
-
-
 def _cmd_make_examples(args) -> int:
     vocab = bpe.Vocab.load(args.vocab, args.merges)
-    config = _generation_from_args(args)
+    config = _from_args(GenerationConfig, args)
     docs = read_documents(args.input, args.format)
     paths, count = write_examples(docs, vocab, config, args.out_dir, args.workers)
     print(f"wrote {count} examples into {len(paths)} shards under {args.out_dir}")
@@ -209,7 +202,7 @@ def _cmd_score_ner(args) -> int:
     tokens = sum(len(g) for g in gold)
     sys.stdout.write(metrics.render_span_report(report, tokens))
     if args.report:
-        metrics.write_span_report_jsonl(report, args.report)
+        write_jsonl(metrics.span_report_records(report), args.report)
     return 0
 
 
@@ -230,6 +223,7 @@ def _cmd_score_cls(args) -> int:
     return 0
 
 
+# run flag -> the config key it overrides when given
 _OVERRIDE_FLAGS: Dict[str, Tuple[str, str]] = {
     "input": ("input", "path"),
     "out_dir": ("output", "dir"),
@@ -237,19 +231,17 @@ _OVERRIDE_FLAGS: Dict[str, Tuple[str, str]] = {
     "max_seq_length": ("examples", "max_seq_length"),
     "dupe_factor": ("examples", "dupe_factor"),
     "shards": ("examples", "shards"),
+    "report": ("output", "report"),
+    "seed": ("examples", "seed"),
 }
 
 
 def _cmd_run(args) -> int:
-    overrides: Dict[Tuple[str, str], str] = {}
-    for flag, key in _OVERRIDE_FLAGS.items():
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[key] = str(value)
-    if args.report is not None:
-        overrides[("output", "report")] = args.report
-    if args.seed_given:
-        overrides[("examples", "seed")] = str(args.seed)
+    overrides = {
+        key: str(getattr(args, flag))
+        for flag, key in _OVERRIDE_FLAGS.items()
+        if getattr(args, flag) is not None
+    }
     config = validate_config(args.config, overrides)
     report = run_pipeline(config, workers=args.workers)
     print(report.table())
@@ -264,62 +256,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="corpusprep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, func, help_text: str, shared=()) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
         p.set_defaults(func=func)
         return p
 
-    p = add("stats", _cmd_stats, "corpus document/sentence/word counts")
+    p = add("stats", _cmd_stats, "corpus document/sentence/word counts", ["--format", "--report"])
     p.add_argument("input")
 
-    for name, func, help_text in [
-        ("clean", _cmd_clean, "strip markup from every document"),
-        ("dedup", _cmd_dedup, "drop exact duplicates after lowercasing"),
-        ("filter", _cmd_filter, "language and quality filtering"),
-        ("truecase", _cmd_truecase, "rewrite tokens to canonical casing"),
+    for name, func, help_text, shared in [
+        ("clean", _cmd_clean, "strip markup from every document", ["--format"]),
+        ("dedup", _cmd_dedup, "drop exact duplicates after lowercasing", ["--format", "--report"]),
+        ("filter", _cmd_filter, "language and quality filtering", ["--format", "--report"]),
+        ("truecase", _cmd_truecase, "rewrite tokens to canonical casing", ["--format"]),
     ]:
-        p = add(name, func, help_text)
+        p = add(name, func, help_text, shared)
         p.add_argument("input")
         p.add_argument("output")
         p.add_argument("--output-format", choices=FORMATS, default="json-lines")
         if name == "filter":
-            p.add_argument("--target-lang", default="et")
-            p.add_argument("--min-words", type=int, default=10)
-            p.add_argument("--max-stopword-ratio", type=float, default=0.6)
-            p.add_argument("--max-punct-ratio", type=float, default=0.3)
-            p.add_argument("--lang-confidence-min", type=float, default=0.95)
-            p.add_argument("--stopwords", default=None, help="stopword list path")
+            p.add_argument("--target-lang", default=PipelineConfig.target_lang)
+            _add_field_flags(p, FilterThresholds)
+            p.add_argument("--stopwords", help="stopword list path")
             p.add_argument("--no-language", action="store_true")
             p.add_argument("--no-heuristics", action="store_true")
         if name == "truecase":
-            p.add_argument("--lexicon", default=None, help="casing lexicon TSV")
-            p.add_argument("--save-lexicon", default=None)
+            p.add_argument("--lexicon", help="casing lexicon TSV")
+            p.add_argument("--save-lexicon")
 
-    p = add("bpe-train", _cmd_bpe_train, "learn a subword vocabulary")
+    p = add("bpe-train", _cmd_bpe_train, "learn a subword vocabulary", ["--format"])
     p.add_argument("input")
-    p.add_argument("--vocab-size", type=int, default=50000)
+    p.add_argument("--vocab-size", type=int, default=PipelineConfig.vocab_size)
     p.add_argument("--vocab", default="vocab.txt")
     p.add_argument("--merges", default="merges.txt")
 
     p = add("bpe-encode", _cmd_bpe_encode, "encode text to piece ids")
     p.add_argument("text", nargs="*")
-    p.add_argument("--input", default=None, help="file of lines to encode")
+    p.add_argument("--input", help="file of lines to encode")
     p.add_argument("--vocab", required=True)
     p.add_argument("--merges", required=True)
     p.add_argument("--pieces", action="store_true", help="print pieces, not ids")
 
-    p = add("make-examples", _cmd_make_examples, "generate MLM/NSP TFRecord shards")
+    shared = ["--format", "--workers"]
+    p = add("make-examples", _cmd_make_examples, "generate MLM/NSP TFRecord shards", shared)
     p.add_argument("input")
     p.add_argument("--vocab", required=True)
     p.add_argument("--merges", required=True)
-    p.add_argument("--out-dir", default="out")
-    p.add_argument("--max-seq-length", type=int, default=128)
-    p.add_argument("--masked-lm-prob", type=float, default=0.15)
-    p.add_argument("--random-next-prob", type=float, default=0.5)
-    p.add_argument("--short-seq-prob", type=float, default=0.1)
-    p.add_argument("--dupe-factor", type=int, default=10)
-    p.add_argument("--shards", type=int, default=4)
+    p.add_argument("--out-dir", default=PipelineConfig.out_dir)
+    _add_field_flags(p, GenerationConfig)
 
     p = add("read-examples", _cmd_read_examples, "decode shard files to json-lines")
     p.add_argument("shards", nargs="+")
@@ -330,30 +316,24 @@ def build_parser() -> argparse.ArgumentParser:
         ("score-ner", _cmd_score_ner),
         ("score-cls", _cmd_score_cls),
     ]:
-        p = add(name, func, f"evaluate predictions ({name.split('-')[1]})")
+        p = add(name, func, f"evaluate predictions ({name.split('-')[1]})", ["--report"])
         p.add_argument("input")
 
-    p = add("run", _cmd_run, "full pipeline from a config file")
+    p = add("run", _cmd_run, "full pipeline from a config file", ["--workers"])
     p.add_argument("--config", required=True)
-    p.add_argument("--input", default=None)
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--vocab-size", type=int, default=None)
-    p.add_argument("--max-seq-length", type=int, default=None)
-    p.add_argument("--dupe-factor", type=int, default=None)
-    p.add_argument("--shards", type=int, default=None)
+    for flag, (section, key) in _OVERRIDE_FLAGS.items():
+        kind = int if _SCHEMA[section][key] == "int" else None
+        p.add_argument("--" + flag.replace("_", "-"), type=kind)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # run only overrides the config seed when --seed was given explicitly
-    args.seed_given = any(a == "--seed" or a.startswith("--seed=") for a in argv)
     try:
         return args.func(args)
     except ConfigError as exc:

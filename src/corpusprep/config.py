@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import difflib
 import re
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 from .cleaning import FilterThresholds
@@ -27,40 +27,38 @@ _SECTION_RE = re.compile(r"^\[([^\]]*)\]$")
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
-# section -> key -> (kind, default); kind: str | int | float | bool | format
-_SCHEMA: Dict[str, Dict[str, Tuple[str, object]]] = {
-    "input": {
-        "path": ("str", None),
-        "format": ("format", "json-lines"),
-    },
-    "output": {
-        "dir": ("str", "out"),
-        "report": ("str", None),
-    },
-    "stages": {stage: ("bool", True) for stage in STAGE_ORDER},
-    "filter": {
-        "target_lang": ("str", "et"),
-        "min_words": ("int", 10),
-        "max_stopword_ratio": ("float", 0.6),
-        "max_punct_ratio": ("float", 0.3),
-        "lang_confidence_min": ("float", 0.95),
-        "stopwords": ("str", None),
-    },
-    "truecase": {
-        "lexicon": ("str", None),
-    },
-    "vocab": {
-        "vocab_size": ("int", 50000),
-    },
-    "examples": {
-        "max_seq_length": ("int", 128),
-        "masked_lm_prob": ("float", 0.15),
-        "random_next_prob": ("float", 0.5),
-        "short_seq_prob": ("float", 0.1),
-        "dupe_factor": ("int", 10),
-        "shards": ("int", 4),
-        "seed": ("int", 12345),
-    },
+
+def numeric_fields(cls) -> List[Field]:
+    """The fields of a settings dataclass with an int or float default."""
+    return [f for f in fields(cls) if type(f.default) in (int, float)]
+
+
+def _kinds(cls) -> Dict[str, str]:
+    return {f.name: type(f.default).__name__ for f in numeric_fields(cls)}
+
+
+# section -> key -> kind: str | int | float | bool | format
+_SCHEMA: Dict[str, Dict[str, str]] = {
+    "input": {"path": "str", "format": "format"},
+    "output": {"dir": "str", "report": "str"},
+    "stages": {stage: "bool" for stage in STAGE_ORDER},
+    "filter": {"target_lang": "str", **_kinds(FilterThresholds), "stopwords": "str"},
+    "truecase": {"lexicon": "str"},
+    "vocab": {"vocab_size": "int"},
+    "examples": _kinds(GenerationConfig),
+}
+
+# (section, key) -> PipelineConfig field; every other key is a field of the
+# dataclass its section fills: StageToggles, FilterThresholds or GenerationConfig
+_FIELDS: Dict[Tuple[str, str], str] = {
+    ("input", "path"): "input_path",
+    ("input", "format"): "input_format",
+    ("output", "dir"): "out_dir",
+    ("output", "report"): "report_path",
+    ("filter", "target_lang"): "target_lang",
+    ("filter", "stopwords"): "stopwords_path",
+    ("truecase", "lexicon"): "truecase_lexicon_path",
+    ("vocab", "vocab_size"): "vocab_size",
 }
 
 # (section, key) -> inclusive numeric bounds
@@ -174,7 +172,7 @@ def parse_config_text(
                 + _suggest(key, pool)
             )
             continue
-        kind, _default = _SCHEMA[section][key]
+        kind = _SCHEMA[section][key]
         try:
             value = _convert(kind, raw)
         except ValueError as exc:
@@ -186,7 +184,7 @@ def parse_config_text(
         if section_name not in _SCHEMA or key not in _SCHEMA[section_name]:
             diagnostics.append(f"override: unknown key {section_name}.{key}")
             continue
-        kind, _default = _SCHEMA[section_name][key]
+        kind = _SCHEMA[section_name][key]
         try:
             values[(section_name, key)] = _convert(kind, str(raw))
         except ValueError as exc:
@@ -200,44 +198,25 @@ def parse_config_text(
                 limit = f">= {low:g}" if high == float("inf") else f"in [{low:g}, {high:g}]"
                 diagnostics.append(f"{section_name}.{key} must be {limit}, got {value:g}")
 
-    def get(section_name: str, key: str) -> object:
-        if (section_name, key) in values:
-            return values[(section_name, key)]
-        return _SCHEMA[section_name][key][1]
-
-    if get("input", "path") is None:
+    if ("input", "path") not in values:
         diagnostics.append("missing required key: input.path")
 
     if diagnostics:
         raise ConfigError(diagnostics)
 
+    # keys not given fall back to the dataclass defaults
+    top: Dict[str, object] = {}
+    nested: Dict[str, Dict[str, object]] = {"stages": {}, "filter": {}, "examples": {}}
+    for (section_name, key), value in values.items():
+        if (section_name, key) in _FIELDS:
+            top[_FIELDS[section_name, key]] = value
+        else:
+            nested[section_name][key] = value
     return PipelineConfig(
-        input_path=str(get("input", "path")),
-        input_format=str(get("input", "format")),
-        out_dir=str(get("output", "dir")),
-        report_path=(None if get("output", "report") is None else str(get("output", "report"))),
-        stages=StageToggles(**{stage: bool(get("stages", stage)) for stage in STAGE_ORDER}),
-        target_lang=str(get("filter", "target_lang")),
-        thresholds=FilterThresholds(
-            min_words=int(get("filter", "min_words")),
-            max_stopword_ratio=float(get("filter", "max_stopword_ratio")),
-            max_punct_ratio=float(get("filter", "max_punct_ratio")),
-            lang_confidence_min=float(get("filter", "lang_confidence_min")),
-        ),
-        stopwords_path=(None if get("filter", "stopwords") is None else str(get("filter", "stopwords"))),
-        truecase_lexicon_path=(
-            None if get("truecase", "lexicon") is None else str(get("truecase", "lexicon"))
-        ),
-        vocab_size=int(get("vocab", "vocab_size")),
-        generation=GenerationConfig(
-            max_seq_length=int(get("examples", "max_seq_length")),
-            masked_lm_prob=float(get("examples", "masked_lm_prob")),
-            random_next_prob=float(get("examples", "random_next_prob")),
-            short_seq_prob=float(get("examples", "short_seq_prob")),
-            dupe_factor=int(get("examples", "dupe_factor")),
-            shards=int(get("examples", "shards")),
-            seed=int(get("examples", "seed")),
-        ),
+        stages=StageToggles(**nested["stages"]),
+        thresholds=FilterThresholds(**nested["filter"]),
+        generation=GenerationConfig(**nested["examples"]),
+        **top,
     )
 
 

@@ -165,6 +165,13 @@ def write_documents(docs: Iterable[Document], path: str, format: str) -> int:
     return written
 
 
+def write_jsonl(records: Iterable[dict], path: str) -> None:
+    """Write one JSON object per line, non-ASCII characters kept as they are."""
+    with open(path, "w", encoding="utf-8") as out:
+        for record in records:
+            out.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
 def _check_format(format: str) -> None:
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format {format!r}; expected one of {FORMATS}")

@@ -9,7 +9,6 @@ F1 are micro-averaged percentages, reported overall and per type.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
@@ -217,9 +216,3 @@ def span_report_records(report: SpanF1Report) -> List[dict]:
     rows = [record(t, report.by_type[t]) for t in sorted(report.by_type)]
     rows.append(record("ALL", report.overall))
     return rows
-
-
-def write_span_report_jsonl(report: SpanF1Report, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        for row in span_report_records(report):
-            out.write(json.dumps(row, ensure_ascii=False) + "\n")

@@ -31,7 +31,7 @@ from .cleaning import (
 )
 from .config import PipelineConfig
 from .errors import IoError, MissingLemmas, PipelineError, StageError, TextTooShort
-from .ingest import CorpusStats, Document, read_documents, write_documents
+from .ingest import CorpusStats, Document, read_documents, write_documents, write_jsonl
 from .langid import default_profiles, detect_language
 from .pretrain import (
     GenerationConfig,
@@ -332,7 +332,5 @@ def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
         },
         instances=instance_count,
     )
-    with open(report_path, "w", encoding="utf-8") as out:
-        for record in report.records():
-            out.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_jsonl(report.records(), report_path)
     return report

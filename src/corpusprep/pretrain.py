@@ -380,7 +380,7 @@ def example_payload(example: SerializedExample) -> bytes:
     return encode_example(features, FEATURE_ORDER)
 
 
-_SHARD_NAME = re.compile(r"pretrain-\d+-of-\d+\.tfrecord")
+_SHARD_NAME = re.compile(r"pretrain-(\d+)-of-\d+\.tfrecord")
 
 
 def shard_paths(out_dir: str, shards: int) -> List[str]:
@@ -421,12 +421,20 @@ def write_tfrecords(
 def read_tfrecords(paths: Iterable[str]) -> Iterator[SerializedExample]:
     """Decode shard files back to examples, validating CRCs and feature names.
 
-    Records interleave round-robin across the given paths, one record per
-    file per round, which inverts write_tfrecords' assignment: reading the
-    shard list back yields the original arrival order.  A payload that
-    passes its CRC but does not parse raises CorruptRecord at its offset.
+    Records interleave round-robin across the paths, one record per file
+    per round, which inverts write_tfrecords' assignment: reading the shard
+    list back yields the original arrival order.  Paths named
+    pretrain-<i>-of-<n>.tfrecord are read in index order i (a sorted glob
+    lists -10 before -2), after any other paths in the order given.  A
+    payload that passes its CRC but does not parse raises CorruptRecord at
+    its offset.
     """
-    streams = [[read_framed(path), 0] for path in paths]  # [records, byte offset]
+
+    def index(path: str) -> int:
+        match = _SHARD_NAME.fullmatch(os.path.basename(path))
+        return int(match.group(1)) if match else -1
+
+    streams = [[read_framed(path), 0] for path in sorted(paths, key=index)]  # [records, offset]
     while streams:
         for entry in list(streams):
             payload = next(entry[0], None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import glob
 import hashlib
 import json
 import os
@@ -535,6 +537,16 @@ class TestSharding:
         paths = write_tfrecords(examples, str(tmp_path), shards=1)
         assert len(paths) == 1
         assert list(read_tfrecords(paths)) == examples
+
+    def test_sorted_glob_reads_in_arrival_order(self, tmp_path):
+        # a sorted glob lists pretrain-10 and -11 before pretrain-2
+        examples = [
+            dataclasses.replace(ex, masked_lm_ids=(k,)) for k, ex in enumerate(self._examples(30))
+        ]
+        paths = write_tfrecords(examples, str(tmp_path), shards=12)
+        globbed = sorted(glob.glob(str(tmp_path / "pretrain-*.tfrecord")))
+        assert globbed != paths
+        assert list(read_tfrecords(globbed)) == list(read_tfrecords(paths)) == examples
 
     def test_creates_missing_output_directory(self, tmp_path):
         target = str(tmp_path / "uus" / "kaust")
