@@ -8,6 +8,7 @@ records, stage errors).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections import defaultdict
@@ -168,16 +169,7 @@ def _cmd_make_examples(args) -> int:
 def _cmd_read_examples(args) -> int:
     shown = 0
     for example in read_tfrecords(args.shards):
-        record = {
-            "input_ids": list(example.input_ids),
-            "input_mask": list(example.input_mask),
-            "segment_ids": list(example.segment_ids),
-            "masked_lm_positions": list(example.masked_lm_positions),
-            "masked_lm_ids": list(example.masked_lm_ids),
-            "masked_lm_weights": list(example.masked_lm_weights),
-            "next_sentence_labels": example.next_sentence_labels,
-        }
-        print(json.dumps(record))
+        print(json.dumps(dataclasses.asdict(example)))
         shown += 1
         if args.limit and shown >= args.limit:
             break

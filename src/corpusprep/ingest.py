@@ -78,13 +78,6 @@ class CorpusStats:
         self.sentences += sum(1 for line in doc.text.split("\n") if line.strip())
         self.words += len(doc.text.split())
 
-    def __add__(self, other: "CorpusStats") -> "CorpusStats":
-        return CorpusStats(
-            self.documents + other.documents,
-            self.sentences + other.sentences,
-            self.words + other.words,
-        )
-
     def __le__(self, other: "CorpusStats") -> bool:
         return (
             self.documents <= other.documents
@@ -158,18 +151,23 @@ def write_documents(docs: Iterable[Document], path: str, format: str) -> int:
                         record["lang"] = doc.lang_tag
                     if doc.lemmas is not None:
                         record["lemmas"] = list(doc.lemmas)
-                    out.write(json.dumps(record, ensure_ascii=False) + "\n")
+                    out.write(json_line(record))
                     written += 1
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return written
 
 
+def json_line(record: dict) -> str:
+    """One json-lines line: the object, non-ASCII characters kept as they are."""
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
 def write_jsonl(records: Iterable[dict], path: str) -> None:
-    """Write one JSON object per line, non-ASCII characters kept as they are."""
+    """Write one JSON object per line."""
     with open(path, "w", encoding="utf-8") as out:
         for record in records:
-            out.write(json.dumps(record, ensure_ascii=False) + "\n")
+            out.write(json_line(record))
 
 
 def _check_format(format: str) -> None:

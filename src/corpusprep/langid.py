@@ -19,7 +19,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .errors import TextTooShort
 

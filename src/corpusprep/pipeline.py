@@ -12,7 +12,6 @@ with the same inputs and seed is byte-identical, report included.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -31,7 +30,7 @@ from .cleaning import (
 )
 from .config import PipelineConfig
 from .errors import IoError, MissingLemmas, PipelineError, StageError, TextTooShort
-from .ingest import CorpusStats, Document, read_documents, write_documents, write_jsonl
+from .ingest import CorpusStats, Document, json_line, read_documents, write_documents, write_jsonl
 from .langid import default_profiles, detect_language
 from .pretrain import (
     GenerationConfig,
@@ -145,14 +144,11 @@ def _write_docs(stream: Iterator[Document], path: str) -> int:
 class _DropLog:
     def __init__(self, path: str):
         self.by_reason: Dict[str, int] = {}
-        self.by_stage: Dict[str, int] = {}
         self._handle = open(path, "w", encoding="utf-8")
 
     def record(self, doc: Document, stage: str, reason: DropReason) -> None:
         self.by_reason[reason.kind] = self.by_reason.get(reason.kind, 0) + 1
-        self.by_stage[stage] = self.by_stage.get(stage, 0) + 1
-        line = json.dumps(drop_record(doc, stage, reason), ensure_ascii=False)
-        self._handle.write(line + "\n")
+        self._handle.write(json_line(drop_record(doc, stage, reason)))
 
     def close(self) -> None:
         self._handle.close()
@@ -297,7 +293,7 @@ def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
     stage_reports: List[StageReport] = []
     previous = tallies["ingest"]
     for name in enabled:
-        dropped = drops.by_stage.get(name, 0)
+        dropped = previous.documents - tallies[name].documents
         stage_reports.append(StageReport(name, previous, tallies[name], dropped))
         previous = tallies[name]
 

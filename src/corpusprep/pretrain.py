@@ -26,9 +26,8 @@ import multiprocessing
 import os
 import random
 import re
-import struct
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Iterable, Iterator, List, Sequence, Tuple, get_type_hints
 
 from .bpe import PAD_ID, SPECIALS, Vocab, encode
 from .errors import (
@@ -43,16 +42,6 @@ from .ingest import Document
 from .tfrecord import FRAME_OVERHEAD, encode_example, frame_record, parse_example, read_framed
 
 CLS, SEP, MASK = "[CLS]", "[SEP]", "[MASK]"
-
-FEATURE_ORDER = (
-    "input_ids",
-    "input_mask",
-    "segment_ids",
-    "masked_lm_positions",
-    "masked_lm_ids",
-    "masked_lm_weights",
-    "next_sentence_labels",
-)
 
 
 @dataclass(frozen=True)
@@ -328,6 +317,9 @@ def build_instances(
 
 @dataclass(frozen=True)
 class SerializedExample:
+    """One record's features, in wire order.  A float tuple is a float
+    feature; an int tuple is an int64 feature, and an int a one-value one."""
+
     input_ids: Tuple[int, ...]
     input_mask: Tuple[int, ...]
     segment_ids: Tuple[int, ...]
@@ -335,6 +327,12 @@ class SerializedExample:
     masked_lm_ids: Tuple[int, ...]
     masked_lm_weights: Tuple[float, ...]
     next_sentence_labels: int
+
+
+FEATURE_ORDER = tuple(field.name for field in fields(SerializedExample))
+_TYPES = get_type_hints(SerializedExample)  # feature name -> field type
+# feature name -> "float" or "int64", the list kind of its Feature message
+_KINDS = {name: "float" if _TYPES[name] == Tuple[float, ...] else "int64" for name in FEATURE_ORDER}
 
 
 def serialize_example(
@@ -368,15 +366,10 @@ def serialize_example(
 
 
 def example_payload(example: SerializedExample) -> bytes:
-    features = {
-        "input_ids": ("int64", example.input_ids),
-        "input_mask": ("int64", example.input_mask),
-        "segment_ids": ("int64", example.segment_ids),
-        "masked_lm_positions": ("int64", example.masked_lm_positions),
-        "masked_lm_ids": ("int64", example.masked_lm_ids),
-        "masked_lm_weights": ("float", example.masked_lm_weights),
-        "next_sentence_labels": ("int64", [example.next_sentence_labels]),
-    }
+    features = {}
+    for name in FEATURE_ORDER:
+        values = getattr(example, name)
+        features[name] = (_KINDS[name], (values,) if _TYPES[name] is int else values)
     return encode_example(features, FEATURE_ORDER)
 
 
@@ -448,7 +441,7 @@ def read_tfrecords(paths: Iterable[str]) -> Iterator[SerializedExample]:
 def _decode_payload(payload: bytes, offset: int) -> SerializedExample:
     try:
         features = parse_example(payload)
-    except (ValueError, struct.error) as exc:
+    except ValueError as exc:
         raise CorruptRecord(offset, "data", f"malformed payload: {exc}") from exc
     unknown = set(features) - set(FEATURE_ORDER)
     if unknown:
@@ -457,22 +450,15 @@ def _decode_payload(payload: bytes, offset: int) -> SerializedExample:
     if missing:
         raise UnknownFeature(f"missing feature(s): {sorted(missing)}")
 
-    def ints(name: str) -> Tuple[int, ...]:
+    decoded = {}
+    for name in FEATURE_ORDER:
         kind, values = features[name]
-        if kind != "int64":
-            raise UnknownFeature(f"feature {name} must be int64")
-        return tuple(int(v) for v in values)
-
-    kind, weights = features["masked_lm_weights"]
-    if kind != "float":
-        raise UnknownFeature("feature masked_lm_weights must be float")
-    label_list = ints("next_sentence_labels")
-    return SerializedExample(
-        input_ids=ints("input_ids"),
-        input_mask=ints("input_mask"),
-        segment_ids=ints("segment_ids"),
-        masked_lm_positions=ints("masked_lm_positions"),
-        masked_lm_ids=ints("masked_lm_ids"),
-        masked_lm_weights=tuple(float(w) for w in weights),
-        next_sentence_labels=label_list[0] if label_list else 0,
-    )
+        if kind != _KINDS[name]:
+            raise UnknownFeature(f"feature {name} must be {_KINDS[name]}")
+        if _TYPES[name] is not int:
+            decoded[name] = tuple(values)
+        elif len(values) == 1:
+            decoded[name] = values[0]
+        else:
+            raise CorruptRecord(offset, "data", f"feature {name} holds {len(values)} values, not 1")
+    return SerializedExample(**decoded)

@@ -8,7 +8,10 @@ payload.  CRC32C uses the Castagnoli polynomial; the mask is
 Payloads are hand-rolled protocol-buffer messages: Example (field 1 =
 Features), Features (field 1 = repeated map entry of name string to
 Feature), Feature (field 2 = FloatList, field 3 = Int64List, both packed on
-write).  The reader accepts packed and unpacked list encodings.
+write).  The reader is one field iterator, _fields, that every message
+level loops over, keeping the fields it knows and passing over the rest; it
+rejects a varint, length-delimited, fixed64 or fixed32 field that runs past
+the end of its message.  It accepts packed and unpacked list encodings.
 """
 
 from __future__ import annotations
@@ -85,130 +88,102 @@ def encode_example(features: FeatureDict, order: Sequence[str]) -> bytes:
     return _length_delimited(1, b"".join(entries))
 
 
-class _Cursor:
-    """Minimal protobuf reader over one message's bytes."""
+def _varint_at(data: bytes, pos: int) -> Tuple[int, int]:
+    """The varint starting at data[pos] and the position just after it."""
+    result = 0
+    shift = 0
+    while True:
+        if pos >= len(data):
+            raise ValueError("truncated varint")
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return result, pos
+        shift += 7
+        if shift > 63:
+            raise ValueError("varint too long")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def done(self) -> bool:
-        return self.pos >= len(self.data)
+_FIXED_SIZE = {1: 8, 5: 4}  # wire type -> bytes of a fixed64 / fixed32 field
 
-    def varint(self) -> int:
-        result = 0
-        shift = 0
-        while True:
-            if self.pos >= len(self.data):
-                raise ValueError("truncated varint")
-            byte = self.data[self.pos]
-            self.pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-            if shift > 63:
-                raise ValueError("varint too long")
 
-    def tag(self) -> Tuple[int, int]:
-        key = self.varint()
-        return key >> 3, key & 0x7
+def _fields(data: bytes) -> Iterator[Tuple[int, int, Union[int, bytes]]]:
+    """Yield (field number, wire type, value) for each field of one message.
 
-    def bytes_field(self) -> bytes:
-        length = self.varint()
-        if self.pos + length > len(self.data):
-            raise ValueError("truncated length-delimited field")
-        chunk = self.data[self.pos : self.pos + length]
-        self.pos += length
-        return chunk
-
-    def skip(self, wire_type: int) -> None:
-        if wire_type == 0:
-            self.varint()
-        elif wire_type == 1:
-            self.pos += 8
-        elif wire_type == 2:
-            self.bytes_field()
-        elif wire_type == 5:
-            self.pos += 4
+    A varint field's value is its int; a length-delimited, fixed64 or
+    fixed32 field's value is its bytes.  A field that runs past the end of
+    the message raises ValueError.
+    """
+    pos = 0
+    while pos < len(data):
+        key, pos = _varint_at(data, pos)
+        wire = key & 0x7
+        if wire == 0:
+            value, pos = _varint_at(data, pos)
         else:
-            raise ValueError(f"unsupported wire type {wire_type}")
+            if wire == 2:
+                size, pos = _varint_at(data, pos)
+            elif wire in _FIXED_SIZE:
+                size = _FIXED_SIZE[wire]
+            else:
+                raise ValueError(f"unsupported wire type {wire}")
+            if pos + size > len(data):
+                raise ValueError(f"truncated field {key >> 3} (wire type {wire})")
+            value = data[pos : pos + size]
+            pos += size
+        yield key >> 3, wire, value
 
 
-def _parse_int64_list(data: bytes) -> List[int]:
-    cursor = _Cursor(data)
-    values: List[int] = []
-    while not cursor.done():
-        field, wire = cursor.tag()
-        if field == 1 and wire == 2:  # packed
-            inner = _Cursor(cursor.bytes_field())
-            while not inner.done():
-                values.append(inner.varint())
-        elif field == 1 and wire == 0:  # unpacked
-            values.append(cursor.varint())
-        else:
-            cursor.skip(wire)
+def _packed_varints(data: bytes) -> List[int]:
+    values = []
+    pos = 0
+    while pos < len(data):
+        value, pos = _varint_at(data, pos)
+        values.append(value)
     return values
 
 
-def _parse_float_list(data: bytes) -> List[float]:
-    cursor = _Cursor(data)
-    values: List[float] = []
-    while not cursor.done():
-        field, wire = cursor.tag()
-        if field == 1 and wire == 2:
-            chunk = cursor.bytes_field()
-            if len(chunk) % 4:
-                raise ValueError("packed float block not a multiple of 4 bytes")
-            values.extend(struct.unpack(f"<{len(chunk) // 4}f", chunk))
-        elif field == 1 and wire == 5:
-            if cursor.pos + 4 > len(cursor.data):
-                raise ValueError("truncated float")
-            values.append(struct.unpack_from("<f", cursor.data, cursor.pos)[0])
-            cursor.pos += 4
-        else:
-            cursor.skip(wire)
-    return values
+_LIST_KINDS = {3: "int64", 2: "float"}  # Feature field number -> list kind
 
 
 def _parse_feature(data: bytes) -> Tuple[str, FeatureValue]:
-    cursor = _Cursor(data)
-    while not cursor.done():
-        field, wire = cursor.tag()
-        if field == 3 and wire == 2:
-            return "int64", _parse_int64_list(cursor.bytes_field())
-        if field == 2 and wire == 2:
-            return "float", _parse_float_list(cursor.bytes_field())
-        cursor.skip(wire)
-    return "int64", []
+    """A Feature's (kind, values); its list's field 1 may be packed or not."""
+    kind, values = "int64", []
+    for field, wire, body in _fields(data):
+        if wire != 2 or field not in _LIST_KINDS:
+            continue
+        kind, values = _LIST_KINDS[field], []
+        for item_field, item_wire, item in _fields(body):
+            if item_field != 1:
+                continue
+            if kind == "int64" and item_wire == 0:
+                values.append(item)
+            elif kind == "int64" and item_wire == 2:
+                values.extend(_packed_varints(item))
+            elif kind == "float" and item_wire in (2, 5):
+                if len(item) % 4:
+                    raise ValueError("packed float block not a multiple of 4 bytes")
+                values.extend(struct.unpack(f"<{len(item) // 4}f", item))
+    return kind, values
 
 
 def parse_example(payload: bytes) -> FeatureDict:
     """Decode an Example payload to name -> (kind, values)."""
     features: FeatureDict = {}
-    outer = _Cursor(payload)
-    while not outer.done():
-        field, wire = outer.tag()
-        if field != 1 or wire != 2:
-            outer.skip(wire)
+    for field, wire, feats in _fields(payload):
+        if (field, wire) != (1, 2):
             continue
-        feats = _Cursor(outer.bytes_field())
-        while not feats.done():
-            entry_field, entry_wire = feats.tag()
-            if entry_field != 1 or entry_wire != 2:
-                feats.skip(entry_wire)
+        for entry_field, entry_wire, entry in _fields(feats):
+            if (entry_field, entry_wire) != (1, 2):
                 continue
-            entry = _Cursor(feats.bytes_field())
             name = None
             value: Tuple[str, FeatureValue] = ("int64", [])
-            while not entry.done():
-                part_field, part_wire = entry.tag()
-                if part_field == 1 and part_wire == 2:
-                    name = entry.bytes_field().decode("utf-8")
-                elif part_field == 2 and part_wire == 2:
-                    value = _parse_feature(entry.bytes_field())
-                else:
-                    entry.skip(part_wire)
+            for part_field, part_wire, part in _fields(entry):
+                if part_wire == 2 and part_field == 1:
+                    name = part.decode("utf-8")
+                elif part_wire == 2 and part_field == 2:
+                    value = _parse_feature(part)
             if name is not None:
                 features[name] = value
     return features

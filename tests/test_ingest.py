@@ -50,10 +50,6 @@ class TestCorpusStats:
         stats.add_document(Document(id="a", text="üks.\n\n  \nkaks."))
         assert stats.sentences == 2
 
-    def test_addition_is_fieldwise(self):
-        total = CorpusStats(1, 2, 3) + CorpusStats(10, 20, 30)
-        assert total == CorpusStats(11, 22, 33)
-
     def test_ordering_is_fieldwise_conjunction(self):
         small, big = CorpusStats(1, 1, 1), CorpusStats(2, 2, 2)
         assert small <= big

@@ -37,7 +37,7 @@ from corpusprep.pretrain import (
     tokenize_documents,
     write_tfrecords,
 )
-from corpusprep.tfrecord import write_framed
+from corpusprep.tfrecord import encode_example, parse_example, write_framed
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -490,6 +490,38 @@ class TestSerialization:
         assert parsed["input_ids"] == ("int64", list(ex.input_ids))
         assert parsed["next_sentence_labels"] == ("int64", [1])
 
+    def test_payload_bytes_assembled_by_hand(self):
+        example = SerializedExample(
+            input_ids=(2, 300),
+            input_mask=(1, 1),
+            segment_ids=(0, 1),
+            masked_lm_positions=(1,),
+            masked_lm_ids=(300,),
+            masked_lm_weights=(1.0, 0.0),
+            next_sentence_labels=1,
+        )
+
+        def int64s(packed):  # Feature field 3: Int64List, its field 1 packed
+            return _field(3, _field(1, packed))
+
+        features = [
+            ("input_ids", int64s(b"\x02\xac\x02")),  # 300 is the varint ac 02
+            ("input_mask", int64s(b"\x01\x01")),
+            ("segment_ids", int64s(b"\x00\x01")),
+            ("masked_lm_positions", int64s(b"\x01")),
+            ("masked_lm_ids", int64s(b"\xac\x02")),
+            # Feature field 2: FloatList, 1.0 and 0.0 as little-endian float32
+            ("masked_lm_weights", _field(2, _field(1, b"\x00\x00\x80\x3f" + bytes(4)))),
+            ("next_sentence_labels", int64s(b"\x01")),
+        ]
+        entries = b"".join(
+            _field(1, _field(1, name.encode("ascii")) + _field(2, feature))
+            for name, feature in features
+        )
+        assert 128 <= len(entries) < 2**14  # the Example's length is a two-byte varint
+        expected = b"\x0a" + bytes([len(entries) & 0x7F | 0x80, len(entries) >> 7]) + entries
+        assert example_payload(example) == expected
+
 
 class TestSharding:
     def _examples(self, n, length=8):
@@ -632,3 +664,18 @@ class TestCorruptPayload:
         float_list = b"\x0d\x00\x00"  # field 1, wire type 5, two of four bytes
         entry = _field(1, b"masked_lm_weights") + _field(2, _field(2, float_list))
         self._read(tmp_path, [_field(1, _field(1, entry))])
+
+    def test_truncated_fixed_width_field(self, tmp_path):
+        valid = self._valid()
+        # field 2 as fixed64 with 3 of its 8 bytes, then as fixed32 with 1 of 4
+        for tail in (b"\x11\x00\x00\x00", b"\x15\x00"):
+            error = self._read(tmp_path, [valid, valid + tail])
+            assert error.offset == len(valid) + 16
+
+    @pytest.mark.parametrize("labels", [[], [1, 0, 1]])
+    def test_label_count_other_than_one(self, tmp_path, labels):
+        valid = self._valid()
+        features = parse_example(valid)
+        features["next_sentence_labels"] = ("int64", labels)
+        payload = encode_example(features, FEATURE_ORDER)
+        assert self._read(tmp_path, [valid, payload]).offset == len(valid) + 16

@@ -180,6 +180,22 @@ class TestExampleEncoding:
         assert kind == "float"
         assert values == pytest.approx([2.5, 2.5])
 
+    def test_unknown_fields_of_every_wire_type_ignored(self):
+        payload = encode_example({"ids": ("int64", [5, 300])}, ["ids"])
+        # field 2 as a varint, fixed64, length-delimited and fixed32 field
+        extra = b"\x10\x96\x01" + b"\x11" + bytes(8) + b"\x12\x02ab" + b"\x15" + bytes(4)
+        assert parse_example(payload + extra) == parse_example(payload)
+
+    @pytest.mark.parametrize(
+        "tail",
+        [b"\x11" + bytes(7), b"\x15" + bytes(3), b"\x12\x05abcd", b"\x10\x96", b"\x10"],
+        ids=["fixed64", "fixed32", "length-delimited", "varint", "varint-missing"],
+    )
+    def test_truncated_trailing_field_rejected(self, tail):
+        payload = encode_example({"ids": ("int64", [5])}, ["ids"])
+        with pytest.raises(ValueError):
+            parse_example(payload + tail)
+
 
 _rng_features = st.dictionaries(
     st.text(alphabet="abcdefgh_", min_size=1, max_size=12),
