@@ -12,12 +12,12 @@ json-lines corpus to run on your own data instead.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
 
 from corpusprep.config import PipelineConfig
+from corpusprep.ingest import json_line
 from corpusprep.pipeline import run_pipeline
 from corpusprep.pretrain import GenerationConfig, read_tfrecords
 
@@ -67,7 +67,7 @@ def synthesize_corpus(path: str, n_docs: int, seed: int) -> None:
                     row["text"] = f"<p>{text}</p>"
                 elif rng.random() < 0.5:
                     row["lemmas"] = [_lemma(token) for token in text.split()]
-            out.write(json.dumps(row, ensure_ascii=False) + "\n")
+            out.write(json_line(row))
 
 
 def main(argv=None) -> int:

@@ -57,20 +57,12 @@ class NoMaskableTokens(PipelineError):
     pass
 
 
-class PieceNotInVocab(PipelineError):
-    pass
-
-
 class CorruptRecord(PipelineError):
     def __init__(self, offset: int, which_crc: str, message: str = ""):
         detail = f" ({message})" if message else ""
         super().__init__(f"corrupt record at byte {offset}: {which_crc} check failed{detail}")
         self.offset = offset
         self.which_crc = which_crc
-
-
-class UnknownFeature(PipelineError):
-    pass
 
 
 # --- metrics ----------------------------------------------------------------

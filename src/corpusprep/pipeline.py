@@ -2,9 +2,10 @@
 
 Stages run in a fixed order (strip, langfilter, dedup, heuristics,
 truecase); disabled stages are skipped, never reordered.  Documents stream
-through a single driver loop so memory stays flat in corpus size; the
-truecase stage uses a temporary file for its two passes (collect casing
-evidence, then rewrite).  Failures carry the stage name via StageError.
+through a single driver loop one at a time; only the dedup digest set, one
+digest per kept document, grows with the corpus.  The truecase stage uses a
+temporary file for its two passes (collect casing evidence, then rewrite).
+Failures carry the stage name via StageError.
 
 Reports are fully deterministic: no timestamps, fixed key order, so a rerun
 with the same inputs and seed is byte-identical, report included.

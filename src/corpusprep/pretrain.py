@@ -6,6 +6,12 @@ A and segment B, B is either the document's continuation or sentences from a
 random other document, the pair is truncated to fit and 15% of the
 non-special tokens are masked 80/10/10.
 
+Tokens and masked labels are piece ids from encode to the serialized
+record; that tool keeps piece strings and looks each one up as it writes,
+which gives the same ids because a Vocab maps pieces to ids one to one.
+Random-next sampling may draw from any document, so the whole tokenized
+corpus is held in memory, as ids, while instances are generated.
+
 Two deliberate departures from that tool, both needed for reproducibility
 guarantees:
 
@@ -29,19 +35,10 @@ import re
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, List, Sequence, Tuple, get_type_hints
 
-from .bpe import PAD_ID, SPECIALS, Vocab, encode
-from .errors import (
-    CorpusTooSmall,
-    CorruptRecord,
-    IoError,
-    NoMaskableTokens,
-    PieceNotInVocab,
-    UnknownFeature,
-)
+from .bpe import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, encode
+from .errors import CorpusTooSmall, CorruptRecord, IdOutOfRange, IoError, NoMaskableTokens
 from .ingest import Document
 from .tfrecord import FRAME_OVERHEAD, encode_example, frame_record, parse_example, read_framed
-
-CLS, SEP, MASK = "[CLS]", "[SEP]", "[MASK]"
 
 
 @dataclass(frozen=True)
@@ -85,10 +82,10 @@ def round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class TokenizedDoc:
-    """A document as a sequence of non-empty sentence piece lists."""
+    """A document as a sequence of non-empty sentences of piece ids."""
 
     id: str
-    sentences: Tuple[Tuple[str, ...], ...]
+    sentences: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if any(len(s) == 0 for s in self.sentences):
@@ -103,7 +100,7 @@ def tokenize_documents(docs: Iterable[Document], vocab: Vocab) -> List[Tokenized
         for line in doc.text.splitlines():
             ids = encode(line, vocab)
             if ids:
-                sentences.append(tuple(vocab.pieces[i] for i in ids))
+                sentences.append(tuple(ids))
         if sentences:
             out.append(TokenizedDoc(id=doc.id, sentences=tuple(sentences)))
     vocab.word_ids.clear()  # the encode memo is not needed after this pass
@@ -112,16 +109,18 @@ def tokenize_documents(docs: Iterable[Document], vocab: Vocab) -> List[Tokenized
 
 @dataclass(frozen=True)
 class PretrainingInstance:
-    tokens: Tuple[str, ...]
+    """One [CLS] A [SEP] B [SEP] sequence; tokens and labels are piece ids."""
+
+    tokens: Tuple[int, ...]
     segment_ids: Tuple[int, ...]
     masked_positions: Tuple[int, ...]
-    masked_labels: Tuple[str, ...]
+    masked_labels: Tuple[int, ...]
     is_random_next: bool
 
     def __post_init__(self) -> None:
-        if not self.tokens or self.tokens[0] != CLS:
+        if not self.tokens or self.tokens[0] != CLS_ID:
             raise ValueError("tokens must start with [CLS]")
-        if self.tokens.count(SEP) != 2:
+        if self.tokens.count(SEP_ID) != 2:
             raise ValueError("tokens must contain exactly two [SEP]")
         if len(self.segment_ids) != len(self.tokens):
             raise ValueError("segment_ids must align with tokens")
@@ -136,7 +135,7 @@ class PretrainingInstance:
         for pos in self.masked_positions:
             if not 0 <= pos < len(self.tokens):
                 raise ValueError(f"masked position {pos} out of range")
-            if self.tokens[pos] in (CLS, SEP):
+            if self.tokens[pos] in (CLS_ID, SEP_ID):
                 raise ValueError("masked positions must not index [CLS] or [SEP]")
 
 
@@ -155,7 +154,7 @@ def _pick_foreign_doc(rng: random.Random, doc_count: int, current: int) -> int:
 
 
 def _truncate_pair(
-    tokens_a: List[str], tokens_b: List[str], max_num_tokens: int, rng: random.Random
+    tokens_a: List[int], tokens_b: List[int], max_num_tokens: int, rng: random.Random
 ) -> None:
     """Trim the longer side, dropping from front or back with equal odds."""
     while len(tokens_a) + len(tokens_b) > max_num_tokens:
@@ -180,7 +179,7 @@ def _instances_for_doc(
         target_seq_length = rng.randint(2, max_num_tokens)
 
     instances: List[PretrainingInstance] = []
-    current_chunk: List[Tuple[str, ...]] = []
+    current_chunk: List[Tuple[int, ...]] = []
     current_length = 0
     i = 0
     while i < len(document):
@@ -192,12 +191,12 @@ def _instances_for_doc(
                 a_end = 1
                 if len(current_chunk) >= 2:
                     a_end = rng.randint(1, len(current_chunk) - 1)
-                tokens_a: List[str] = []
+                tokens_a: List[int] = []
                 for j in range(a_end):
                     tokens_a.extend(current_chunk[j])
 
                 is_random_next = rng.random() < config.random_next_prob
-                tokens_b: List[str] = []
+                tokens_b: List[int] = []
                 if is_random_next:
                     target_b_length = target_seq_length - len(tokens_a)
                     foreign = docs[_pick_foreign_doc(rng, len(docs), doc_index)]
@@ -213,7 +212,7 @@ def _instances_for_doc(
                         tokens_b.extend(current_chunk[j])
                 if tokens_b:
                     _truncate_pair(tokens_a, tokens_b, max_num_tokens, rng)
-                    tokens = (CLS, *tokens_a, SEP, *tokens_b, SEP)
+                    tokens = (CLS_ID, *tokens_a, SEP_ID, *tokens_b, SEP_ID)
                     segment_ids = (0,) * (len(tokens_a) + 2) + (1,) * (len(tokens_b) + 1)
                     instance = PretrainingInstance(
                         tokens=tokens,
@@ -236,9 +235,7 @@ def apply_masking(
     rng: random.Random,
 ) -> PretrainingInstance:
     """Mask non-special positions: 80% [MASK], 10% random piece, 10% kept."""
-    candidates = [
-        idx for idx, token in enumerate(instance.tokens) if token not in SPECIALS
-    ]
+    candidates = [idx for idx, token in enumerate(instance.tokens) if token >= len(SPECIALS)]
     if not candidates:
         raise NoMaskableTokens("instance has no non-special tokens")
     budget = masked_budget(config.max_seq_length, config.masked_lm_prob)
@@ -251,9 +248,9 @@ def apply_masking(
         labels.append(tokens[pos])
         roll = rng.random()
         if roll < 0.8:
-            tokens[pos] = MASK
+            tokens[pos] = MASK_ID
         elif roll < 0.9:
-            tokens[pos] = vocab.pieces[rng.randint(len(SPECIALS), len(vocab.pieces) - 1)]
+            tokens[pos] = rng.randint(len(SPECIALS), len(vocab) - 1)
         # else: token stays, label still recorded
     return replace(
         instance,
@@ -338,28 +335,23 @@ _KINDS = {name: "float" if _TYPES[name] == Tuple[float, ...] else "int64" for na
 def serialize_example(
     instance: PretrainingInstance, vocab: Vocab, config: GenerationConfig
 ) -> SerializedExample:
-    """Map pieces to ids and pad every list to its fixed length."""
+    """Pad every list of the instance to its fixed length."""
     length = config.max_seq_length
     budget = masked_budget(length, config.masked_lm_prob)
-    if len(instance.tokens) > length:
-        raise ValueError(f"instance of {len(instance.tokens)} tokens exceeds {length}")
-
-    def piece_id(piece: str) -> int:
-        idx = vocab.piece_to_id.get(piece)
-        if idx is None:
-            raise PieceNotInVocab(f"piece {piece!r} missing from vocabulary")
-        return idx
-
-    ids = [piece_id(t) for t in instance.tokens]
+    ids = tuple(instance.tokens)
+    if len(ids) > length:
+        raise ValueError(f"instance of {len(ids)} tokens exceeds {length}")
+    for idx in (min(ids), max(ids), *instance.masked_labels):
+        if not 0 <= idx < len(vocab):
+            raise IdOutOfRange(f"id {idx} outside vocabulary of {len(vocab)} pieces")
     pad = length - len(ids)
     mask_pad = budget - len(instance.masked_positions)
     return SerializedExample(
-        input_ids=tuple(ids) + (PAD_ID,) * pad,
+        input_ids=ids + (PAD_ID,) * pad,
         input_mask=(1,) * len(ids) + (0,) * pad,
         segment_ids=tuple(instance.segment_ids) + (0,) * pad,
         masked_lm_positions=tuple(instance.masked_positions) + (0,) * mask_pad,
-        masked_lm_ids=tuple(piece_id(t) for t in instance.masked_labels)
-        + (0,) * mask_pad,
+        masked_lm_ids=tuple(instance.masked_labels) + (0,) * mask_pad,
         masked_lm_weights=(1.0,) * len(instance.masked_positions) + (0.0,) * mask_pad,
         next_sentence_labels=1 if instance.is_random_next else 0,
     )
@@ -445,16 +437,16 @@ def _decode_payload(payload: bytes, offset: int) -> SerializedExample:
         raise CorruptRecord(offset, "data", f"malformed payload: {exc}") from exc
     unknown = set(features) - set(FEATURE_ORDER)
     if unknown:
-        raise UnknownFeature(f"unexpected feature(s): {sorted(unknown)}")
+        raise CorruptRecord(offset, "data", f"unexpected feature(s): {sorted(unknown)}")
     missing = set(FEATURE_ORDER) - set(features)
     if missing:
-        raise UnknownFeature(f"missing feature(s): {sorted(missing)}")
+        raise CorruptRecord(offset, "data", f"missing feature(s): {sorted(missing)}")
 
     decoded = {}
     for name in FEATURE_ORDER:
         kind, values = features[name]
         if kind != _KINDS[name]:
-            raise UnknownFeature(f"feature {name} must be {_KINDS[name]}")
+            raise CorruptRecord(offset, "data", f"feature {name} must be {_KINDS[name]}")
         if _TYPES[name] is not int:
             decoded[name] = tuple(values)
         elif len(values) == 1:

@@ -8,16 +8,18 @@ payload.  CRC32C uses the Castagnoli polynomial; the mask is
 Payloads are hand-rolled protocol-buffer messages: Example (field 1 =
 Features), Features (field 1 = repeated map entry of name string to
 Feature), Feature (field 2 = FloatList, field 3 = Int64List, both packed on
-write).  The reader is one field iterator, _fields, that every message
-level loops over, keeping the fields it knows and passing over the rest; it
-rejects a varint, length-delimited, fixed64 or fixed32 field that runs past
-the end of its message.  It accepts packed and unpacked list encodings.
+write).  Int64 values are written as plain varints, so a negative value is
+rejected with ValueError.  The reader is one field iterator, _fields, that
+every message level loops over, keeping the fields it knows and passing over
+the rest; it rejects a varint, length-delimited, fixed64 or fixed32 field
+that runs past the end of its message.  It accepts packed and unpacked list
+encodings.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from .errors import CorruptRecord, IoError
 
@@ -68,6 +70,8 @@ def _length_delimited(field_number: int, payload: bytes) -> bytes:
 
 def _encode_feature(kind: str, values: FeatureValue) -> bytes:
     if kind == "int64":
+        if min(values, default=0) < 0:
+            raise ValueError("int64 values must be non-negative")
         packed = b"".join(_varint(v) for v in values)
         return _length_delimited(3, _length_delimited(1, packed))
     if kind == "float":
@@ -201,19 +205,6 @@ def frame_record(payload: bytes) -> bytes:
         + payload
         + struct.pack("<I", masked_crc32c(payload))
     )
-
-
-def write_framed(payloads: Iterable[bytes], path: str) -> int:
-    """Write TFRecord-framed payloads; returns the record count."""
-    count = 0
-    try:
-        with open(path, "wb") as out:
-            for payload in payloads:
-                out.write(frame_record(payload))
-                count += 1
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    return count
 
 
 def read_framed(path: str) -> Iterator[bytes]:

@@ -50,12 +50,12 @@ def make_synthetic_vocab(size: int = 505) -> Vocab:
 def make_synthetic_docs(
     n_docs: int = 120, sentences_per_doc: int = 100, rng_seed: int = 99
 ) -> list:
-    """Documents of short sentences drawn from the synthetic vocabulary."""
+    """Documents of short sentences of ids drawn from the synthetic vocabulary."""
     rng = random.Random(rng_seed)
     docs = []
     for d in range(n_docs):
         sentences = tuple(
-            tuple(f"▁p{rng.randint(0, 499):03d}" for _ in range(rng.randint(4, 6)))
+            tuple(len(SPECIALS) + rng.randint(0, 499) for _ in range(rng.randint(4, 6)))
             for _ in range(sentences_per_doc)
         )
         docs.append(TokenizedDoc(id=f"syn-{d:04d}", sentences=sentences))

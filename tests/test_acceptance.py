@@ -43,9 +43,9 @@ from corpusprep.pretrain import (
 from corpusprep.tfrecord import (
     crc32c,
     encode_example,
+    frame_record,
     masked_crc32c,
     read_framed,
-    write_framed,
 )
 
 
@@ -71,17 +71,20 @@ def test_criterion_2_masking_statistics(mlm_stream):
     assert len(instances) >= 10_000
 
     budget = masked_budget(config.max_seq_length, config.masked_lm_prob)
+    pieces = mlm_stream["vocab"].pieces  # instances carry piece ids
     shown_as_mask = shown_as_original = shown_as_other = 0
     for inst in instances:
-        original = list(inst.tokens)
-        for pos, label in zip(inst.masked_positions, inst.masked_labels):
+        tokens = [pieces[t] for t in inst.tokens]
+        labels = [pieces[t] for t in inst.masked_labels]
+        original = list(tokens)
+        for pos, label in zip(inst.masked_positions, labels):
             original[pos] = label
         maskable = sum(1 for tok in original if tok not in SPECIALS)
         expected = min(budget, max(1, round_half_up(config.masked_lm_prob * maskable)))
         assert len(inst.masked_positions) == expected
 
-        for pos, label in zip(inst.masked_positions, inst.masked_labels):
-            shown = inst.tokens[pos]
+        for pos, label in zip(inst.masked_positions, labels):
+            shown = tokens[pos]
             if shown == "[MASK]":
                 shown_as_mask += 1
             elif shown == label:
@@ -138,14 +141,12 @@ def test_criterion_4_tfrecord_bit_exactness(tmp_path):
         }
         payloads.append(encode_example(features, ["ids", "weights", "label"]))
     path = str(tmp_path / "examples.tfrecord")
-    write_framed(payloads, path)
+    with open(path, "wb") as handle:
+        handle.write(b"".join(frame_record(p) for p in payloads))
     assert list(read_framed(path)) == payloads
 
-    small = str(tmp_path / "small.tfrecord")
     corrupt = str(tmp_path / "corrupt.tfrecord")
-    write_framed(payloads[:3], small)
-    with open(small, "rb") as handle:
-        blob = handle.read()
+    blob = b"".join(frame_record(p) for p in payloads[:3])
     for position in range(len(blob)):
         mutated = bytearray(blob)
         mutated[position] ^= 0x01

@@ -423,11 +423,11 @@ class TestStageParity:
 
 class TestReadExamplesErrors:
     def test_malformed_payload_exits_2(self, capsys, tmp_path):
-        from corpusprep.tfrecord import write_framed
+        from corpusprep.tfrecord import frame_record
 
-        shard = str(tmp_path / "bad.tfrecord")
-        write_framed([b"\x0a\x05\x0a"], shard)  # outer field claims 5 bytes, has 1
-        assert main(["read-examples", shard]) == 2
+        shard = tmp_path / "bad.tfrecord"
+        shard.write_bytes(frame_record(b"\x0a\x05\x0a"))  # outer field claims 5 bytes, has 1
+        assert main(["read-examples", str(shard)]) == 2
         assert "CorruptRecord" in capsys.readouterr().err
 
 

@@ -8,17 +8,12 @@ import hashlib
 import json
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from corpusprep.bpe import SPECIALS, Vocab
-from corpusprep.errors import (
-    CorpusTooSmall,
-    CorruptRecord,
-    NoMaskableTokens,
-    PieceNotInVocab,
-    UnknownFeature,
-)
+from corpusprep.bpe import CLS_ID, MASK_ID, SEP_ID, SPECIALS, Vocab
+from corpusprep.errors import CorpusTooSmall, CorruptRecord, IdOutOfRange, NoMaskableTokens
 from corpusprep.ingest import Document
 from corpusprep.pretrain import (
     FEATURE_ORDER,
@@ -37,7 +32,7 @@ from corpusprep.pretrain import (
     tokenize_documents,
     write_tfrecords,
 )
-from corpusprep.tfrecord import encode_example, parse_example, write_framed
+from corpusprep.tfrecord import encode_example, frame_record, parse_example
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -184,11 +179,38 @@ def golden():
         return json.load(f)
 
 
+def _spelled_docs(docs, vocab):
+    """The documents with their piece ids spelled as pieces, the reference's input."""
+    return [
+        SimpleNamespace(
+            id=d.id, sentences=tuple(tuple(vocab.pieces[t] for t in s) for s in d.sentences)
+        )
+        for d in docs
+    ]
+
+
+def _spelled(instances, vocab):
+    """The generator's instances as the reference returns them, ids spelled as pieces."""
+    return [
+        (
+            tuple(vocab.pieces[t] for t in i.tokens),
+            i.segment_ids,
+            i.masked_positions,
+            tuple(vocab.pieces[t] for t in i.masked_labels),
+            i.is_random_next,
+        )
+        for i in instances
+    ]
+
+
 @pytest.fixture(scope="module")
 def golden_setup(golden):
     vocab = Vocab(pieces=tuple(golden["pieces"]), merges=(), marker="▁")
     docs = [
-        TokenizedDoc(id=d["id"], sentences=tuple(tuple(s) for s in d["sentences"]))
+        TokenizedDoc(
+            id=d["id"],
+            sentences=tuple(tuple(vocab.piece_to_id[p] for p in s) for s in d["sentences"]),
+        )
         for d in golden["documents"]
     ]
     config = GenerationConfig(**golden["config"])
@@ -198,11 +220,8 @@ def golden_setup(golden):
 class TestGoldenTrace:
     def test_generation_matches_reference_replay(self, golden_setup):
         vocab, docs, config = golden_setup
-        got = [
-            (i.tokens, i.segment_ids, i.masked_positions, i.masked_labels, i.is_random_next)
-            for i in build_instances(docs, vocab, config)
-        ]
-        assert got == _reference_instances(docs, config, vocab)
+        got = _spelled(build_instances(docs, vocab, config), vocab)
+        assert got == _reference_instances(_spelled_docs(docs, vocab), config, vocab)
 
     def test_serialized_examples_match_frozen_golden(self, golden, golden_setup):
         vocab, docs, config = golden_setup
@@ -226,7 +245,7 @@ class TestGoldenTrace:
             TokenizedDoc(
                 id=f"r{d}",
                 sentences=tuple(
-                    tuple(f"▁p{(d * 31 + s * 7 + k) % 500:03d}" for k in range(4))
+                    tuple(len(SPECIALS) + (d * 31 + s * 7 + k) % 500 for k in range(4))
                     for s in range(12)
                 ),
             )
@@ -235,18 +254,17 @@ class TestGoldenTrace:
         config = GenerationConfig(
             max_seq_length=24, dupe_factor=3, seed=77, shards=1
         )
-        got = [
-            (i.tokens, i.segment_ids, i.masked_positions, i.masked_labels, i.is_random_next)
-            for i in build_instances(docs, synthetic_vocab, config)
-        ]
-        assert got == _reference_instances(docs, config, synthetic_vocab)
+        got = _spelled(build_instances(docs, synthetic_vocab, config), synthetic_vocab)
+        assert got == _reference_instances(
+            _spelled_docs(docs, synthetic_vocab), config, synthetic_vocab
+        )
 
 
 class TestInstanceInvariants:
     def test_structural_checks_enforced(self):
         with pytest.raises(ValueError):
             PretrainingInstance(
-                tokens=("a", "[SEP]", "[SEP]"),
+                tokens=(5, SEP_ID, SEP_ID),
                 segment_ids=(0, 0, 1),
                 masked_positions=(),
                 masked_labels=(),
@@ -254,7 +272,7 @@ class TestInstanceInvariants:
             )  # no [CLS]
         with pytest.raises(ValueError):
             PretrainingInstance(
-                tokens=("[CLS]", "a", "[SEP]"),
+                tokens=(CLS_ID, 5, SEP_ID),
                 segment_ids=(0, 0, 0),
                 masked_positions=(),
                 masked_labels=(),
@@ -265,15 +283,15 @@ class TestInstanceInvariants:
         config = mlm_stream["config"]
         budget = masked_budget(config.max_seq_length, config.masked_lm_prob)
         for inst in mlm_stream["instances"][:2000]:
-            assert inst.tokens[0] == "[CLS]"
-            assert inst.tokens.count("[SEP]") == 2
-            assert inst.tokens[-1] == "[SEP]"
+            assert inst.tokens[0] == CLS_ID
+            assert inst.tokens.count(SEP_ID) == 2
+            assert inst.tokens[-1] == SEP_ID
             assert len(inst.tokens) <= config.max_seq_length
             assert len(inst.segment_ids) == len(inst.tokens)
             assert 1 <= len(inst.masked_positions) <= budget
             # exactly the non-special positions are maskable
             for pos in inst.masked_positions:
-                assert inst.tokens[pos] not in ("[CLS]", "[SEP]")
+                assert inst.tokens[pos] not in (CLS_ID, SEP_ID)
 
     def test_prediction_count_law_holds_on_every_instance(self, mlm_stream):
         config = mlm_stream["config"]
@@ -290,7 +308,7 @@ class TestMaskingDistribution:
         for inst in mlm_stream["instances"]:
             for pos, label in zip(inst.masked_positions, inst.masked_labels):
                 tok = inst.tokens[pos]
-                if tok == "[MASK]":
+                if tok == MASK_ID:
                     masked += 1
                 elif tok == label:
                     kept += 1
@@ -305,7 +323,8 @@ class TestMaskingDistribution:
     def test_masked_labels_record_original_tokens(self, synthetic_vocab):
         config = GenerationConfig(max_seq_length=16, seed=5, dupe_factor=1)
         inst = PretrainingInstance(
-            tokens=("[CLS]",) + tuple(f"▁p{i:03d}" for i in range(6)) + ("[SEP]", "▁p009", "[SEP]"),
+            # ▁p000 .. ▁p005, then ▁p009, the pieces after the five specials
+            tokens=(CLS_ID,) + tuple(5 + i for i in range(6)) + (SEP_ID, 5 + 9, SEP_ID),
             segment_ids=(0,) * 8 + (1, 1),
             masked_positions=(),
             masked_labels=(),
@@ -318,7 +337,7 @@ class TestMaskingDistribution:
 
     def test_no_maskable_tokens_rejected(self, synthetic_vocab):
         inst = PretrainingInstance(
-            tokens=("[CLS]", "[MASK]", "[SEP]", "[MASK]", "[SEP]"),
+            tokens=(CLS_ID, MASK_ID, SEP_ID, MASK_ID, SEP_ID),
             segment_ids=(0, 0, 0, 1, 1),
             masked_positions=(),
             masked_labels=(),
@@ -328,9 +347,10 @@ class TestMaskingDistribution:
             apply_masking(inst, synthetic_vocab, GenerationConfig(), random.Random(0))
 
     def test_random_replacements_never_special(self, mlm_stream):
+        pieces = mlm_stream["vocab"].pieces
         for inst in mlm_stream["instances"][:5000]:
             for pos in inst.masked_positions:
-                tok = inst.tokens[pos]
+                tok = pieces[inst.tokens[pos]]
                 assert tok == "[MASK]" or tok not in SPECIALS
 
 
@@ -368,10 +388,10 @@ class TestNextSentence:
         for inst in build_instances(docs, vocab, config):
             if not inst.is_random_next:
                 continue
-            sep = inst.tokens.index("[SEP]")
-            b = [t for t in inst.tokens[sep + 1 : -1] if t not in SPECIALS]
+            sep = inst.tokens.index(SEP_ID)
+            b = [t for t in inst.tokens[sep + 1 : -1] if vocab.pieces[t] not in SPECIALS]
             # every b-side token of this tiny corpus identifies its source doc
-            a = [t for t in inst.tokens[1:sep] if t not in SPECIALS]
+            a = [t for t in inst.tokens[1:sep] if vocab.pieces[t] not in SPECIALS]
             a_src = {d for d, pieces in doc_pieces.items() if set(a) & pieces}
             b_src = {d for d, pieces in doc_pieces.items() if set(b) & pieces}
             # labels may overlap after random replacement; require b to include
@@ -381,7 +401,7 @@ class TestNextSentence:
 
 class TestBuildInstances:
     def test_needs_two_documents(self, synthetic_vocab):
-        doc = TokenizedDoc(id="only", sentences=(("▁p001",),))
+        doc = TokenizedDoc(id="only", sentences=((6,),))  # ▁p001
         with pytest.raises(CorpusTooSmall):
             list(build_instances([doc], synthetic_vocab, GenerationConfig()))
 
@@ -415,7 +435,7 @@ class TestTokenizeDocuments:
         assert docs[0].id == "d"
         assert len(docs[0].sentences) == 2
         joined = [p for s in docs[0].sentences for p in s]
-        assert all(isinstance(p, str) for p in joined)
+        assert all(isinstance(p, int) for p in joined)
         assert not vocab.word_ids  # the encode memo is freed after the pass
 
     def test_blank_lines_skipped(self):
@@ -432,10 +452,10 @@ class TestSerialization:
         vocab = Vocab(pieces=pieces, merges=())
         config = GenerationConfig(max_seq_length=8, seed=1)
         inst = PretrainingInstance(
-            tokens=("[CLS]", "▁a", "[SEP]", "▁b", "[SEP]"),
+            tokens=(CLS_ID, 5, SEP_ID, 6, SEP_ID),  # [CLS] ▁a [SEP] ▁b [SEP]
             segment_ids=(0, 0, 0, 1, 1),
             masked_positions=(1,),
-            masked_labels=("▁a",),
+            masked_labels=(5,),
             is_random_next=True,
         )
         return vocab, config, inst
@@ -458,21 +478,25 @@ class TestSerialization:
 
     def test_unknown_piece_rejected(self):
         vocab, config, inst = self._tiny()
-        bad = PretrainingInstance(
-            tokens=("[CLS]", "▁zz", "[SEP]", "▁b", "[SEP]"),
-            segment_ids=(0, 0, 0, 1, 1),
-            masked_positions=(),
-            masked_labels=(),
-            is_random_next=False,
-        )
-        with pytest.raises(PieceNotInVocab):
-            serialize_example(bad, vocab, config)
+        for bad_id in (len(vocab), -1):
+            bad = PretrainingInstance(
+                tokens=(CLS_ID, bad_id, SEP_ID, 6, SEP_ID),
+                segment_ids=(0, 0, 0, 1, 1),
+                masked_positions=(),
+                masked_labels=(),
+                is_random_next=False,
+            )
+            with pytest.raises(IdOutOfRange):
+                serialize_example(bad, vocab, config)
+            bad_label = dataclasses.replace(inst, masked_labels=(bad_id,))
+            with pytest.raises(IdOutOfRange):
+                serialize_example(bad_label, vocab, config)
 
     def test_oversized_instance_rejected(self):
         vocab, config, inst = self._tiny()
         config5 = GenerationConfig(max_seq_length=5, seed=1)
         long_inst = PretrainingInstance(
-            tokens=("[CLS]", "▁a", "▁b", "▁c", "[SEP]", "▁a", "[SEP]"),
+            tokens=(CLS_ID, 5, 6, 7, SEP_ID, 5, SEP_ID),
             segment_ids=(0, 0, 0, 0, 0, 1, 1),
             masked_positions=(),
             masked_labels=(),
@@ -530,10 +554,10 @@ class TestSharding:
         out = []
         for k in range(n):
             inst = PretrainingInstance(
-                tokens=("[CLS]", "▁a", "[SEP]", "▁b", "[SEP]"),
+                tokens=(CLS_ID, 5, SEP_ID, 6, SEP_ID),  # [CLS] ▁a [SEP] ▁b [SEP]
                 segment_ids=(0, 0, 0, 1, 1),
                 masked_positions=(1 + (k % 2) * 2,),
-                masked_labels=("▁a" if k % 2 == 0 else "▁b",),
+                masked_labels=(5 if k % 2 == 0 else 6,),
                 is_random_next=bool(k % 2),
             )
             out.append(serialize_example(inst, vocab, config))
@@ -586,37 +610,48 @@ class TestSharding:
         assert all(os.path.exists(p) for p in paths)
 
 
+def _read_corrupt(tmp_path, payloads):
+    """The CorruptRecord that reading a shard of these payloads raises."""
+    path = tmp_path / "corrupt.tfrecord"
+    path.write_bytes(b"".join(frame_record(p) for p in payloads))
+    with pytest.raises(CorruptRecord) as exc:
+        list(read_tfrecords([str(path)]))
+    return exc.value
+
+
+def _valid_payload():
+    return example_payload(
+        SerializedExample(
+            input_ids=(1, 2),
+            input_mask=(1, 1),
+            segment_ids=(0, 0),
+            masked_lm_positions=(1,),
+            masked_lm_ids=(2,),
+            masked_lm_weights=(1.0,),
+            next_sentence_labels=0,
+        )
+    )
+
+
 class TestReadValidation:
     def test_unknown_feature_rejected(self, tmp_path):
-        from corpusprep.tfrecord import encode_example
-
+        valid = _valid_payload()
         payload = encode_example(
             {"mystery": ("int64", [1, 2])}, ["mystery"]
         )
-        path = str(tmp_path / "bad.tfrecord")
-        write_framed([payload], path)
-        with pytest.raises(UnknownFeature):
-            list(read_tfrecords([path]))
+        # the second record starts after the first one's 16 framing bytes
+        assert _read_corrupt(tmp_path, [valid, payload]).offset == len(valid) + 16
 
     def test_missing_feature_rejected(self, tmp_path):
-        from corpusprep.tfrecord import encode_example
-
         payload = encode_example({"input_ids": ("int64", [1])}, ["input_ids"])
-        path = str(tmp_path / "short.tfrecord")
-        write_framed([payload], path)
-        with pytest.raises(UnknownFeature):
-            list(read_tfrecords([path]))
+        assert _read_corrupt(tmp_path, [payload]).offset == 0
 
     def test_wrong_kind_rejected(self, tmp_path):
-        from corpusprep.tfrecord import encode_example
-
+        valid = _valid_payload()
         features = {name: ("int64", [0]) for name in FEATURE_ORDER}
         features["masked_lm_weights"] = ("int64", [1])  # must be float
         payload = encode_example(features, FEATURE_ORDER)
-        path = str(tmp_path / "kind.tfrecord")
-        write_framed([payload], path)
-        with pytest.raises(UnknownFeature):
-            list(read_tfrecords([path]))
+        assert _read_corrupt(tmp_path, [valid, payload]).offset == len(valid) + 16
 
 
 def _field(number: int, payload: bytes) -> bytes:
@@ -628,54 +663,34 @@ def _field(number: int, payload: bytes) -> bytes:
 class TestCorruptPayload:
     """Records whose CRCs hold but whose payload does not parse."""
 
-    def _read(self, tmp_path, payloads):
-        path = str(tmp_path / "corrupt.tfrecord")
-        write_framed(payloads, path)
-        with pytest.raises(CorruptRecord) as exc:
-            list(read_tfrecords([path]))
-        return exc.value
-
-    def _valid(self):
-        return example_payload(
-            SerializedExample(
-                input_ids=(1, 2),
-                input_mask=(1, 1),
-                segment_ids=(0, 0),
-                masked_lm_positions=(1,),
-                masked_lm_ids=(2,),
-                masked_lm_weights=(1.0,),
-                next_sentence_labels=0,
-            )
-        )
-
     def test_truncated_length_delimited_field(self, tmp_path):
-        valid = self._valid()
-        error = self._read(tmp_path, [valid, valid[:-3]])
+        valid = _valid_payload()
+        error = _read_corrupt(tmp_path, [valid, valid[:-3]])
         # the second record starts after the first one's 16 framing bytes
         assert error.offset == len(valid) + 16
 
     def test_invalid_utf8_feature_name(self, tmp_path):
-        valid = self._valid()
+        valid = _valid_payload()
         payload = valid.replace(b"input_ids", b"input_id\xff")
         assert len(payload) == len(valid)
-        assert self._read(tmp_path, [payload]).offset == 0
+        assert _read_corrupt(tmp_path, [payload]).offset == 0
 
     def test_short_unpacked_float(self, tmp_path):
         float_list = b"\x0d\x00\x00"  # field 1, wire type 5, two of four bytes
         entry = _field(1, b"masked_lm_weights") + _field(2, _field(2, float_list))
-        self._read(tmp_path, [_field(1, _field(1, entry))])
+        _read_corrupt(tmp_path, [_field(1, _field(1, entry))])
 
     def test_truncated_fixed_width_field(self, tmp_path):
-        valid = self._valid()
+        valid = _valid_payload()
         # field 2 as fixed64 with 3 of its 8 bytes, then as fixed32 with 1 of 4
         for tail in (b"\x11\x00\x00\x00", b"\x15\x00"):
-            error = self._read(tmp_path, [valid, valid + tail])
+            error = _read_corrupt(tmp_path, [valid, valid + tail])
             assert error.offset == len(valid) + 16
 
     @pytest.mark.parametrize("labels", [[], [1, 0, 1]])
     def test_label_count_other_than_one(self, tmp_path, labels):
-        valid = self._valid()
+        valid = _valid_payload()
         features = parse_example(valid)
         features["next_sentence_labels"] = ("int64", labels)
         payload = encode_example(features, FEATURE_ORDER)
-        assert self._read(tmp_path, [valid, payload]).offset == len(valid) + 16
+        assert _read_corrupt(tmp_path, [valid, payload]).offset == len(valid) + 16

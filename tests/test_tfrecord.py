@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import signal
 import struct
 
 import pytest
@@ -17,7 +18,6 @@ from corpusprep.tfrecord import (
     masked_crc32c,
     parse_example,
     read_framed,
-    write_framed,
 )
 
 
@@ -54,10 +54,10 @@ class TestFraming:
         assert rec[12:-4] == payload
 
     def test_write_read_round_trip(self, tmp_path):
-        path = str(tmp_path / "r.tfrecord")
+        path = tmp_path / "r.tfrecord"
         payloads = [b"", b"a", b"teine", bytes(range(256))]
-        assert write_framed(payloads, path) == 4
-        assert list(read_framed(path)) == payloads
+        path.write_bytes(b"".join(frame_record(p) for p in payloads))
+        assert list(read_framed(str(path))) == payloads
 
     def test_empty_file_yields_nothing(self, tmp_path):
         p = tmp_path / "empty.tfrecord"
@@ -108,9 +108,9 @@ class TestFraming:
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.binary(min_size=0, max_size=64), min_size=0, max_size=8))
 def test_framed_round_trip_property(tmp_path_factory, payloads):
-    path = str(tmp_path_factory.mktemp("fr") / "r.tfrecord")
-    write_framed(payloads, path)
-    assert list(read_framed(path)) == payloads
+    path = tmp_path_factory.mktemp("fr") / "r.tfrecord"
+    path.write_bytes(b"".join(frame_record(p) for p in payloads))
+    assert list(read_framed(str(path))) == payloads
 
 
 class TestExampleEncoding:
@@ -142,6 +142,21 @@ class TestExampleEncoding:
     def test_unsupported_kind_rejected(self):
         with pytest.raises(ValueError):
             encode_example({"x": ("bytes", [b"no"])}, ["x"])
+
+    def test_negative_int64_rejected(self):
+        # a plain varint of a negative value never ends (-1 >> 7 == -1), so an
+        # interval timer turns a hang into a failure within two seconds
+        def hang(signum, frame):
+            raise TimeoutError("encode_example did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            with pytest.raises(ValueError):
+                encode_example({"ids": ("int64", [3, -1])}, ["ids"])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_unpacked_int64_accepted(self):
         # wire-compatible unpacked encoding: repeated field 1, varint each
@@ -233,6 +248,6 @@ def test_thousand_random_examples_round_trip(tmp_path):
             "w": ("float", [rng.random() for _ in range(rng.randint(0, 8))]),
         }
         payloads.append(encode_example(features, ["ids", "w"]))
-    path = str(tmp_path / "big.tfrecord")
-    assert write_framed(payloads, path) == 1000
-    assert list(read_framed(path)) == payloads
+    path = tmp_path / "big.tfrecord"
+    path.write_bytes(b"".join(frame_record(p) for p in payloads))
+    assert list(read_framed(str(path))) == payloads
