@@ -76,7 +76,10 @@ def _entity_repl(match: re.Match) -> str:
     name, dec, hexa = match.groups()
     if name:
         return _NAMED_ENTITIES[name]
-    code = int(dec) if dec else int(hexa, 16)
+    digits = (dec or hexa).lstrip("0") or "0"
+    if len(digits) > 7:
+        return match.group(0)  # far past U+10FFFF; int() refuses huge decimals
+    code = int(digits, 10 if dec else 16)
     if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
         return match.group(0)  # not a valid codepoint, keep verbatim
     return chr(code)

@@ -100,7 +100,7 @@ def compute_stats(docs: Iterable[Document]) -> CorpusStats:
 def read_documents(path: str, format: str) -> Iterator[Document]:
     """Yield documents from ``path`` in file order.
 
-    Raises UnreadableFile if the file cannot be opened and
+    Raises UnreadableFile if the file cannot be opened or is not UTF-8 and
     MalformedRecord(line_no) for records that violate the format grammar.
     """
     _check_format(format)
@@ -108,13 +108,12 @@ def read_documents(path: str, format: str) -> Iterator[Document]:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise UnreadableFile(f"cannot open {path}: {exc}") from exc
+    reader = {"vert-xml": _read_vert, "blankline-text": _read_blankline, "json-lines": _read_jsonl}
     with handle:
-        if format == "vert-xml":
-            yield from _read_vert(handle)
-        elif format == "blankline-text":
-            yield from _read_blankline(handle)
-        else:
-            yield from _read_jsonl(handle)
+        try:
+            yield from reader[format](handle)
+        except UnicodeDecodeError as exc:
+            raise UnreadableFile(f"cannot decode {path}: {exc}") from exc
 
 
 def write_documents(docs: Iterable[Document], path: str, format: str) -> int:

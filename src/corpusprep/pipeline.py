@@ -5,7 +5,8 @@ truecase); disabled stages are skipped, never reordered.  Documents stream
 through a single driver loop one at a time; only the dedup digest set, one
 digest per kept document, grows with the corpus.  The truecase stage uses a
 temporary file for its two passes (collect casing evidence, then rewrite).
-Failures carry the stage name via StageError.
+``_stage`` is the one stage boundary: a PipelineError, OSError or ValueError
+raised inside a stage leaves it as StageError naming that stage.
 
 Reports are fully deterministic: no timestamps, fixed key order, so a rerun
 with the same inputs and seed is byte-identical, report included.
@@ -14,6 +15,8 @@ with the same inputs and seed is byte-identical, report included.
 from __future__ import annotations
 
 import os
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -30,7 +33,7 @@ from .cleaning import (
     strip_markup,
 )
 from .config import PipelineConfig
-from .errors import IoError, MissingLemmas, PipelineError, StageError, TextTooShort
+from .errors import MissingLemmas, PipelineError, StageError, TextTooShort
 from .ingest import CorpusStats, Document, json_line, read_documents, write_documents, write_jsonl
 from .langid import default_profiles, detect_language
 from .pretrain import (
@@ -134,25 +137,15 @@ def write_examples(
     return paths, count
 
 
-def _write_docs(stream: Iterator[Document], path: str) -> int:
-    """Write the stream as json-lines; write failures attribute to output."""
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """The one stage boundary: failures inside the block carry the stage name."""
     try:
-        return write_documents(stream, path, "json-lines")
-    except IoError as exc:
-        raise StageError("output", exc) from exc
-
-
-class _DropLog:
-    def __init__(self, path: str):
-        self.by_reason: Dict[str, int] = {}
-        self._handle = open(path, "w", encoding="utf-8")
-
-    def record(self, doc: Document, stage: str, reason: DropReason) -> None:
-        self.by_reason[reason.kind] = self.by_reason.get(reason.kind, 0) + 1
-        self._handle.write(json_line(drop_record(doc, stage, reason)))
-
-    def close(self) -> None:
-        self._handle.close()
+        yield
+    except StageError:
+        raise
+    except (PipelineError, OSError, ValueError) as exc:
+        raise StageError(name, exc) from exc
 
 
 def _clean_stream(
@@ -173,24 +166,20 @@ def _clean_stream(
     seen_digests: set = set()
     reader = iter(docs)
     while True:
-        try:
-            doc = next(reader)
-        except StopIteration:
+        with _stage("ingest"):
+            doc = next(reader, None)
+        if doc is None:
             return
-        except PipelineError as exc:
-            raise StageError("ingest", exc) from exc
         tallies["ingest"].add_document(doc)
 
         if "strip" in stages:
-            try:
+            with _stage("strip"):
                 text = strip_markup(doc.text)
-                # tag removal can change tokenization; lemmas stay only while aligned
-                lemmas = doc.lemmas
-                if lemmas is not None and len(lemmas) != len(text.split()):
-                    lemmas = None
-                doc = Document(id=doc.id, text=text, lang_tag=doc.lang_tag, lemmas=lemmas)
-            except (PipelineError, ValueError) as exc:
-                raise StageError("strip", exc) from exc
+            # tag removal can change tokenization; lemmas stay only while aligned
+            lemmas = doc.lemmas
+            if lemmas is not None and len(lemmas) != len(text.split()):
+                lemmas = None
+            doc = Document(id=doc.id, text=text, lang_tag=doc.lang_tag, lemmas=lemmas)
             tallies["strip"].add_document(doc)
 
         if "langfilter" in stages:
@@ -226,69 +215,55 @@ def _clean_stream(
         yield doc
 
 
-def _truecase_pass(
-    temp_path: str,
-    out_path: str,
-    lexicon_path: Optional[str],
-    staged: int,
-    tally: CorpusStats,
-) -> None:
-    """Build or load the lexicon, then rewrite the staged corpus."""
-    lexicon = casing_lexicon(lexicon_path, read_documents(temp_path, "json-lines"))
-    if lexicon_path is None and staged and not len(lexicon):
-        raise MissingLemmas("no documents carry lemma annotations and no lexicon file was given")
-
-    def rewritten() -> Iterator[Document]:
-        for doc in read_documents(temp_path, "json-lines"):
-            cased = truecase(doc, lexicon)
-            tally.add_document(cased)
-            yield cased
-
-    write_documents(rewritten(), out_path, "json-lines")
-
-
 def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
     """Execute enabled stages, write artifacts, and return the report."""
     os.makedirs(config.out_dir, exist_ok=True)
     cleaned_path = os.path.join(config.out_dir, "cleaned.jsonl")
     drops_path = os.path.join(config.out_dir, "drops.jsonl")
     report_path = config.report_path or os.path.join(config.out_dir, "report.jsonl")
+    # truecase reads the cleaned stream twice, so it is staged in a temp file first
+    temp_path = os.path.join(config.out_dir, "cleaned.pre-truecase.tmp")
+    staged_path = temp_path if config.stages.truecase else cleaned_path
 
     enabled = config.stages.enabled()
     tallies: Dict[str, CorpusStats] = {name: CorpusStats() for name in ["ingest"] + enabled}
-    try:
+    with _stage("heuristics"):
         thresholds = with_stopwords(config.thresholds, config.stopwords_path)
-    except OSError as exc:
-        raise StageError("heuristics", exc) from exc
 
-    drops = _DropLog(drops_path)
+    drops: Counter = Counter()
     try:
-        reader = read_documents(config.input_path, config.input_format)
-        stream = _clean_stream(
-            reader, enabled, thresholds, config.target_lang, drops.record, tallies
-        )
+        with open(drops_path, "w", encoding="utf-8") as drop_log:
+
+            def on_drop(doc: Document, stage: str, reason: DropReason) -> None:
+                drops[reason.kind] += 1
+                drop_log.write(json_line(drop_record(doc, stage, reason)))
+
+            reader = read_documents(config.input_path, config.input_format)
+            stream = _clean_stream(
+                reader, enabled, thresholds, config.target_lang, on_drop, tallies
+            )
+            with _stage("output"):
+                staged = write_documents(stream, staged_path, "json-lines")
 
         if config.stages.truecase:
-            temp_path = os.path.join(config.out_dir, "cleaned.pre-truecase.tmp")
-            try:
-                staged = _write_docs(stream, temp_path)
-                try:
-                    _truecase_pass(
-                        temp_path,
-                        cleaned_path,
-                        config.truecase_lexicon_path,
-                        staged,
-                        tallies["truecase"],
+            with _stage("truecase"):
+                lexicon_path = config.truecase_lexicon_path
+                lexicon = casing_lexicon(lexicon_path, read_documents(temp_path, "json-lines"))
+                if lexicon_path is None and staged and not len(lexicon):
+                    raise MissingLemmas(
+                        "no documents carry lemma annotations and no lexicon file was given"
                     )
-                except (PipelineError, OSError) as exc:
-                    raise StageError("truecase", exc) from exc
-            finally:
-                if os.path.exists(temp_path):
-                    os.remove(temp_path)
-        else:
-            _write_docs(stream, cleaned_path)
+
+                def rewritten() -> Iterator[Document]:
+                    for doc in read_documents(temp_path, "json-lines"):
+                        cased = truecase(doc, lexicon)
+                        tallies["truecase"].add_document(cased)
+                        yield cased
+
+                write_documents(rewritten(), cleaned_path, "json-lines")
     finally:
-        drops.close()
+        if config.stages.truecase and os.path.exists(temp_path):
+            os.remove(temp_path)
 
     # stage-by-stage stats: each enabled stage's output is the next input
     stage_reports: List[StageReport] = []
@@ -298,27 +273,23 @@ def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
         stage_reports.append(StageReport(name, previous, tallies[name], dropped))
         previous = tallies[name]
 
-    try:
+    with _stage("bpe"):
         vocab = train_bpe(read_documents(cleaned_path, "json-lines"), config.vocab_size)
-    except PipelineError as exc:
-        raise StageError("bpe", exc) from exc
     vocab_path = os.path.join(config.out_dir, "vocab.txt")
     merges_path = os.path.join(config.out_dir, "merges.txt")
     vocab.save(vocab_path, merges_path)
 
-    try:
+    with _stage("examples"):
         docs = read_documents(cleaned_path, "json-lines")
         shard_files, instance_count = write_examples(
             docs, vocab, config.generation, config.out_dir, workers
         )
-    except PipelineError as exc:
-        raise StageError("examples", exc) from exc
 
     report = PipelineReport(
         stages=stage_reports,
         before=tallies["ingest"],
         after=previous,
-        drops_by_reason=dict(sorted(drops.by_reason.items())),
+        drops_by_reason=dict(sorted(drops.items())),
         artifacts={
             "cleaned": cleaned_path,
             "vocab": vocab_path,

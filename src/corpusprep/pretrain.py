@@ -346,6 +346,8 @@ def serialize_example(
             raise IdOutOfRange(f"id {idx} outside vocabulary of {len(vocab)} pieces")
     pad = length - len(ids)
     mask_pad = budget - len(instance.masked_positions)
+    if mask_pad < 0:
+        raise ValueError(f"{len(instance.masked_positions)} masked positions exceed {budget}")
     return SerializedExample(
         input_ids=ids + (PAD_ID,) * pad,
         input_mask=(1,) * len(ids) + (0,) * pad,

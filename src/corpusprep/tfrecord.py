@@ -8,12 +8,12 @@ payload.  CRC32C uses the Castagnoli polynomial; the mask is
 Payloads are hand-rolled protocol-buffer messages: Example (field 1 =
 Features), Features (field 1 = repeated map entry of name string to
 Feature), Feature (field 2 = FloatList, field 3 = Int64List, both packed on
-write).  Int64 values are written as plain varints, so a negative value is
-rejected with ValueError.  The reader is one field iterator, _fields, that
-every message level loops over, keeping the fields it knows and passing over
-the rest; it rejects a varint, length-delimited, fixed64 or fixed32 field
-that runs past the end of its message.  It accepts packed and unpacked list
-encodings.
+write).  Int64 values are written as plain varints, so a negative value or
+one above 2^63 - 1 is rejected with ValueError.  The reader is one field
+iterator, _fields, that every message level loops over, keeping the fields it
+knows and passing over the rest; it rejects a varint, length-delimited,
+fixed64 or fixed32 field that runs past the end of its message.  It accepts
+packed and unpacked list encodings.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ def _encode_feature(kind: str, values: FeatureValue) -> bytes:
     if kind == "int64":
         if min(values, default=0) < 0:
             raise ValueError("int64 values must be non-negative")
+        if max(values, default=0) >= 1 << 63:
+            raise ValueError("int64 values must not exceed 2**63 - 1")
         packed = b"".join(_varint(v) for v in values)
         return _length_delimited(3, _length_delimited(1, packed))
     if kind == "float":

@@ -55,6 +55,18 @@ class TestStripMarkup:
         assert strip_markup("&#1114112;") == "&#1114112;"  # beyond U+10FFFF
         assert strip_markup("&#xD800;") == "&#xD800;"  # surrogate
 
+    def test_huge_decimal_entity_kept_verbatim(self):
+        # int() refuses decimal strings past 4,300 digits
+        text = "x &#" + "9" * 5000 + "; y"
+        once = strip_markup(text)
+        assert once == text
+        assert strip_markup(once) == once
+
+    def test_leading_zeros_still_decode(self):
+        assert strip_markup("&#000000000065;") == "A"
+        assert strip_markup("&#x00000000000041;") == "A"
+        assert strip_markup("&#" + "0" * 5000 + "65;") == "A"
+
     def test_entity_revealing_tag_reaches_fixpoint(self):
         # decoding &lt;b&gt; produces <b>, which the next pass removes
         assert strip_markup("&lt;b&gt;hi") == "hi"

@@ -382,6 +382,83 @@ class TestRun:
         assert "stage heuristics failed" in capsys.readouterr().err
 
 
+def _no_lemmas(rows):
+    return [{k: v for k, v in row.items() if k != "lemmas"} for row in rows]
+
+
+# case -> (config lines appended, corpus rewrite, make out/cleaned.jsonl a directory, stage)
+STAGE_FAILURES = {
+    "stopwords-missing": (["[filter]", "stopwords = /nonexistent"], None, False, "heuristics"),
+    "vocab-too-small": (["[vocab]", "vocab_size = 7"], None, False, "bpe"),
+    "lexicon-missing": (["[truecase]", "lexicon = /nonexistent"], None, False, "truecase"),
+    "no-lemmas-no-lexicon": ([], _no_lemmas, False, "truecase"),
+    "cleaned-is-directory": (["[stages]", "truecase = false"], None, True, "output"),
+    "one-document": (
+        ["[filter]", "min_words = 1", "lang_confidence_min = 0"], lambda rows: rows[:1], False,
+        "examples",
+    ),
+    "malformed-line": ([], lambda rows: rows + ["not json"], False, "ingest"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STAGE_FAILURES))
+def test_run_names_failing_stage(case, capsys, tmp_path, fixture_corpus_path):
+    extra, rewrite, cleaned_is_dir, stage = STAGE_FAILURES[case]
+    corpus = fixture_corpus_path
+    if rewrite is not None:
+        rows = rewrite(_read_lines(fixture_corpus_path))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join((row if isinstance(row, str) else json.dumps(row)) + "\n" for row in rows),
+            encoding="utf-8",
+        )
+    out_dir = tmp_path / "out"
+    if cleaned_is_dir:
+        os.makedirs(out_dir / "cleaned.jsonl")
+    config = _write_config(tmp_path / "job.conf", corpus, out_dir)
+    with open(config, "a", encoding="utf-8") as handle:
+        handle.write("\n".join(extra) + "\n")
+    assert main(["run", "--config", config]) == 2
+    assert f"stage {stage} failed" in capsys.readouterr().err
+
+
+NOT_UTF8 = {
+    "json-lines": b'{"id": "a", "text": "\xff"}\n',
+    "vert-xml": b'<doc id="a">\ntere \xff\n</doc>\n',
+    "blankline-text": b"tere \xff\n",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(NOT_UTF8))
+def test_non_utf8_corpus_exits_2(fmt, capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(NOT_UTF8[fmt])
+    assert main(["stats", str(corpus), "--format", fmt]) == 2
+    assert "UnreadableFile" in capsys.readouterr().err
+    assert main(["clean", str(corpus), str(tmp_path / "clean.jsonl"), "--format", fmt]) == 2
+    assert "stage ingest failed" in capsys.readouterr().err
+    config = _write_config(tmp_path / "job.conf", corpus, tmp_path / "out")
+    with open(config, "a", encoding="utf-8") as handle:
+        handle.write(f"[input]\nformat = {fmt}\n")
+    assert main(["run", "--config", config]) == 2
+    assert "stage ingest failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, stage", [
+    ("filter", "stopwords", "heuristics"),
+    ("truecase", "lexicon", "truecase"),
+])
+def test_non_utf8_resource_names_its_stage(section, key, stage, capsys, tmp_path,
+                                           fixture_corpus_path):
+    resource = tmp_path / "resource.txt"
+    resource.write_bytes(b"\xff\n")
+    config = _write_config(tmp_path / "job.conf", fixture_corpus_path, tmp_path / "out")
+    with open(config, "a", encoding="utf-8") as handle:
+        handle.write(f"[{section}]\n{key} = {resource}\n")
+    assert main(["run", "--config", config]) == 2
+    assert f"stage {stage} failed" in capsys.readouterr().err
+
+
 class TestStageParity:
     def test_subcommand_chain_matches_run(self, capsys, tmp_path, fixture_corpus_path):
         # run's cleaning stages, one subcommand per stage, must give the same bytes

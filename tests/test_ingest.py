@@ -180,6 +180,12 @@ class TestErrors:
         with pytest.raises(UnreadableFile):
             list(read_documents(str(tmp_path / "absent.jsonl"), "json-lines"))
 
+    def test_non_utf8_file_is_unreadable(self, tmp_path):
+        path = tmp_path / "latin.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "tere"}\n{"id": "b", "text": "\xff"}\n')
+        with pytest.raises(UnreadableFile, match="latin.jsonl"):
+            list(read_documents(str(path), "json-lines"))
+
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(IoError):
             write_documents(

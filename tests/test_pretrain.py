@@ -505,6 +505,21 @@ class TestSerialization:
         with pytest.raises(ValueError):
             serialize_example(long_inst, vocab, config5)
 
+    def test_masked_positions_past_budget_rejected(self):
+        # three masked positions against a budget of ceil(0.15 * 8) = 2 would
+        # serialize variable-length masked lists
+        vocab, config, _ = self._tiny()
+        assert masked_budget(8, 0.15) == 2
+        over = PretrainingInstance(
+            tokens=(CLS_ID, 5, 6, SEP_ID, 7, SEP_ID),
+            segment_ids=(0, 0, 0, 0, 1, 1),
+            masked_positions=(1, 2, 4),
+            masked_labels=(5, 6, 7),
+            is_random_next=False,
+        )
+        with pytest.raises(ValueError):
+            serialize_example(over, vocab, config)
+
     def test_payload_decodes_to_same_example(self):
         vocab, config, inst = self._tiny()
         ex = serialize_example(inst, vocab, config)

@@ -158,6 +158,14 @@ class TestExampleEncoding:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
 
+    def test_int64_max_round_trips_and_past_it_rejected(self):
+        top = 2**63 - 1
+        payload = encode_example({"ids": ("int64", [0, top])}, ["ids"])
+        assert parse_example(payload) == {"ids": ("int64", [0, top])}
+        for too_big in (2**63, 2**64, 2**70):
+            with pytest.raises(ValueError):
+                encode_example({"ids": ("int64", [1, too_big])}, ["ids"])
+
     def test_unpacked_int64_accepted(self):
         # wire-compatible unpacked encoding: repeated field 1, varint each
         def varint(v):
