@@ -10,7 +10,6 @@ from .bpe import Vocab, decode, encode, train_bpe
 from .cleaning import (
     DropReason,
     FilterThresholds,
-    dedup,
     dedup_key,
     heuristic_filter,
     load_stopwords,
@@ -65,7 +64,6 @@ __all__ = [
     "classification_accuracy",
     "compute_stats",
     "decode",
-    "dedup",
     "dedup_key",
     "default_profiles",
     "detect_language",

@@ -23,8 +23,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import EmptyCorpus, IdOutOfRange, MalformedRecord, UnreadableFile, VocabSizeTooSmall
-from .ingest import Document
+from .errors import EmptyCorpus, IdOutOfRange, MalformedRecord, VocabSizeTooSmall
+from .ingest import Document, read_lines
 
 SPECIALS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
@@ -81,21 +81,15 @@ class Vocab:
 
     @classmethod
     def load(cls, vocab_path: str, merges_path: str, marker: str = DEFAULT_MARKER) -> "Vocab":
-        try:
-            with open(vocab_path, "r", encoding="utf-8") as handle:
-                pieces = tuple(line.rstrip("\n") for line in handle if line.rstrip("\n"))
-            merges: List[Tuple[str, str]] = []
-            with open(merges_path, "r", encoding="utf-8") as handle:
-                for line_no, line in enumerate(handle, start=1):
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    parts = line.split(" ")
-                    if len(parts) != 2:
-                        raise MalformedRecord(line_no, 'merge line must be "left right"')
-                    merges.append((parts[0], parts[1]))
-        except OSError as exc:
-            raise UnreadableFile(str(exc)) from exc
+        pieces = tuple(line for _, line in read_lines(vocab_path) if line)
+        merges: List[Tuple[str, str]] = []
+        for line_no, line in read_lines(merges_path):
+            if not line:
+                continue
+            parts = line.split(" ")
+            if len(parts) != 2:
+                raise MalformedRecord(line_no, 'merge line must be "left right"')
+            merges.append((parts[0], parts[1]))
         return cls(pieces=pieces, merges=tuple(merges), marker=marker)
 
 

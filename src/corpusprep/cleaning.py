@@ -1,9 +1,9 @@
-"""Document cleaning stages: markup stripping, dedup, heuristic filters.
+"""Document cleaning stages: markup stripping, dedup keys, heuristic filters.
 
-Stages operate per document and stream-friendly: strip_markup and
-heuristic_filter are pure functions, dedup is a generator holding only the
-set of seen digests.  Language filtering lives in langid; truecasing in
-truecase.
+Every function here works on one document and is pure: strip_markup,
+dedup_key and heuristic_filter.  The stages themselves, including the set of
+seen dedup digests, run in pipeline._clean_stream.  Language filtering lives
+in langid; truecasing in truecase.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
-from .ingest import Document
+from .ingest import Document, read_lines
 
 # Drop reason kinds, as written to drop reports.
 NON_TARGET_LANGUAGE = "NonTargetLanguage"
@@ -110,26 +110,6 @@ def dedup_key(text: str) -> bytes:
     return hashlib.blake2b(normalized.encode("utf-8"), digest_size=16).digest()
 
 
-def dedup(
-    docs: Iterable[Document],
-    on_drop: Optional[Callable[[Document, DropReason], None]] = None,
-) -> Iterator[Document]:
-    """Yield the first document for each dedup_key, preserving input order.
-
-    Later occurrences are reported to on_drop with a Duplicate reason whose
-    detail is the shared digest (hex).
-    """
-    seen: set[bytes] = set()
-    for doc in docs:
-        digest = dedup_key(doc.text)
-        if digest in seen:
-            if on_drop is not None:
-                on_drop(doc, DropReason(DUPLICATE, digest.hex()))
-            continue
-        seen.add(digest)
-        yield doc
-
-
 # --- heuristic quality filters -------------------------------------------
 
 
@@ -180,8 +160,7 @@ def _parse_stopwords(lines: Iterable[str]) -> FrozenSet[str]:
 
 def load_stopwords(path: str) -> FrozenSet[str]:
     """Read a stopword list: one lowercase form per line, '#' comments."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _parse_stopwords(handle)
+    return _parse_stopwords(line for _, line in read_lines(path))
 
 
 def default_stopwords() -> FrozenSet[str]:

@@ -16,21 +16,20 @@ from typing import Dict, List, Optional, Tuple
 
 from . import bpe, metrics
 from .cleaning import FilterThresholds
-from .config import _SCHEMA, PipelineConfig, numeric_fields, validate_config
+from .config import PipelineConfig, numeric_fields, validate_config
 from .errors import ConfigError, PipelineError, StageError
 from .ingest import (
-    FORMATS, CorpusStats, compute_stats, read_documents, write_documents, write_jsonl
+    FORMATS, CorpusStats, compute_stats, read_documents, read_lines, write_documents, write_jsonl
 )
 from .pipeline import (
     _clean_stream,
-    casing_lexicon,
     drop_record,
     run_pipeline,
+    truecase_file,
     with_stopwords,
     write_examples,
 )
 from .pretrain import GenerationConfig, read_tfrecords
-from .truecase import truecase
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,16 +117,14 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_truecase(args) -> int:
-    lexicon = casing_lexicon(args.lexicon or None, read_documents(args.input, args.format))
+    tally = CorpusStats()
+    lexicon = truecase_file(
+        args.input, args.format, args.output, args.output_format, args.lexicon or None, tally
+    )
     if args.save_lexicon:
         lexicon.save(args.save_lexicon)
-
-    count = write_documents(
-        (truecase(doc, lexicon) for doc in read_documents(args.input, args.format)),
-        args.output,
-        args.output_format,
-    )
-    print(f"truecased {count} documents with {len(lexicon)} lexicon entries -> {args.output}")
+    count, entries = tally.documents, len(lexicon)
+    print(f"truecased {count} documents with {entries} lexicon entries -> {args.output}")
     return 0
 
 
@@ -146,8 +143,7 @@ def _cmd_bpe_encode(args) -> int:
     if args.text:
         lines = [" ".join(args.text)]
     else:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            lines = [line.rstrip("\n") for line in handle]
+        lines = [line for _, line in read_lines(args.input)]
     for line in lines:
         ids = bpe.encode(line, vocab)
         if args.pieces:
@@ -201,14 +197,12 @@ def _cmd_score_ner(args) -> int:
 def _cmd_score_cls(args) -> int:
     gold: List[str] = []
     pred: List[str] = []
-    with open(args.input, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            gold.append(parts[0])
-            pred.append(parts[1] if len(parts) > 1 else "")
+    for _, line in read_lines(args.input):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        gold.append(parts[0])
+        pred.append(parts[1] if len(parts) > 1 else "")
     accuracy = metrics.classification_accuracy(gold, pred)
     print(f"accuracy: {100.0 * accuracy:.2f}%")
     _write_report_lines(args.report, [{"type": "classification", "accuracy": round(accuracy, 6)}])
@@ -230,7 +224,7 @@ _OVERRIDE_FLAGS: Dict[str, Tuple[str, str]] = {
 
 def _cmd_run(args) -> int:
     overrides = {
-        key: str(getattr(args, flag))
+        key: getattr(args, flag)
         for flag, key in _OVERRIDE_FLAGS.items()
         if getattr(args, flag) is not None
     }
@@ -313,9 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("run", _cmd_run, "full pipeline from a config file", ["--workers"])
     p.add_argument("--config", required=True)
-    for flag, (section, key) in _OVERRIDE_FLAGS.items():
-        kind = int if _SCHEMA[section][key] == "int" else None
-        p.add_argument("--" + flag.replace("_", "-"), type=kind)
+    for flag in _OVERRIDE_FLAGS:
+        p.add_argument("--" + flag.replace("_", "-"))
 
     return parser
 

@@ -97,6 +97,22 @@ def compute_stats(docs: Iterable[Document]) -> CorpusStats:
     return stats
 
 
+def read_lines(path: str) -> Iterator[Tuple[int, str]]:
+    """Yield ``(line_no, line)`` of a UTF-8 text file, newline removed.
+
+    The one reader of text inputs: raises UnreadableFile naming ``path`` if
+    the file cannot be opened or read, or is not UTF-8.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, 1):
+                yield line_no, line.rstrip("\n")
+    except OSError as exc:
+        raise UnreadableFile(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(f"cannot decode {path}: {exc}") from exc
+
+
 def read_documents(path: str, format: str) -> Iterator[Document]:
     """Yield documents from ``path`` in file order.
 
@@ -104,16 +120,8 @@ def read_documents(path: str, format: str) -> Iterator[Document]:
     MalformedRecord(line_no) for records that violate the format grammar.
     """
     _check_format(format)
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise UnreadableFile(f"cannot open {path}: {exc}") from exc
     reader = {"vert-xml": _read_vert, "blankline-text": _read_blankline, "json-lines": _read_jsonl}
-    with handle:
-        try:
-            yield from reader[format](handle)
-        except UnicodeDecodeError as exc:
-            raise UnreadableFile(f"cannot decode {path}: {exc}") from exc
+    yield from reader[format](read_lines(path))
 
 
 def write_documents(docs: Iterable[Document], path: str, format: str) -> int:
@@ -186,13 +194,12 @@ def _vert_unescape(text: str) -> str:
     return text
 
 
-def _read_vert(handle) -> Iterator[Document]:
+def _read_vert(numbered: Iterable[Tuple[int, str]]) -> Iterator[Document]:
     ordinal = 0
     open_line = 0
     attrs: dict[str, str] = {}
     lines: list[str] | None = None
-    for line_no, raw in enumerate(handle, 1):
-        line = raw.rstrip("\n")
+    for line_no, line in numbered:
         if lines is None:
             if not line.strip():
                 continue
@@ -220,11 +227,10 @@ def _read_vert(handle) -> Iterator[Document]:
         raise MalformedRecord(open_line, "unclosed <doc> element")
 
 
-def _read_blankline(handle) -> Iterator[Document]:
+def _read_blankline(numbered: Iterable[Tuple[int, str]]) -> Iterator[Document]:
     ordinal = 0
     block: list[str] = []
-    for raw in handle:
-        line = raw.rstrip("\n")
+    for _, line in numbered:
         if line.strip():
             block.append(line)
         elif block:
@@ -235,9 +241,9 @@ def _read_blankline(handle) -> Iterator[Document]:
         yield Document(id=f"doc-{ordinal}", text="\n".join(block))
 
 
-def _read_jsonl(handle) -> Iterator[Document]:
+def _read_jsonl(numbered: Iterable[Tuple[int, str]]) -> Iterator[Document]:
     ordinal = 0
-    for line_no, raw in enumerate(handle, 1):
+    for line_no, raw in numbered:
         line = raw.strip()
         if not line:
             continue

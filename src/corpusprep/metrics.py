@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .errors import Empty, LengthMismatch, MalformedRecord, MalformedTag
+from .ingest import read_lines
 
 _TAG = re.compile(r"^([BI])-(.+)$")
 
@@ -158,20 +159,18 @@ def read_conll(path: str) -> List[Tuple[List[str], List[str], List[str]]]:
     tokens: List[str] = []
     gold: List[str] = []
     pred: List[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                if tokens:
-                    sequences.append((tokens, gold, pred))
-                    tokens, gold, pred = [], [], []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise MalformedRecord(line_no, "expected token<TAB>gold<TAB>pred")
-            tokens.append(parts[0])
-            gold.append(parts[1])
-            pred.append(parts[2])
+    for line_no, line in read_lines(path):
+        if not line.strip():
+            if tokens:
+                sequences.append((tokens, gold, pred))
+                tokens, gold, pred = [], [], []
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise MalformedRecord(line_no, "expected token<TAB>gold<TAB>pred")
+        tokens.append(parts[0])
+        gold.append(parts[1])
+        pred.append(parts[2])
     if tokens:
         sequences.append((tokens, gold, pred))
     return sequences

@@ -4,7 +4,8 @@ Stages run in a fixed order (strip, langfilter, dedup, heuristics,
 truecase); disabled stages are skipped, never reordered.  Documents stream
 through a single driver loop one at a time; only the dedup digest set, one
 digest per kept document, grows with the corpus.  The truecase stage uses a
-temporary file for its two passes (collect casing evidence, then rewrite).
+temporary file for its two passes (collect casing evidence, then rewrite);
+``truecase_file``, like ``_clean_stream``, is the stage code the CLI runs too.
 ``_stage`` is the one stage boundary: a PipelineError, OSError or ValueError
 raised inside a stage leaves it as StageError naming that stage.
 
@@ -33,7 +34,7 @@ from .cleaning import (
     strip_markup,
 )
 from .config import PipelineConfig
-from .errors import MissingLemmas, PipelineError, StageError, TextTooShort
+from .errors import PipelineError, StageError, TextTooShort
 from .ingest import CorpusStats, Document, json_line, read_documents, write_documents, write_jsonl
 from .langid import default_profiles, detect_language
 from .pretrain import (
@@ -113,13 +114,6 @@ def with_stopwords(thresholds: FilterThresholds, path: Optional[str]) -> FilterT
     return replace(thresholds, stopwords=stopwords)
 
 
-def casing_lexicon(lexicon_path: Optional[str], docs: Iterable[Document]) -> CasingLexicon:
-    """Load the lexicon file if given, else build one from the annotated docs."""
-    if lexicon_path is not None:
-        return CasingLexicon.load(lexicon_path)
-    return build_casing_lexicon(doc for doc in docs if doc.lemmas is not None)
-
-
 def write_examples(
     docs: Iterable[Document], vocab: Vocab, generation: GenerationConfig, out_dir: str, workers: int
 ) -> Tuple[List[str], int]:
@@ -146,6 +140,31 @@ def _stage(name: str) -> Iterator[None]:
         raise
     except (PipelineError, OSError, ValueError) as exc:
         raise StageError(name, exc) from exc
+
+
+def truecase_file(
+    src: str, src_format: str, dst: str, dst_format: str,
+    lexicon_path: Optional[str], tally: CorpusStats,
+) -> CasingLexicon:
+    """The truecase stage: rewrite src into dst and add each document to tally.
+
+    Uses the lexicon file if given, else a lexicon built from src's lemmas;
+    returns the lexicon used.
+    """
+    with _stage("truecase"):
+        if lexicon_path is not None:
+            lexicon = CasingLexicon.load(lexicon_path)
+        else:
+            lexicon = build_casing_lexicon(read_documents(src, src_format))
+
+        def rewritten() -> Iterator[Document]:
+            for doc in read_documents(src, src_format):
+                cased = truecase(doc, lexicon)
+                tally.add_document(cased)
+                yield cased
+
+        write_documents(rewritten(), dst, dst_format)
+    return lexicon
 
 
 def _clean_stream(
@@ -243,24 +262,13 @@ def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
                 reader, enabled, thresholds, config.target_lang, on_drop, tallies
             )
             with _stage("output"):
-                staged = write_documents(stream, staged_path, "json-lines")
+                write_documents(stream, staged_path, "json-lines")
 
         if config.stages.truecase:
-            with _stage("truecase"):
-                lexicon_path = config.truecase_lexicon_path
-                lexicon = casing_lexicon(lexicon_path, read_documents(temp_path, "json-lines"))
-                if lexicon_path is None and staged and not len(lexicon):
-                    raise MissingLemmas(
-                        "no documents carry lemma annotations and no lexicon file was given"
-                    )
-
-                def rewritten() -> Iterator[Document]:
-                    for doc in read_documents(temp_path, "json-lines"):
-                        cased = truecase(doc, lexicon)
-                        tallies["truecase"].add_document(cased)
-                        yield cased
-
-                write_documents(rewritten(), cleaned_path, "json-lines")
+            truecase_file(
+                temp_path, "json-lines", cleaned_path, "json-lines",
+                config.truecase_lexicon_path, tallies["truecase"],
+            )
     finally:
         if config.stages.truecase and os.path.exists(temp_path):
             os.remove(temp_path)

@@ -10,12 +10,13 @@ sentence-initial capitals and restores capitals on proper nouns.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
 from .cleaning import split_punct
 from .errors import MalformedRecord, MissingLemmas
-from .ingest import Document
+from .ingest import Document, read_lines
 
 
 @dataclass
@@ -52,24 +53,22 @@ class CasingLexicon:
     @classmethod
     def load(cls, path: str) -> "CasingLexicon":
         entries: Dict[str, Tuple[str, int]] = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise MalformedRecord(line_no, "expected 3 tab-separated fields")
-                key, surface, count_text = parts
-                try:
-                    count = int(count_text)
-                except ValueError:
-                    raise MalformedRecord(line_no, f"bad count {count_text!r}") from None
-                try:
-                    cls._check(key, surface, count)
-                except ValueError as exc:
-                    raise MalformedRecord(line_no, str(exc)) from None
-                entries[key] = (surface, count)
+        for line_no, line in read_lines(path):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise MalformedRecord(line_no, "expected 3 tab-separated fields")
+            key, surface, count_text = parts
+            try:
+                count = int(count_text)
+            except ValueError:
+                raise MalformedRecord(line_no, f"bad count {count_text!r}") from None
+            try:
+                cls._check(key, surface, count)
+            except ValueError as exc:
+                raise MalformedRecord(line_no, str(exc)) from None
+            entries[key] = (surface, count)
         return cls(entries)
 
 
@@ -81,12 +80,16 @@ def build_casing_lexicon(docs: Iterable[Document]) -> CasingLexicon:
     """Vote per lowercase form: lemma capitalized means capitalized surface.
 
     Conflicting evidence is resolved by majority; ties go to lowercase.  The
-    stored count is the number of votes for the winning form.
+    stored count is the number of votes for the winning form.  Documents
+    without lemmas are skipped; MissingLemmas if documents were given but
+    none of them yields an entry.
     """
     votes: Dict[str, Dict[str, int]] = {}
+    given = False
     for doc in docs:
+        given = True
         if doc.lemmas is None:
-            raise MissingLemmas(f"document {doc.id} has no lemma annotations")
+            continue
         for token, lemma in zip(doc.tokens(), doc.lemmas):
             key = token.lower()
             if not key or not lemma:
@@ -94,12 +97,18 @@ def build_casing_lexicon(docs: Iterable[Document]) -> CasingLexicon:
             form = _capitalized(key) if lemma[:1].isupper() else key
             bucket = votes.setdefault(key, {})
             bucket[form] = bucket.get(form, 0) + 1
+    if given and not votes:
+        raise MissingLemmas("no document carries lemma annotations to build a casing lexicon from")
 
     entries: Dict[str, Tuple[str, int]] = {}
     for key, bucket in votes.items():
         best = max(bucket.items(), key=lambda item: (item[1], item[0] == key))
         entries[key] = best
     return CasingLexicon(entries)
+
+
+# a token as str.split() sees it: re's \s and str.split() agree on every code point
+_TOKEN = re.compile(r"\S+")
 
 
 def _has_internal_capital(core: str) -> bool:
@@ -111,33 +120,19 @@ def truecase_text(text: str, lexicon: CasingLexicon) -> str:
 
     Tokens with capitals after the first character (acronyms, camel case)
     and tokens the lexicon does not know stay as they are.  Surrounding
-    punctuation is preserved.  Idempotent for a fixed lexicon.
+    punctuation and all whitespace are preserved.  Idempotent for a fixed
+    lexicon.
     """
-    out = []
-    for token in text.split():
-        lead, core, trail = split_punct(token)
+
+    def rewrite(match: re.Match) -> str:
+        lead, core, trail = split_punct(match.group(0))
         if core and not _has_internal_capital(core):
             canonical = lexicon.lookup(core.lower())
             if canonical is not None:
-                core = canonical
-        out.append(lead + core + trail)
-    return _rejoin(text, out)
+                return lead + canonical + trail
+        return match.group(0)
 
-
-def _rejoin(original: str, tokens: list[str]) -> str:
-    """Reassemble tokens using the original inter-token whitespace."""
-    parts = original.split()
-    if len(parts) != len(tokens):
-        return " ".join(tokens)
-    result = []
-    cursor = 0
-    for part, replacement in zip(parts, tokens):
-        index = original.index(part, cursor)
-        result.append(original[cursor:index])
-        result.append(replacement)
-        cursor = index + len(part)
-    result.append(original[cursor:])
-    return "".join(result)
+    return _TOKEN.sub(rewrite, text)
 
 
 def truecase(doc: Document, lexicon: CasingLexicon) -> Document:

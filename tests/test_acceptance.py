@@ -20,7 +20,6 @@ import pytest
 
 from bpe_oracle import oracle_train_bpe
 from corpusprep.bpe import SPECIALS, decode, encode, train_bpe
-from corpusprep.cleaning import dedup
 from corpusprep.config import PipelineConfig
 from corpusprep.errors import CorruptRecord
 from corpusprep.ingest import Document, read_documents
@@ -47,6 +46,7 @@ from corpusprep.tfrecord import (
     masked_crc32c,
     read_framed,
 )
+from dedup_stage import dedup
 
 
 def _report(n: int, summary: str) -> None:

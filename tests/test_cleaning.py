@@ -17,7 +17,6 @@ from corpusprep.cleaning import (
     TOO_MUCH_PUNCTUATION,
     DropReason,
     FilterThresholds,
-    dedup,
     dedup_key,
     default_stopwords,
     heuristic_filter,
@@ -25,6 +24,7 @@ from corpusprep.cleaning import (
     strip_markup,
 )
 from corpusprep.ingest import Document
+from dedup_stage import dedup
 
 
 class TestStripMarkup:

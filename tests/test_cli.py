@@ -156,6 +156,15 @@ class TestTruecase:
         assert row["text"] == "nägin Tallinn eile"
         capsys.readouterr()
 
+    def test_unannotated_input_without_lexicon_exits_2(self, capsys, tmp_path,
+                                                        fixture_corpus_path):
+        rows = _no_lemmas(_read_lines(fixture_corpus_path))
+        src = _write_jsonl(tmp_path / "in.jsonl", rows)
+        dst = tmp_path / "out.jsonl"
+        assert main(["truecase", src, str(dst)]) == 2
+        assert "stage truecase failed" in capsys.readouterr().err
+        assert not dst.exists()
+
 
 class TestBpe:
     def test_train_then_encode_ids_and_pieces(self, capsys, tmp_path):
@@ -370,6 +379,15 @@ class TestRun:
         assert "config error:" in err
         assert "unknown key" in err
 
+    def test_non_integer_override_is_a_config_error(self, capsys, tmp_path,
+                                                    fixture_corpus_path):
+        config = _write_config(tmp_path / "job.conf", fixture_corpus_path, tmp_path / "out")
+        assert main(["run", "--config", config, "--vocab-size", "abc"]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "vocab_size" in err
+        assert not (tmp_path / "out").exists()
+
     def test_stage_failure_exits_2_with_stage_name(self, capsys, tmp_path, fixture_corpus_path):
         config = tmp_path / "job.conf"
         config.write_text(
@@ -457,6 +475,49 @@ def test_non_utf8_resource_names_its_stage(section, key, stage, capsys, tmp_path
         handle.write(f"[{section}]\n{key} = {resource}\n")
     assert main(["run", "--config", config]) == 2
     assert f"stage {stage} failed" in capsys.readouterr().err
+
+
+# subcommand -> argv whose {bad} text input is missing or not UTF-8
+TEXT_INPUTS = {
+    "stats": ["stats", "{bad}"],
+    "filter-stopwords": ["filter", "{corpus}", "{tmp}/out.jsonl", "--stopwords", "{bad}"],
+    "truecase-lexicon": ["truecase", "{corpus}", "{tmp}/out.jsonl", "--lexicon", "{bad}"],
+    "bpe-encode-vocab": ["bpe-encode", "tere", "--vocab", "{bad}", "--merges", "{merges}"],
+    "bpe-encode-merges": ["bpe-encode", "tere", "--vocab", "{vocab}", "--merges", "{bad}"],
+    "bpe-encode-input": [
+        "bpe-encode", "--input", "{bad}", "--vocab", "{vocab}", "--merges", "{merges}",
+    ],
+    "make-examples-vocab": [
+        "make-examples", "{corpus}", "--vocab", "{bad}", "--merges", "{merges}",
+        "--out-dir", "{tmp}/shards",
+    ],
+    "make-examples-merges": [
+        "make-examples", "{corpus}", "--vocab", "{vocab}", "--merges", "{bad}",
+        "--out-dir", "{tmp}/shards",
+    ],
+    "score-tags": ["score-tags", "{bad}"],
+    "score-ner": ["score-ner", "{bad}"],
+    "score-cls": ["score-cls", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("fault", ["missing", "not-utf8"])
+@pytest.mark.parametrize("case", sorted(TEXT_INPUTS))
+def test_unreadable_text_input_exits_2_naming_it(case, fault, capsys, tmp_path,
+                                                 fixture_corpus_path):
+    vocab, merges = str(tmp_path / "vocab.txt"), str(tmp_path / "merges.txt")
+    assert main(["bpe-train", fixture_corpus_path, "--vocab-size", "60",
+                 "--vocab", vocab, "--merges", merges]) == 0
+    bad = tmp_path / "bad.txt"
+    if fault == "not-utf8":
+        bad.write_bytes(b"tere\t\xff\n")
+    argv = [
+        arg.format(bad=bad, corpus=fixture_corpus_path, tmp=tmp_path, vocab=vocab, merges=merges)
+        for arg in TEXT_INPUTS[case]
+    ]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 class TestStageParity:

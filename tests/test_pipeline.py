@@ -17,13 +17,14 @@ import tracemalloc
 
 import pytest
 
-from corpusprep.cleaning import dedup, strip_markup
+from corpusprep.cleaning import strip_markup
 from corpusprep.config import STAGE_ORDER, PipelineConfig, StageToggles
 from corpusprep.errors import MalformedRecord, StageError
 from corpusprep.ingest import Document, read_documents
 from corpusprep.pipeline import PipelineReport, run_pipeline
 from corpusprep.pretrain import GenerationConfig, read_tfrecords
 from corpusprep.truecase import CasingLexicon
+from dedup_stage import dedup
 
 # Small generation settings keep the end-to-end runs fast; the statistical
 # properties of generation are covered elsewhere on much larger streams.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusprep.cleaning import split_punct
 from corpusprep.errors import MalformedRecord, MissingLemmas
 from corpusprep.ingest import Document
 from corpusprep.truecase import (
@@ -45,6 +46,11 @@ class TestBuildLexicon:
     def test_unannotated_document_rejected(self):
         with pytest.raises(MissingLemmas):
             build_casing_lexicon([Document(id="x", text="tekst siin")])
+
+    def test_unannotated_documents_skipped_among_annotated(self):
+        annotated = _doc("Täna Tallinn", ("täna", "Tallinn"))
+        lex = build_casing_lexicon([annotated, Document(id="x", text="Tekst Siin")])
+        assert lex.entries == {"täna": ("täna", 1), "tallinn": ("Tallinn", 1)}
 
     def test_votes_keyed_by_token_not_lemma(self):
         # inflected token differs from its lemma; the entry is for the token form
@@ -191,3 +197,40 @@ def test_lexicon_build_then_apply_reaches_fixpoint(pairs):
     lexicon = build_casing_lexicon([doc])
     cased = truecase(doc, lexicon)
     assert truecase(cased, lexicon) == cased
+
+
+# str.isspace characters, separators and controls beyond ASCII included
+_SPACES = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003\u2028\u3000"
+_LEX = TestTruecaseText.LEX
+_tokens = st.one_of(
+    st.sampled_from(["Täna", "EESTI", "eesti", "(Tallinn)", '"täna!"', "iPhone", "On."]),
+    st.text(alphabet="abcõäABCÕÄ.,\"(-", min_size=1, max_size=6),
+)
+
+
+def _rewrite_token(token):
+    """The documented per-token rule, restated without truecase_text."""
+    lead, core, trail = split_punct(token)
+    if core and not any(ch.isupper() for ch in core[1:]):
+        core = _LEX.lookup(core.lower()) or core
+    return lead + core + trail
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_tokens, max_size=8),
+    st.lists(st.text(alphabet=_SPACES, min_size=1, max_size=3), min_size=9, max_size=9),
+    st.booleans(),
+    st.booleans(),
+)
+def test_truecase_rewrites_tokens_and_keeps_every_space(tokens, gaps, lead, trail):
+    assert all(ch.isspace() for ch in _SPACES)
+    # whitespace runs: optional before the first token, required between tokens, optional after
+    runs = [gaps[0] if lead else ""] + gaps[1 : len(tokens)] + [gaps[-1] if trail else ""]
+    if not tokens:
+        runs = [runs[0] + runs[-1]]
+    text = runs[0] + "".join(token + run for token, run in zip(tokens, runs[1:]))
+    assert text.split() == tokens
+
+    expected = runs[0] + "".join(_rewrite_token(t) + run for t, run in zip(tokens, runs[1:]))
+    assert truecase_text(text, _LEX) == expected
