@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EmptyCorpus, IdOutOfRange, MalformedRecord, VocabSizeTooSmall
-from .ingest import Document, read_lines
+from .ingest import Document, open_output, read_lines
 
 SPECIALS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
@@ -72,10 +72,10 @@ class Vocab:
 
     def save(self, vocab_path: str, merges_path: str) -> None:
         """vocab file: one piece per line, line number = id; merges: "left right"."""
-        with open(vocab_path, "w", encoding="utf-8") as out:
+        with open_output(vocab_path) as out:
             for piece in self.pieces:
                 out.write(piece + "\n")
-        with open(merges_path, "w", encoding="utf-8") as out:
+        with open_output(merges_path) as out:
             for left, right in self.merges:
                 out.write(f"{left} {right}\n")
 

@@ -23,6 +23,7 @@ from .ingest import (
 )
 from .pipeline import (
     _clean_stream,
+    _stage,
     drop_record,
     run_pipeline,
     truecase_file,
@@ -89,7 +90,8 @@ def _clean_file(
         lambda doc, stage, reason: dropped.append(drop_record(doc, stage, reason)),
         defaultdict(CorpusStats),
     )
-    return write_documents(stream, args.output, args.output_format), dropped
+    with _stage("output"):
+        return write_documents(stream, args.output, args.output_format), dropped
 
 
 def _cmd_clean(args) -> int:
@@ -140,10 +142,7 @@ def _cmd_bpe_encode(args) -> int:
         print("bpe-encode: give text arguments or --input FILE", file=sys.stderr)
         return 1
     vocab = bpe.Vocab.load(args.vocab, args.merges)
-    if args.text:
-        lines = [" ".join(args.text)]
-    else:
-        lines = [line for _, line in read_lines(args.input)]
+    lines = [" ".join(args.text)] if args.text else [line for _, line in read_lines(args.input)]
     for line in lines:
         ids = bpe.encode(line, vocab)
         if args.pieces:
@@ -189,8 +188,7 @@ def _cmd_score_ner(args) -> int:
     report = metrics.ner_span_f1(gold, pred)
     tokens = sum(len(g) for g in gold)
     sys.stdout.write(metrics.render_span_report(report, tokens))
-    if args.report:
-        write_jsonl(metrics.span_report_records(report), args.report)
+    _write_report_lines(args.report, metrics.span_report_records(report))
     return 0
 
 

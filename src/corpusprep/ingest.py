@@ -21,9 +21,11 @@ Readers are generators and never hold more than one document in memory.
 from __future__ import annotations
 
 import json
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import IO, Iterable, Iterator, Optional, Tuple
 
 from .errors import IoError, MalformedRecord, UnreadableFile
 
@@ -113,6 +115,27 @@ def read_lines(path: str) -> Iterator[Tuple[int, str]]:
         raise UnreadableFile(f"cannot decode {path}: {exc}") from exc
 
 
+@contextmanager
+def open_output(path: str, binary: bool = False) -> Iterator[IO]:
+    """The one writer: path appears, renamed from ``<path>.tmp``, when the block completes.
+
+    A symlink or a path that is not a regular file (a device, a FIFO) is
+    written in place.  Raises IoError naming path if it cannot be written.
+    """
+    in_place = os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path))
+    target = path if in_place else path + ".tmp"
+    try:
+        with open(target, "wb") if binary else open(target, "w", encoding="utf-8") as out:
+            yield out
+        if not in_place:
+            os.replace(target, path)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if not in_place and os.path.lexists(target):
+            os.remove(target)
+
+
 def read_documents(path: str, format: str) -> Iterator[Document]:
     """Yield documents from ``path`` in file order.
 
@@ -133,35 +156,32 @@ def write_documents(docs: Iterable[Document], path: str, format: str) -> int:
     """
     _check_format(format)
     written = 0
-    try:
-        with open(path, "w", encoding="utf-8") as out:
-            if format == "vert-xml":
-                for doc in docs:
-                    attrs = f' id="{_vert_escape(doc.id)}"'
-                    if doc.lang_tag is not None:
-                        attrs += f' lang="{_vert_escape(doc.lang_tag)}"'
-                    out.write(f"<doc{attrs}>\n")
-                    if doc.text:
-                        out.write(_vert_escape(doc.text) + "\n")
-                    out.write("</doc>\n")
-                    written += 1
-            elif format == "blankline-text":
-                for doc in docs:
-                    if written:
-                        out.write("\n")
-                    out.write(doc.text + "\n")
-                    written += 1
-            else:
-                for doc in docs:
-                    record = {"id": doc.id, "text": doc.text}
-                    if doc.lang_tag is not None:
-                        record["lang"] = doc.lang_tag
-                    if doc.lemmas is not None:
-                        record["lemmas"] = list(doc.lemmas)
-                    out.write(json_line(record))
-                    written += 1
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open_output(path) as out:
+        if format == "vert-xml":
+            for doc in docs:
+                attrs = f' id="{_vert_escape(doc.id)}"'
+                if doc.lang_tag is not None:
+                    attrs += f' lang="{_vert_escape(doc.lang_tag)}"'
+                out.write(f"<doc{attrs}>\n")
+                if doc.text:
+                    out.write(_vert_escape(doc.text) + "\n")
+                out.write("</doc>\n")
+                written += 1
+        elif format == "blankline-text":
+            for doc in docs:
+                if written:
+                    out.write("\n")
+                out.write(doc.text + "\n")
+                written += 1
+        else:
+            for doc in docs:
+                record = {"id": doc.id, "text": doc.text}
+                if doc.lang_tag is not None:
+                    record["lang"] = doc.lang_tag
+                if doc.lemmas is not None:
+                    record["lemmas"] = list(doc.lemmas)
+                out.write(json_line(record))
+                written += 1
     return written
 
 
@@ -172,7 +192,7 @@ def json_line(record: dict) -> str:
 
 def write_jsonl(records: Iterable[dict], path: str) -> None:
     """Write one JSON object per line."""
-    with open(path, "w", encoding="utf-8") as out:
+    with open_output(path) as out:
         for record in records:
             out.write(json_line(record))
 

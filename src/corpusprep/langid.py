@@ -8,12 +8,11 @@ posterior.
 
 Small seed texts for Estonian, English, Finnish, German and Russian ship with
 the package, enough to separate languages reliably at document granularity.
-Profiles can also be trained from any text and stored as JSON.
+Profiles can also be trained from any text.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import unicodedata
@@ -76,16 +75,6 @@ class LanguageProfiles:
         for bucket in self.counts.values():
             grams.update(bucket)
         return len(grams)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as out:
-            json.dump({"counts": self.counts, "totals": self.totals}, out, ensure_ascii=False)
-
-    @classmethod
-    def load(cls, path: str) -> "LanguageProfiles":
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        return cls(counts=payload["counts"], totals={k: int(v) for k, v in payload["totals"].items()})
 
 
 def detect_language(text: str, profiles: LanguageProfiles) -> Tuple[str, float]:

@@ -3,9 +3,10 @@
 Stages run in a fixed order (strip, langfilter, dedup, heuristics,
 truecase); disabled stages are skipped, never reordered.  Documents stream
 through a single driver loop one at a time; only the dedup digest set, one
-digest per kept document, grows with the corpus.  The truecase stage uses a
-temporary file for its two passes (collect casing evidence, then rewrite);
-``truecase_file``, like ``_clean_stream``, is the stage code the CLI runs too.
+digest per kept document, grows with the corpus.  ``truecase_file`` reads
+``cleaned.jsonl`` twice (casing evidence, then rewrite) and rewrites it in
+place; it and ``_clean_stream`` are the stage code the CLI runs too.  A run
+removes a stale ``report.jsonl`` first and writes the report last.
 ``_stage`` is the one stage boundary: a PipelineError, OSError or ValueError
 raised inside a stage leaves it as StageError naming that stage.
 
@@ -35,7 +36,9 @@ from .cleaning import (
 )
 from .config import PipelineConfig
 from .errors import PipelineError, StageError, TextTooShort
-from .ingest import CorpusStats, Document, json_line, read_documents, write_documents, write_jsonl
+from .ingest import (
+    CorpusStats, Document, json_line, open_output, read_documents, write_documents, write_jsonl
+)
 from .langid import default_profiles, detect_language
 from .pretrain import (
     GenerationConfig,
@@ -108,9 +111,21 @@ def drop_record(doc: Document, stage: str, reason: DropReason) -> dict:
     return {"id": doc.id, "stage": stage, "reason": reason.kind, "detail": reason.detail}
 
 
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """The one stage boundary: failures inside the block carry the stage name."""
+    try:
+        yield
+    except StageError:
+        raise
+    except (PipelineError, OSError, ValueError) as exc:
+        raise StageError(name, exc) from exc
+
+
 def with_stopwords(thresholds: FilterThresholds, path: Optional[str]) -> FilterThresholds:
-    """thresholds carrying the stopword list at path, or the packaged list."""
-    stopwords = load_stopwords(path) if path is not None else default_stopwords()
+    """The heuristics stage's thresholds, with the stopword list at path or the packaged one."""
+    with _stage("heuristics"):
+        stopwords = load_stopwords(path) if path is not None else default_stopwords()
     return replace(thresholds, stopwords=stopwords)
 
 
@@ -131,22 +146,11 @@ def write_examples(
     return paths, count
 
 
-@contextmanager
-def _stage(name: str) -> Iterator[None]:
-    """The one stage boundary: failures inside the block carry the stage name."""
-    try:
-        yield
-    except StageError:
-        raise
-    except (PipelineError, OSError, ValueError) as exc:
-        raise StageError(name, exc) from exc
-
-
 def truecase_file(
     src: str, src_format: str, dst: str, dst_format: str,
     lexicon_path: Optional[str], tally: CorpusStats,
 ) -> CasingLexicon:
-    """The truecase stage: rewrite src into dst and add each document to tally.
+    """The truecase stage: rewrite src into dst (may be src), adding each document to tally.
 
     Uses the lexicon file if given, else a lexicon built from src's lemmas;
     returns the lexicon used.
@@ -240,38 +244,27 @@ def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
     cleaned_path = os.path.join(config.out_dir, "cleaned.jsonl")
     drops_path = os.path.join(config.out_dir, "drops.jsonl")
     report_path = config.report_path or os.path.join(config.out_dir, "report.jsonl")
-    # truecase reads the cleaned stream twice, so it is staged in a temp file first
-    temp_path = os.path.join(config.out_dir, "cleaned.pre-truecase.tmp")
-    staged_path = temp_path if config.stages.truecase else cleaned_path
+    if os.path.isfile(report_path) and not os.path.islink(report_path):
+        os.remove(report_path)
 
     enabled = config.stages.enabled()
     tallies: Dict[str, CorpusStats] = {name: CorpusStats() for name in ["ingest"] + enabled}
-    with _stage("heuristics"):
-        thresholds = with_stopwords(config.thresholds, config.stopwords_path)
+    thresholds = with_stopwords(config.thresholds, config.stopwords_path)
 
     drops: Counter = Counter()
-    try:
-        with open(drops_path, "w", encoding="utf-8") as drop_log:
+    with _stage("output"), open_output(drops_path) as drop_log:
 
-            def on_drop(doc: Document, stage: str, reason: DropReason) -> None:
-                drops[reason.kind] += 1
-                drop_log.write(json_line(drop_record(doc, stage, reason)))
+        def on_drop(doc: Document, stage: str, reason: DropReason) -> None:
+            drops[reason.kind] += 1
+            drop_log.write(json_line(drop_record(doc, stage, reason)))
 
-            reader = read_documents(config.input_path, config.input_format)
-            stream = _clean_stream(
-                reader, enabled, thresholds, config.target_lang, on_drop, tallies
-            )
-            with _stage("output"):
-                write_documents(stream, staged_path, "json-lines")
+        reader = read_documents(config.input_path, config.input_format)
+        stream = _clean_stream(reader, enabled, thresholds, config.target_lang, on_drop, tallies)
+        write_documents(stream, cleaned_path, "json-lines")
 
-        if config.stages.truecase:
-            truecase_file(
-                temp_path, "json-lines", cleaned_path, "json-lines",
-                config.truecase_lexicon_path, tallies["truecase"],
-            )
-    finally:
-        if config.stages.truecase and os.path.exists(temp_path):
-            os.remove(temp_path)
+    if config.stages.truecase:
+        truecase_file(cleaned_path, "json-lines", cleaned_path, "json-lines",
+                      config.truecase_lexicon_path, tallies["truecase"])
 
     # stage-by-stage stats: each enabled stage's output is the next input
     stage_reports: List[StageReport] = []
@@ -283,9 +276,9 @@ def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
 
     with _stage("bpe"):
         vocab = train_bpe(read_documents(cleaned_path, "json-lines"), config.vocab_size)
-    vocab_path = os.path.join(config.out_dir, "vocab.txt")
-    merges_path = os.path.join(config.out_dir, "merges.txt")
-    vocab.save(vocab_path, merges_path)
+        vocab_path = os.path.join(config.out_dir, "vocab.txt")
+        merges_path = os.path.join(config.out_dir, "merges.txt")
+        vocab.save(vocab_path, merges_path)
 
     with _stage("examples"):
         docs = read_documents(cleaned_path, "json-lines")
@@ -308,5 +301,6 @@ def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
         },
         instances=instance_count,
     )
-    write_jsonl(report.records(), report_path)
+    with _stage("output"):
+        write_jsonl(report.records(), report_path)
     return report

@@ -32,12 +32,13 @@ import multiprocessing
 import os
 import random
 import re
+from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, List, Sequence, Tuple, get_type_hints
 
 from .bpe import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, encode
 from .errors import CorpusTooSmall, CorruptRecord, IdOutOfRange, IoError, NoMaskableTokens
-from .ingest import Document
+from .ingest import Document, open_output
 from .tfrecord import FRAME_OVERHEAD, encode_example, frame_record, parse_example, read_framed
 
 
@@ -383,6 +384,8 @@ def write_tfrecords(
 
     Shard files of an earlier run with another shard count are removed
     first, so the pretrain-*.tfrecord glob matches only this run's shards.
+    Every shard appears together once the stream is exhausted; a failure
+    mid-stream leaves no new shard.
     """
     paths = shard_paths(out_dir, shards)
     try:
@@ -391,17 +394,12 @@ def write_tfrecords(
             path = os.path.join(out_dir, name)
             if _SHARD_NAME.fullmatch(name) and path not in paths:
                 os.remove(path)
-        handles = [open(path, "wb") for path in paths]
     except OSError as exc:
-        raise IoError(str(exc)) from exc
-    try:
+        raise IoError(f"cannot write {out_dir}: {exc}") from exc
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open_output(path, binary=True)) for path in paths]
         for index, example in enumerate(examples):
             handles[index % shards].write(frame_record(example_payload(example)))
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    finally:
-        for handle in handles:
-            handle.close()
     return paths
 
 

@@ -215,7 +215,7 @@ def read_framed(path: str) -> Iterator[bytes]:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        raise IoError(str(exc)) from exc
+        raise IoError(f"cannot open {path}: {exc}") from exc
 
     pos = 0
     total = len(data)

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .cleaning import split_punct
 from .errors import MalformedRecord, MissingLemmas
-from .ingest import Document, read_lines
+from .ingest import Document, open_output, read_lines
 
 
 @dataclass
@@ -45,7 +45,7 @@ class CasingLexicon:
 
     def save(self, path: str) -> None:
         """Write TSV lines `lowercase<TAB>surface<TAB>count`, sorted by key."""
-        with open(path, "w", encoding="utf-8") as out:
+        with open_output(path) as out:
             for key in sorted(self.entries):
                 surface, count = self.entries[key]
                 out.write(f"{key}\t{surface}\t{count}\n")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import glob
 import json
 import os
+import shutil
+import stat
 import subprocess
 import sys
 
@@ -559,7 +561,130 @@ class TestStageParity:
         assert "stage ingest failed" in capsys.readouterr().err
 
 
+# subcommand -> argv that rewrites {src}; truecase builds its lexicon from the lemmas
+IN_PLACE = {
+    "clean": ["clean", "{src}", "{dst}"],
+    "dedup": ["dedup", "{src}", "{dst}"],
+    "filter": ["filter", "{src}", "{dst}"],
+    "truecase": ["truecase", "{src}", "{dst}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(IN_PLACE))
+def test_input_may_be_its_own_output(case, capsys, tmp_path, fixture_corpus_path):
+    fresh, src = str(tmp_path / "fresh.jsonl"), str(tmp_path / "corpus.jsonl")
+    shutil.copyfile(fixture_corpus_path, src)
+    argv = IN_PLACE[case]
+    assert main([arg.format(src=fixture_corpus_path, dst=fresh) for arg in argv]) == 0
+    assert main([arg.format(src=src, dst=src) for arg in argv]) == 0
+    capsys.readouterr()
+    with open(fresh, "rb") as a, open(src, "rb") as b:
+        assert a.read() == b.read()
+    assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", "fresh.jsonl"]
+
+
+def test_failed_rerun_leaves_no_report_or_empty_shard(capsys, tmp_path, fixture_corpus_path):
+    out_dir = tmp_path / "out"
+    config = _write_config(tmp_path / "job.conf", fixture_corpus_path, out_dir)
+    assert main(["run", "--config", config]) == 0
+    corpus = tmp_path / "one.jsonl"
+    with open(fixture_corpus_path, encoding="utf-8") as handle:
+        corpus.write_text(handle.readline(), encoding="utf-8")
+    config = _write_config(tmp_path / "one.conf", corpus, out_dir)
+    with open(config, "a", encoding="utf-8") as handle:
+        handle.write("[filter]\nmin_words = 1\nlang_confidence_min = 0\n")
+    capsys.readouterr()
+    assert main(["run", "--config", config]) == 2
+    assert "stage examples failed" in capsys.readouterr().err
+    names = sorted(os.listdir(out_dir))
+    assert "report.jsonl" not in names
+    assert not [name for name in names if name.endswith(".tmp")]
+    shards = [name for name in names if name.startswith("pretrain-")]
+    assert shards and all(os.path.getsize(out_dir / name) > 0 for name in shards)
+
+
+def test_failed_clean_creates_no_output(capsys, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(NOT_UTF8["json-lines"])
+    assert main(["clean", str(corpus), str(tmp_path / "clean.jsonl")]) == 2
+    assert "stage ingest failed" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["corpus.jsonl"]
+
+
+# subcommand -> argv whose {bad} output path lies in a directory that does not exist
+OUTPUTS = {
+    "bpe-train-vocab": [
+        "bpe-train", "{corpus}", "--vocab-size", "60", "--vocab", "{bad}", "--merges", "{merges}",
+    ],
+    "truecase-save-lexicon": [
+        "truecase", "{corpus}", "{tmp}/cased.jsonl", "--save-lexicon", "{bad}",
+    ],
+    "dedup-report": ["dedup", "{corpus}", "{tmp}/unique.jsonl", "--report", "{bad}"],
+    "stats-report": ["stats", "{corpus}", "--report", "{bad}"],
+    "make-examples-out-dir": [
+        "make-examples", "{corpus}", "--vocab", "{vocab}", "--merges", "{merges}",
+        "--out-dir", "{bad}",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUTS))
+def test_unwritable_output_exits_2_naming_it(case, capsys, tmp_path, fixture_corpus_path):
+    vocab, merges = str(tmp_path / "vocab.txt"), str(tmp_path / "merges.txt")
+    assert main(["bpe-train", fixture_corpus_path, "--vocab-size", "60",
+                 "--vocab", vocab, "--merges", merges]) == 0
+    bad = str(tmp_path / "absent" / "out")
+    if case == "make-examples-out-dir":
+        bad = os.path.join(vocab, "x")  # under a file, not a directory
+    argv = [
+        arg.format(bad=bad, corpus=fixture_corpus_path, tmp=tmp_path, vocab=vocab, merges=merges)
+        for arg in OUTPUTS[case]
+    ]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"cannot write {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["clean", "dedup", "filter"])
+def test_unwritable_cleaning_output_names_output_stage(command, capsys, tmp_path,
+                                                       fixture_corpus_path):
+    bad = str(tmp_path / "absent" / "out.jsonl")
+    assert main([command, fixture_corpus_path, bad]) == 2
+    err = capsys.readouterr().err
+    assert f"stage output failed: cannot write {bad}" in err
+
+
+def test_missing_stopwords_fail_filter_heuristics_stage(capsys, tmp_path, fixture_corpus_path):
+    out = str(tmp_path / "kept.jsonl")
+    assert main(["filter", fixture_corpus_path, out, "--stopwords", "/nonexistent"]) == 2
+    assert "stage heuristics failed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_report_to_device_is_written_in_place(capsys, fixture_corpus_path):
+    assert main(["stats", fixture_corpus_path, "--report", os.devnull]) == 0
+    capsys.readouterr()
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_report_to_symlink_writes_its_target(capsys, tmp_path, fixture_corpus_path):
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    target.write_text("stale\n", encoding="utf-8")
+    link.symlink_to(target)
+    assert main(["stats", fixture_corpus_path, "--report", str(link)]) == 0
+    capsys.readouterr()
+    assert link.is_symlink()
+    assert _read_lines(target) == [
+        {"type": "stats", "documents": 12, "sentences": 20, "words": 206}
+    ]
+
+
 class TestReadExamplesErrors:
+    def test_missing_shard_exits_2_naming_it(self, capsys, tmp_path):
+        shard = str(tmp_path / "absent.tfrecord")
+        assert main(["read-examples", shard]) == 2
+        assert f"cannot open {shard}" in capsys.readouterr().err
+
     def test_malformed_payload_exits_2(self, capsys, tmp_path):
         from corpusprep.tfrecord import frame_record
 

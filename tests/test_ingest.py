@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from corpusprep.ingest import (
     CorpusStats,
     Document,
     compute_stats,
+    open_output,
     read_documents,
     write_documents,
 )
@@ -193,6 +197,64 @@ class TestErrors:
                 str(tmp_path / "no" / "such" / "dir" / "f.jsonl"),
                 "json-lines",
             )
+
+
+class TestOpenOutput:
+    def test_path_appears_only_when_block_completes(self, tmp_path):
+        path = str(tmp_path / "out.txt")
+        with open_output(path) as out:
+            out.write("tere\n")
+            assert not os.path.exists(path)
+        assert os.listdir(tmp_path) == ["out.txt"]
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == "tere\n"
+
+    def test_failing_block_leaves_no_new_file(self, tmp_path):
+        path = str(tmp_path / "out.txt")
+        with pytest.raises(RuntimeError):
+            with open_output(path) as out:
+                out.write("pool")
+                raise RuntimeError("stage failed")
+        assert os.listdir(tmp_path) == []
+
+    def test_failing_block_keeps_existing_bytes(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old bytes")
+        with pytest.raises(RuntimeError):
+            with open_output(str(path), binary=True) as out:
+                out.write(b"new")
+                raise RuntimeError("stage failed")
+        assert os.listdir(tmp_path) == ["out.bin"]
+        assert path.read_bytes() == b"old bytes"
+
+    def test_failing_write_is_io_error_naming_path(self, tmp_path, monkeypatch):
+        import corpusprep.ingest as ingest
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(ingest, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+        path = str(tmp_path / "out.jsonl")
+        with pytest.raises(IoError, match=re.escape(f"cannot write {path}: ")):
+            write_documents([Document(id="a", text="tere")], path, "json-lines")
+        assert os.listdir(tmp_path) == []
+
+    def test_input_may_be_its_output(self, tmp_path):
+        path = str(tmp_path / "docs.jsonl")
+        docs = [Document(id="a", text="tere"), Document(id="b", text="head aega")]
+        write_documents(docs, path, "json-lines")
+        assert write_documents(read_documents(path, "json-lines"), path, "vert-xml") == 2
+        assert list(read_documents(path, "vert-xml")) == docs
 
 
 _texts = st.text(

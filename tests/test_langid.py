@@ -72,16 +72,6 @@ class TestProfiles:
         p.train("et", "tere")
         assert p.languages == ["et", "fi"]
 
-    def test_save_load_round_trip(self, tmp_path):
-        p = LanguageProfiles()
-        p.train("et", "tere tulemast koju")
-        p.train("en", "welcome back home")
-        path = str(tmp_path / "profiles.json")
-        p.save(path)
-        loaded = LanguageProfiles.load(path)
-        assert loaded.counts == p.counts
-        assert loaded.totals == p.totals
-
     def test_vocabulary_is_union_over_languages(self):
         p = LanguageProfiles()
         p.train("a", "xy")

@@ -1,9 +1,11 @@
-"""Text inputs are read in one place: ``ingest.read_lines``.
+"""Text inputs are read in one place, ``ingest.read_lines``; outputs are
+written in one place, ``ingest.open_output``.
 
-It turns an unopenable or non-UTF-8 file into UnreadableFile naming the
-path, so every subcommand exits 2 and names the file.  A config file (an
-unreadable one is a validation problem) and a language-profile JSON document
-are the only other text reads.
+``read_lines`` turns an unopenable or non-UTF-8 file into UnreadableFile
+naming the path, so every subcommand exits 2 and names the file.  A config
+file (an unreadable one is a validation problem) is the only other text
+read.  ``open_output`` commits a file only once it is complete and turns a
+write failure into IoError naming the path.
 """
 
 from __future__ import annotations
@@ -18,32 +20,41 @@ PACKAGE_DIR = os.path.dirname(corpusprep.__file__)
 ALLOWED = [
     ("config.py", "validate_config"),
     ("ingest.py", "read_lines"),
-    ("langid.py", "LanguageProfiles.load"),
 ]
 
 
-def _reads_text(call: ast.Call) -> bool:
-    """open(...) in a text mode that reads; a mode we cannot see counts as one."""
+def _mode(call: ast.Call):
+    """The mode string of open(...): "r" when omitted, None when not a literal."""
     mode = call.args[1] if len(call.args) > 1 else None
     for keyword in call.keywords:
         if keyword.arg == "mode":
             mode = keyword.value
     if mode is None:
-        return True
+        return "r"
     if not isinstance(mode, ast.Constant) or not isinstance(mode.value, str):
-        return True
-    return "b" not in mode.value and ("r" in mode.value or "+" in mode.value)
+        return None
+    return mode.value
 
 
-def text_reads(source: str) -> list:
-    """Qualified name of the function enclosing each text-read open(...)."""
+def _reads_text(mode) -> bool:
+    """A text mode that reads; a mode we cannot see counts as one."""
+    return mode is None or ("b" not in mode and ("r" in mode or "+" in mode))
+
+
+def _writes(mode) -> bool:
+    """A mode that writes, text or binary; a mode we cannot see counts as one."""
+    return mode is None or any(flag in mode for flag in "wax+")
+
+
+def opens(source: str, kind) -> list:
+    """Qualified name of the function enclosing each open(...) whose mode is kind."""
     found = []
 
     def visit(node: ast.AST, scope: tuple) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope += (node.name,)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
-            if _reads_text(node):
+            if kind(_mode(node)):
                 found.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -52,13 +63,21 @@ def text_reads(source: str) -> list:
     return found
 
 
-def test_text_inputs_read_only_through_read_lines():
-    reads = []
+def _package_opens(kind) -> list:
+    found = []
     for module in sorted(os.listdir(PACKAGE_DIR)):
         if module.endswith(".py"):
             with open(os.path.join(PACKAGE_DIR, module), encoding="utf-8") as handle:
-                reads += [(module, where) for where in text_reads(handle.read())]
-    assert reads == ALLOWED
+                found += [(module, where) for where in opens(handle.read(), kind)]
+    return found
+
+
+def test_text_inputs_read_only_through_read_lines():
+    assert _package_opens(_reads_text) == ALLOWED
+
+
+def test_outputs_written_only_through_open_output():
+    assert set(_package_opens(_writes)) == {("ingest.py", "open_output")}
 
 
 def test_check_sees_every_text_read():
@@ -68,5 +87,7 @@ def test_check_sees_every_text_read():
         "class C:\n    def load(self, p, m):\n"
         "        open(p, 'r', encoding='utf-8'); open(p, mode='r+'); open(p, m)\n"
         "top = open('x', encoding='utf-8')\n"
+        "def w(p):\n    open(p, 'wb'); open(p, 'x'); open(p, mode='ab'); open(p, 'rb+')\n"
     )
-    assert text_reads(source) == ["a", "C.load", "C.load", "C.load", ""]
+    assert opens(source, _reads_text) == ["a", "C.load", "C.load", "C.load", ""]
+    assert opens(source, _writes) == ["b", "b", "C.load", "C.load", "w", "w", "w", "w"]

@@ -624,6 +624,15 @@ class TestSharding:
         paths = write_tfrecords(self._examples(2), target, shards=2)
         assert all(os.path.exists(p) for p in paths)
 
+    def test_failure_mid_stream_leaves_no_shard(self, tmp_path):
+        def failing():
+            yield from self._examples(5)
+            raise CorpusTooSmall("stream ended early")
+
+        with pytest.raises(CorpusTooSmall):
+            write_tfrecords(failing(), str(tmp_path), shards=2)
+        assert os.listdir(tmp_path) == []
+
 
 def _read_corrupt(tmp_path, payloads):
     """The CorruptRecord that reading a shard of these payloads raises."""
