@@ -9,13 +9,14 @@ the downstream tasks.
 from .bpe import Vocab, decode, encode, train_bpe
 from .cleaning import (
     DropReason,
-    FilterThresholds,
     dedup_key,
     heuristic_filter,
     load_stopwords,
     strip_markup,
 )
-from .config import PipelineConfig, StageToggles, validate_config
+from .config import (
+    FilterThresholds, GenerationConfig, PipelineConfig, StageToggles, validate_config
+)
 from .errors import PipelineError
 from .ingest import CorpusStats, Document, compute_stats, read_documents, write_documents
 from .langid import LanguageProfiles, default_profiles, detect_language
@@ -27,7 +28,6 @@ from .metrics import (
 )
 from .pipeline import PipelineReport, run_pipeline
 from .pretrain import (
-    GenerationConfig,
     PretrainingInstance,
     SerializedExample,
     apply_masking,

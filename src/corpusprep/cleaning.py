@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import FrozenSet, Iterable, Optional, Tuple
 
+from .config import FilterThresholds
 from .ingest import Document, read_lines
 
 # Drop reason kinds, as written to drop reports.
@@ -39,23 +40,6 @@ class DropReason:
     def __post_init__(self) -> None:
         if self.kind not in DROP_KINDS:
             raise ValueError(f"unknown drop kind: {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class FilterThresholds:
-    min_words: int = 10
-    max_stopword_ratio: float = 0.6
-    max_punct_ratio: float = 0.3
-    lang_confidence_min: float = 0.95
-    stopwords: FrozenSet[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        if self.min_words < 1:
-            raise ValueError("min_words must be >= 1")
-        for name in ("max_stopword_ratio", "max_punct_ratio", "lang_confidence_min"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 # --- markup stripping ---------------------------------------------------

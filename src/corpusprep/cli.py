@@ -15,8 +15,9 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from . import bpe, metrics
-from .cleaning import FilterThresholds
-from .config import PipelineConfig, numeric_fields, validate_config
+from .config import (
+    FilterThresholds, GenerationConfig, PipelineConfig, numeric_fields, validate_config
+)
 from .errors import ConfigError, PipelineError, StageError
 from .ingest import (
     FORMATS, CorpusStats, compute_stats, read_documents, read_lines, write_documents, write_jsonl
@@ -30,7 +31,7 @@ from .pipeline import (
     with_stopwords,
     write_examples,
 )
-from .pretrain import GenerationConfig, read_tfrecords
+from .pretrain import read_tfrecords
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,8 +154,8 @@ def _cmd_bpe_encode(args) -> int:
 
 
 def _cmd_make_examples(args) -> int:
-    vocab = bpe.Vocab.load(args.vocab, args.merges)
     config = _from_args(GenerationConfig, args)
+    vocab = bpe.Vocab.load(args.vocab, args.merges)
     docs = read_documents(args.input, args.format)
     paths, count = write_examples(docs, vocab, config, args.out_dir, args.workers)
     print(f"wrote {count} examples into {len(paths)} shards under {args.out_dir}")

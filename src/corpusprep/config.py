@@ -6,21 +6,104 @@ every unknown section or key (with a closest-match suggestion), bad value,
 and out-of-range number is collected with its line number and raised
 together in one ConfigError.  Command-line overrides pass through the same
 schema checks as file entries.
+
+The settings dataclasses live here.  Each numeric bound is declared once,
+beside its field's default; ``bound_errors`` checks it for the dataclasses,
+config files and command-line flags alike.
 """
 
 from __future__ import annotations
 
 import difflib
 import re
-from dataclasses import Field, dataclass, fields
-from typing import Dict, List, Optional, Tuple
+from dataclasses import Field, dataclass, field, fields
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .cleaning import FilterThresholds
-from .errors import ConfigError
-from .ingest import FORMATS
-from .pretrain import GenerationConfig
+from .errors import ConfigError, UnreadableFile
+from .ingest import FORMATS, read_lines
 
-STAGE_ORDER = ("strip", "langfilter", "dedup", "heuristics", "truecase")
+
+def bounded(default, low, high=float("inf")):
+    """A field whose value must lie in [low, high]."""
+    return field(default=default, metadata={"bounds": (low, high)})
+
+
+def bound_errors(cls, values: Dict[str, object], prefix: str = "") -> List[str]:
+    """In field-name order, a message for each value (keyed by field) outside its bounds."""
+    errors = []
+    for f in sorted(fields(cls), key=lambda f: f.name):
+        if "bounds" not in f.metadata or f.name not in values:
+            continue
+        (low, high), value = f.metadata["bounds"], values[f.name]
+        if not low <= value <= high:
+            limit = f">= {low:g}" if high == float("inf") else f"in [{low:g}, {high:g}]"
+            errors.append(f"{prefix}{f.name} must be {limit}, got {value:g}")
+    return errors
+
+
+def _check_bounds(self) -> None:
+    """A settings dataclass's __post_init__: one ValueError listing every violated bound."""
+    errors = bound_errors(type(self), vars(self))
+    if errors:
+        raise ValueError("; ".join(errors))
+
+
+@dataclass(frozen=True)
+class StageToggles:
+    strip: bool = True
+    langfilter: bool = True
+    dedup: bool = True
+    heuristics: bool = True
+    truecase: bool = True
+
+    def enabled(self) -> List[str]:
+        """Enabled stage names in canonical pipeline order."""
+        return [stage for stage in STAGE_ORDER if getattr(self, stage)]
+
+
+STAGE_ORDER = tuple(f.name for f in fields(StageToggles))
+
+
+@dataclass(frozen=True)
+class FilterThresholds:
+    min_words: int = bounded(10, 1)
+    max_stopword_ratio: float = bounded(0.6, 0, 1)
+    max_punct_ratio: float = bounded(0.3, 0, 1)
+    lang_confidence_min: float = bounded(0.95, 0, 1)
+    stopwords: FrozenSet[str] = frozenset()
+
+    __post_init__ = _check_bounds
+
+
+@dataclass(frozen=True)
+class GenerationConfig:
+    max_seq_length: int = bounded(128, 5)  # [CLS] a [SEP] b [SEP]
+    masked_lm_prob: float = bounded(0.15, 0, 1)
+    random_next_prob: float = bounded(0.5, 0, 1)
+    short_seq_prob: float = bounded(0.1, 0, 1)
+    dupe_factor: int = bounded(10, 1)
+    shards: int = bounded(4, 1)
+    seed: int = 12345
+
+    __post_init__ = _check_bounds
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    input_path: str
+    input_format: str = "json-lines"
+    out_dir: str = "out"
+    report_path: Optional[str] = None
+    stages: StageToggles = StageToggles()
+    target_lang: str = "et"
+    thresholds: FilterThresholds = FilterThresholds()
+    stopwords_path: Optional[str] = None
+    truecase_lexicon_path: Optional[str] = None
+    vocab_size: int = bounded(50000, 6)
+    generation: GenerationConfig = GenerationConfig()
+
+    __post_init__ = _check_bounds
+
 
 _SECTION_RE = re.compile(r"^\[([^\]]*)\]$")
 
@@ -48,8 +131,11 @@ _SCHEMA: Dict[str, Dict[str, str]] = {
     "examples": _kinds(GenerationConfig),
 }
 
-# (section, key) -> PipelineConfig field; every other key is a field of the
-# dataclass its section fills: StageToggles, FilterThresholds or GenerationConfig
+# section -> the nested dataclass it fills, keys named as fields; every
+# other section fills PipelineConfig through _FIELDS
+_NESTED = {"stages": StageToggles, "filter": FilterThresholds, "examples": GenerationConfig}
+
+# (section, key) -> PipelineConfig field; [filter] also fills FilterThresholds
 _FIELDS: Dict[Tuple[str, str], str] = {
     ("input", "path"): "input_path",
     ("input", "format"): "input_format",
@@ -60,49 +146,6 @@ _FIELDS: Dict[Tuple[str, str], str] = {
     ("truecase", "lexicon"): "truecase_lexicon_path",
     ("vocab", "vocab_size"): "vocab_size",
 }
-
-# (section, key) -> inclusive numeric bounds
-_RANGES: Dict[Tuple[str, str], Tuple[float, float]] = {
-    ("filter", "min_words"): (1, float("inf")),
-    ("filter", "max_stopword_ratio"): (0.0, 1.0),
-    ("filter", "max_punct_ratio"): (0.0, 1.0),
-    ("filter", "lang_confidence_min"): (0.0, 1.0),
-    ("vocab", "vocab_size"): (6, float("inf")),
-    ("examples", "max_seq_length"): (5, float("inf")),
-    ("examples", "masked_lm_prob"): (0.0, 1.0),
-    ("examples", "random_next_prob"): (0.0, 1.0),
-    ("examples", "short_seq_prob"): (0.0, 1.0),
-    ("examples", "dupe_factor"): (1, float("inf")),
-    ("examples", "shards"): (1, float("inf")),
-}
-
-
-@dataclass(frozen=True)
-class StageToggles:
-    strip: bool = True
-    langfilter: bool = True
-    dedup: bool = True
-    heuristics: bool = True
-    truecase: bool = True
-
-    def enabled(self) -> List[str]:
-        """Enabled stage names in canonical pipeline order."""
-        return [stage for stage in STAGE_ORDER if getattr(self, stage)]
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    input_path: str
-    input_format: str = "json-lines"
-    out_dir: str = "out"
-    report_path: Optional[str] = None
-    stages: StageToggles = StageToggles()
-    target_lang: str = "et"
-    thresholds: FilterThresholds = FilterThresholds()
-    stopwords_path: Optional[str] = None
-    truecase_lexicon_path: Optional[str] = None
-    vocab_size: int = 50000
-    generation: GenerationConfig = GenerationConfig()
 
 
 def _suggest(word: str, options: List[str]) -> str:
@@ -190,13 +233,10 @@ def parse_config_text(
         except ValueError as exc:
             diagnostics.append(f"override: bad value for {key}: {exc}")
 
-    for (section_name, key), value in sorted(values.items()):
-        bounds = _RANGES.get((section_name, key))
-        if bounds and isinstance(value, (int, float)):
-            low, high = bounds
-            if not low <= value <= high:
-                limit = f">= {low:g}" if high == float("inf") else f"in [{low:g}, {high:g}]"
-                diagnostics.append(f"{section_name}.{key} must be {limit}, got {value:g}")
+    # a bounded key is named as its field in the dataclass its section fills
+    for name in sorted(_SCHEMA):
+        given = {key: value for (section, key), value in values.items() if section == name}
+        diagnostics += bound_errors(_NESTED.get(name, PipelineConfig), given, name + ".")
 
     if ("input", "path") not in values:
         diagnostics.append("missing required key: input.path")
@@ -206,7 +246,7 @@ def parse_config_text(
 
     # keys not given fall back to the dataclass defaults
     top: Dict[str, object] = {}
-    nested: Dict[str, Dict[str, object]] = {"stages": {}, "filter": {}, "examples": {}}
+    nested: Dict[str, Dict[str, object]] = {name: {} for name in _NESTED}
     for (section_name, key), value in values.items():
         if (section_name, key) in _FIELDS:
             top[_FIELDS[section_name, key]] = value
@@ -225,8 +265,7 @@ def validate_config(
 ) -> PipelineConfig:
     """Read a config file and validate it; see parse_config_text."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+        text = "\n".join(line for _, line in read_lines(path))
+    except UnreadableFile as exc:
         raise ConfigError([f"cannot read config file: {exc}"]) from exc
     return parse_config_text(text, overrides)

@@ -58,9 +58,11 @@ class NoMaskableTokens(PipelineError):
 
 
 class CorruptRecord(PipelineError):
-    def __init__(self, offset: int, which_crc: str, message: str = ""):
+    def __init__(self, path: str, offset: int, which_crc: str, message: str = ""):
         detail = f" ({message})" if message else ""
-        super().__init__(f"corrupt record at byte {offset}: {which_crc} check failed{detail}")
+        where = f"{path} at byte {offset}"
+        super().__init__(f"corrupt record in {where}: {which_crc} check failed{detail}")
+        self.path = path
         self.offset = offset
         self.which_crc = which_crc
 

@@ -66,6 +66,10 @@ class Document:
     def tokens(self) -> list[str]:
         return self.text.split()
 
+    def sentences(self) -> list[str]:
+        """The non-blank lines of the text, broken where ``str.splitlines`` breaks."""
+        return [line for line in self.text.splitlines() if line.strip()]
+
 
 @dataclass
 class CorpusStats:
@@ -77,7 +81,7 @@ class CorpusStats:
 
     def add_document(self, doc: Document) -> None:
         self.documents += 1
-        self.sentences += sum(1 for line in doc.text.split("\n") if line.strip())
+        self.sentences += len(doc.sentences())
         self.words += len(doc.text.split())
 
     def __le__(self, other: "CorpusStats") -> bool:
@@ -92,7 +96,7 @@ class CorpusStats:
 
 
 def compute_stats(docs: Iterable[Document]) -> CorpusStats:
-    """Count documents, non-empty lines and whitespace tokens of a stream."""
+    """Count documents, sentences and whitespace tokens of a stream."""
     stats = CorpusStats()
     for doc in docs:
         stats.add_document(doc)

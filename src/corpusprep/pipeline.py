@@ -27,21 +27,19 @@ from .cleaning import (
     DUPLICATE,
     NON_TARGET_LANGUAGE,
     DropReason,
-    FilterThresholds,
     dedup_key,
     default_stopwords,
     heuristic_filter,
     load_stopwords,
     strip_markup,
 )
-from .config import PipelineConfig
+from .config import FilterThresholds, GenerationConfig, PipelineConfig
 from .errors import PipelineError, StageError, TextTooShort
 from .ingest import (
     CorpusStats, Document, json_line, open_output, read_documents, write_documents, write_jsonl
 )
 from .langid import default_profiles, detect_language
 from .pretrain import (
-    GenerationConfig,
     SerializedExample,
     build_instances,
     serialize_example,

@@ -37,32 +37,10 @@ from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, List, Sequence, Tuple, get_type_hints
 
 from .bpe import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, encode
+from .config import GenerationConfig
 from .errors import CorpusTooSmall, CorruptRecord, IdOutOfRange, IoError, NoMaskableTokens
 from .ingest import Document, open_output
 from .tfrecord import FRAME_OVERHEAD, encode_example, frame_record, parse_example, read_framed
-
-
-@dataclass(frozen=True)
-class GenerationConfig:
-    max_seq_length: int = 128
-    masked_lm_prob: float = 0.15
-    random_next_prob: float = 0.5
-    short_seq_prob: float = 0.1
-    dupe_factor: int = 10
-    shards: int = 4
-    seed: int = 12345
-
-    def __post_init__(self) -> None:
-        if self.max_seq_length < 5:
-            raise ValueError("max_seq_length must be at least 5 ([CLS] a [SEP] b [SEP])")
-        for name in ("masked_lm_prob", "random_next_prob", "short_seq_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.dupe_factor < 1:
-            raise ValueError("dupe_factor must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
 
 
 def masked_budget(max_seq_length: int, masked_lm_prob: float) -> int:
@@ -94,11 +72,11 @@ class TokenizedDoc:
 
 
 def tokenize_documents(docs: Iterable[Document], vocab: Vocab) -> List[TokenizedDoc]:
-    """Encode each non-empty line as one sentence; drop empty documents."""
+    """Encode each of a document's sentences; drop empty documents."""
     out = []
     for doc in docs:
         sentences = []
-        for line in doc.text.splitlines():
+        for line in doc.sentences():
             ids = encode(line, vocab)
             if ids:
                 sentences.append(tuple(ids))
@@ -167,12 +145,9 @@ def _truncate_pair(
 
 
 def _instances_for_doc(
-    docs: Sequence[TokenizedDoc],
-    doc_index: int,
-    vocab: Vocab,
-    config: GenerationConfig,
-    rng: random.Random,
+    docs: Sequence[TokenizedDoc], vocab: Vocab, config: GenerationConfig, dupe: int, doc_index: int
 ) -> List[PretrainingInstance]:
+    rng = _doc_rng(config.seed, docs[doc_index].id, dupe)
     document = docs[doc_index].sentences
     max_num_tokens = config.max_seq_length - 3
     target_seq_length = max_num_tokens
@@ -263,21 +238,16 @@ def apply_masking(
 
 # --- parallel generation ---------------------------------------------------
 
+# set by _init_worker in pool workers only; the parent keeps no generation state
 _WORKER_STATE: dict = {}
 
 
 def _init_worker(docs, vocab, config):
-    _WORKER_STATE["docs"] = docs
-    _WORKER_STATE["vocab"] = vocab
-    _WORKER_STATE["config"] = config
+    _WORKER_STATE["args"] = (docs, vocab, config)
 
 
 def _run_task(task: Tuple[int, int]) -> List[PretrainingInstance]:
-    dupe, doc_index = task
-    docs = _WORKER_STATE["docs"]
-    config = _WORKER_STATE["config"]
-    rng = _doc_rng(config.seed, docs[doc_index].id, dupe)
-    return _instances_for_doc(docs, doc_index, _WORKER_STATE["vocab"], config, rng)
+    return _instances_for_doc(*_WORKER_STATE["args"], *task)
 
 
 def build_instances(
@@ -297,9 +267,8 @@ def build_instances(
     tasks = [(dupe, idx) for dupe in range(config.dupe_factor) for idx in range(len(docs))]
 
     if workers <= 1:
-        _init_worker(docs, vocab, config)
-        for task in tasks:
-            yield from _run_task(task)
+        for dupe, doc_index in tasks:
+            yield from _instances_for_doc(docs, vocab, config, dupe, doc_index)
         return
 
     context = multiprocessing.get_context("fork")
@@ -419,38 +388,43 @@ def read_tfrecords(paths: Iterable[str]) -> Iterator[SerializedExample]:
         match = _SHARD_NAME.fullmatch(os.path.basename(path))
         return int(match.group(1)) if match else -1
 
-    streams = [[read_framed(path), 0] for path in sorted(paths, key=index)]  # [records, offset]
+    # [path, records, offset]
+    streams = [[path, read_framed(path), 0] for path in sorted(paths, key=index)]
     while streams:
         for entry in list(streams):
-            payload = next(entry[0], None)
+            path, records, offset = entry
+            payload = next(records, None)
             if payload is None:
                 streams.remove(entry)
                 continue
-            yield _decode_payload(payload, entry[1])
-            entry[1] += FRAME_OVERHEAD + len(payload)
+            yield _decode_payload(payload, path, offset)
+            entry[2] += FRAME_OVERHEAD + len(payload)
 
 
-def _decode_payload(payload: bytes, offset: int) -> SerializedExample:
+def _decode_payload(payload: bytes, path: str, offset: int) -> SerializedExample:
+    def corrupt(message: str) -> CorruptRecord:
+        return CorruptRecord(path, offset, "data", message)
+
     try:
         features = parse_example(payload)
     except ValueError as exc:
-        raise CorruptRecord(offset, "data", f"malformed payload: {exc}") from exc
+        raise corrupt(f"malformed payload: {exc}") from exc
     unknown = set(features) - set(FEATURE_ORDER)
     if unknown:
-        raise CorruptRecord(offset, "data", f"unexpected feature(s): {sorted(unknown)}")
+        raise corrupt(f"unexpected feature(s): {sorted(unknown)}")
     missing = set(FEATURE_ORDER) - set(features)
     if missing:
-        raise CorruptRecord(offset, "data", f"missing feature(s): {sorted(missing)}")
+        raise corrupt(f"missing feature(s): {sorted(missing)}")
 
     decoded = {}
     for name in FEATURE_ORDER:
         kind, values = features[name]
         if kind != _KINDS[name]:
-            raise CorruptRecord(offset, "data", f"feature {name} must be {_KINDS[name]}")
+            raise corrupt(f"feature {name} must be {_KINDS[name]}")
         if _TYPES[name] is not int:
             decoded[name] = tuple(values)
         elif len(values) == 1:
             decoded[name] = values[0]
         else:
-            raise CorruptRecord(offset, "data", f"feature {name} holds {len(values)} values, not 1")
+            raise corrupt(f"feature {name} holds {len(values)} values, not 1")
     return SerializedExample(**decoded)

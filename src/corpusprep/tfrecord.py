@@ -18,6 +18,7 @@ packed and unpacked list encodings.
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
@@ -210,30 +211,26 @@ def frame_record(payload: bytes) -> bytes:
 
 
 def read_framed(path: str) -> Iterator[bytes]:
-    """Yield payloads, validating both CRCs of every record."""
+    """Yield payloads one record at a time, validating both CRCs of every record."""
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
+        handle = open(path, "rb")
     except OSError as exc:
         raise IoError(f"cannot open {path}: {exc}") from exc
-
-    pos = 0
-    total = len(data)
-    while pos < total:
-        offset = pos
-        if pos + 12 > total:
-            raise CorruptRecord(offset, "length", "truncated record header")
-        header = data[pos : pos + 8]
-        (length,) = struct.unpack("<Q", header)
-        (stored_len_crc,) = struct.unpack("<I", data[pos + 8 : pos + 12])
-        if stored_len_crc != masked_crc32c(header):
-            raise CorruptRecord(offset, "length", "length CRC mismatch")
-        pos += 12
-        if pos + length + 4 > total:
-            raise CorruptRecord(offset, "data", "truncated record payload")
-        payload = data[pos : pos + length]
-        (stored_data_crc,) = struct.unpack("<I", data[pos + length : pos + length + 4])
-        if stored_data_crc != masked_crc32c(payload):
-            raise CorruptRecord(offset, "data", "payload CRC mismatch")
-        pos += length + 4
-        yield payload
+    with handle:
+        total = os.fstat(handle.fileno()).st_size
+        offset = 0
+        while offset < total:
+            header = handle.read(12)
+            if len(header) < 12:
+                raise CorruptRecord(path, offset, "length", "truncated record header")
+            length, stored_len_crc = struct.unpack("<QI", header)
+            if stored_len_crc != masked_crc32c(header[:8]):
+                raise CorruptRecord(path, offset, "length", "length CRC mismatch")
+            if offset + 12 + length + 4 > total:
+                raise CorruptRecord(path, offset, "data", "truncated record payload")
+            payload = handle.read(length)
+            (stored_data_crc,) = struct.unpack("<I", handle.read(4))
+            if stored_data_crc != masked_crc32c(payload):
+                raise CorruptRecord(path, offset, "data", "payload CRC mismatch")
+            offset += FRAME_OVERHEAD + length
+            yield payload

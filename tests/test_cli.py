@@ -603,6 +603,31 @@ def test_failed_rerun_leaves_no_report_or_empty_shard(capsys, tmp_path, fixture_
     assert shards and all(os.path.getsize(out_dir / name) > 0 for name in shards)
 
 
+def test_truncated_input_rerun_keeps_earlier_artifacts(capsys, tmp_path, fixture_corpus_path):
+    out_dir = tmp_path / "out"
+    config = _write_config(tmp_path / "job.conf", fixture_corpus_path, out_dir)
+    assert main(["run", "--config", config]) == 0
+    first = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(out_dir / name, "rb") as handle:
+            first[name] = handle.read()
+    with open(fixture_corpus_path, "rb") as handle:
+        lines = handle.readlines()
+    corpus = tmp_path / "cut.jsonl"  # the last object ends before its "lemmas" key
+    corpus.write_bytes(b"".join(lines[:-1]) + lines[-1][: lines[-1].index(b', "lemmas"')])
+    config = _write_config(tmp_path / "cut.conf", corpus, out_dir)
+    capsys.readouterr()
+    assert main(["run", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert f"stage ingest failed: line {len(lines)}: invalid JSON" in err
+    del first["report.jsonl"]
+    after = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(out_dir / name, "rb") as handle:
+            after[name] = handle.read()
+    assert after == first
+
+
 def test_failed_clean_creates_no_output(capsys, tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes(NOT_UTF8["json-lines"])

@@ -102,3 +102,38 @@ def test_run_honors_abbreviated_seed(capsys, tmp_path, fixture_corpus_path):
 def test_minimal_config_takes_every_default_from_the_dataclasses():
     config = parse_config_text("[input]\npath = corpus.jsonl\n")
     assert config == PipelineConfig(input_path="corpus.jsonl")
+
+
+@pytest.mark.parametrize(
+    "argv, messages",
+    [
+        (
+            ["filter", "{corpus}", "{tmp}/kept.jsonl", "--min-words", "0",
+             "--max-punct-ratio", "2"],
+            ["max_punct_ratio must be in [0, 1], got 2", "min_words must be >= 1, got 0"],
+        ),
+        (
+            ["make-examples", "{corpus}", "--vocab", "{tmp}/absent.txt", "--merges",
+             "{tmp}/absent.txt", "--out-dir", "{tmp}/shards", "--shards", "0",
+             "--masked-lm-prob", "1.5", "--max-seq-length", "4"],
+            ["masked_lm_prob must be in [0, 1], got 1.5", "max_seq_length must be >= 5, got 4",
+             "shards must be >= 1, got 0"],
+        ),
+    ],
+    ids=["filter", "make-examples"],
+)
+def test_out_of_range_flags_listed_together(argv, messages, capsys, tmp_path,
+                                            fixture_corpus_path):
+    argv = [a.format(corpus=fixture_corpus_path, tmp=tmp_path) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"invalid value: {'; '.join(messages)}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_non_utf8_config_exits_1_naming_it(capsys, tmp_path):
+    config = tmp_path / "job.conf"
+    config.write_bytes(b"[input]\npath = caf\xe9.jsonl\n")
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file: cannot decode {config}: ")

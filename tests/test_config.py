@@ -6,6 +6,8 @@ import pytest
 
 from corpusprep.config import (
     STAGE_ORDER,
+    FilterThresholds,
+    GenerationConfig,
     PipelineConfig,
     StageToggles,
     parse_config_text,
@@ -177,6 +179,79 @@ masked_lm_prob = 7
         assert any("expected key = value" in d for d in diags)
 
 
+# field -> (lowest accepted, highest accepted or None); every numeric bound
+BOUNDS = {
+    (FilterThresholds, "min_words"): (1, None),
+    (FilterThresholds, "max_stopword_ratio"): (0, 1),
+    (FilterThresholds, "max_punct_ratio"): (0, 1),
+    (FilterThresholds, "lang_confidence_min"): (0, 1),
+    (PipelineConfig, "vocab_size"): (6, None),
+    (GenerationConfig, "max_seq_length"): (5, None),
+    (GenerationConfig, "masked_lm_prob"): (0, 1),
+    (GenerationConfig, "random_next_prob"): (0, 1),
+    (GenerationConfig, "short_seq_prob"): (0, 1),
+    (GenerationConfig, "dupe_factor"): (1, None),
+    (GenerationConfig, "shards"): (1, None),
+}
+
+
+def _make(cls, **values):
+    return cls("x", **values) if cls is PipelineConfig else cls(**values)
+
+
+class TestBounds:
+    @pytest.mark.parametrize("cls, name", sorted(BOUNDS, key=lambda k: k[1]))
+    def test_each_bound_holds_at_its_edges(self, cls, name):
+        low, high = BOUNDS[cls, name]
+        assert getattr(_make(cls, **{name: low}), name) == low
+        with pytest.raises(ValueError, match=f"^{name} must be (>= {low}|in \\[0, 1\\]), got "):
+            _make(cls, **{name: low - 1})
+        if high is not None:
+            assert getattr(_make(cls, **{name: high}), name) == high
+            with pytest.raises(ValueError, match=f"^{name} must be in \\[0, 1\\], got 1.5$"):
+                _make(cls, **{name: 1.5})
+            with pytest.raises(ValueError):
+                _make(cls, **{name: float("nan")})
+
+    def test_dataclass_lists_every_violated_bound(self):
+        with pytest.raises(ValueError) as exc:
+            FilterThresholds(min_words=0, max_punct_ratio=2.0)
+        assert str(exc.value) == (
+            "max_punct_ratio must be in [0, 1], got 2; min_words must be >= 1, got 0"
+        )
+        with pytest.raises(ValueError) as exc:
+            GenerationConfig(max_seq_length=4, masked_lm_prob=1.5, shards=0, dupe_factor=0)
+        assert str(exc.value).split("; ") == [
+            "dupe_factor must be >= 1, got 0",
+            "masked_lm_prob must be in [0, 1], got 1.5",
+            "max_seq_length must be >= 5, got 4",
+            "shards must be >= 1, got 0",
+        ]
+
+    def test_config_reports_every_bound_with_its_section(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(
+                "[input]\npath = x\n[vocab]\nvocab_size = 5\n"
+                "[filter]\nmin_words = 0\nmax_stopword_ratio = 1.5\n"
+                "max_punct_ratio = -1\nlang_confidence_min = 2\n"
+                "[examples]\nmax_seq_length = 4\nmasked_lm_prob = 1.5\nrandom_next_prob = -0.5\n"
+                "short_seq_prob = 3\ndupe_factor = 0\nshards = 0\n"
+            )
+        assert exc.value.diagnostics == [
+            "examples.dupe_factor must be >= 1, got 0",
+            "examples.masked_lm_prob must be in [0, 1], got 1.5",
+            "examples.max_seq_length must be >= 5, got 4",
+            "examples.random_next_prob must be in [0, 1], got -0.5",
+            "examples.shards must be >= 1, got 0",
+            "examples.short_seq_prob must be in [0, 1], got 3",
+            "filter.lang_confidence_min must be in [0, 1], got 2",
+            "filter.max_punct_ratio must be in [0, 1], got -1",
+            "filter.max_stopword_ratio must be in [0, 1], got 1.5",
+            "filter.min_words must be >= 1, got 0",
+            "vocab.vocab_size must be >= 6, got 5",
+        ]
+
+
 class TestOverrides:
     def test_override_wins_over_file_value(self):
         config = parse_config_text(
@@ -211,3 +286,11 @@ class TestValidateConfig:
     def test_missing_file_raises_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             validate_config(str(tmp_path / "absent.conf"), {})
+
+    def test_non_utf8_file_is_a_config_error_naming_it(self, tmp_path):
+        p = tmp_path / "run.conf"
+        p.write_bytes(b"[input]\npath = caf\xe9.jsonl\n")
+        with pytest.raises(ConfigError) as exc:
+            validate_config(str(p), {})
+        [diag] = exc.value.diagnostics
+        assert diag.startswith(f"cannot read config file: cannot decode {p}: ")

@@ -2,9 +2,9 @@
 written in one place, ``ingest.open_output``.
 
 ``read_lines`` turns an unopenable or non-UTF-8 file into UnreadableFile
-naming the path, so every subcommand exits 2 and names the file.  A config
-file (an unreadable one is a validation problem) is the only other text
-read.  ``open_output`` commits a file only once it is complete and turns a
+naming the path, so every subcommand exits 2 and names the file; a config
+file is read through it too, its UnreadableFile turned into a ConfigError
+(exit 1).  ``open_output`` commits a file only once it is complete and turns a
 write failure into IoError naming the path.
 """
 
@@ -17,10 +17,7 @@ import corpusprep
 
 PACKAGE_DIR = os.path.dirname(corpusprep.__file__)
 
-ALLOWED = [
-    ("config.py", "validate_config"),
-    ("ingest.py", "read_lines"),
-]
+ALLOWED = [("ingest.py", "read_lines")]
 
 
 def _mode(call: ast.Call):

@@ -413,6 +413,25 @@ class TestBuildInstances:
         four = list(build_instances(docs, synthetic_vocab, config, workers=4))
         assert serial == two == four
 
+    def test_interleaved_serial_generators_are_independent(self, synthetic_docs,
+                                                             synthetic_vocab):
+        # two serial streams pulled in turn in one process each give the
+        # instances they give alone
+        runs = [
+            (synthetic_docs[:6], GenerationConfig(max_seq_length=32, dupe_factor=2, seed=1)),
+            (synthetic_docs[6:9], GenerationConfig(max_seq_length=48, dupe_factor=3, seed=2)),
+        ]
+        alone = [list(build_instances(docs, synthetic_vocab, config)) for docs, config in runs]
+        streams = [build_instances(docs, synthetic_vocab, config) for docs, config in runs]
+        pulled = [[], []]
+        for _ in range(max(map(len, alone)) + 1):
+            for stream, instances in zip(streams, pulled):
+                instance = next(stream, None)
+                if instance is not None:
+                    instances.append(instance)
+        assert pulled == alone
+        assert len(alone[0]) != len(alone[1])
+
     def test_order_is_dupe_major(self, golden_setup):
         vocab, docs, config = golden_setup
         # dupe 0 instances of every doc come before any dupe 1 instance;
@@ -444,6 +463,21 @@ class TestTokenizeDocuments:
         vocab = train_bpe([Document(id="t", text="aa bb")], vocab_size=12)
         [doc] = tokenize_documents([Document(id="d", text="aa\n\n\nbb")], vocab)
         assert len(doc.sentences) == 2
+
+    @pytest.mark.parametrize(
+        "brk", ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_sentences_agree_with_corpus_stats(self, brk):
+        # every line break str.splitlines knows starts a new sentence in
+        # both the report's counts and the NSP sentences
+        from corpusprep.bpe import train_bpe
+        from corpusprep.ingest import compute_stats
+
+        doc = Document(id="d", text=f"aa ab{brk}ba bb\n{brk}\nbb")
+        vocab = train_bpe([doc], vocab_size=12)
+        [tokenized] = tokenize_documents([doc], vocab)
+        assert len(tokenized.sentences) == compute_stats([doc]).sentences == 3
+        assert doc.sentences() == ["aa ab", "ba bb", "bb"]
 
 
 class TestSerialization:
@@ -682,6 +716,29 @@ def _field(number: int, payload: bytes) -> bytes:
     """One length-delimited protobuf field (payloads under 128 bytes)."""
     assert len(payload) < 128
     return bytes([number << 3 | 2, len(payload)]) + payload
+
+
+class TestCorruptRecordNamesShard:
+    def test_crc_failure_names_shard(self, tmp_path):
+        valid = _valid_payload()
+        data = bytearray(frame_record(valid) * 3)
+        data[len(data) - 20] ^= 0x01  # a payload byte of the third record
+        path = tmp_path / "pretrain-0-of-1.tfrecord"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptRecord) as exc:
+            list(read_tfrecords([str(path)]))
+        assert exc.value.path == str(path)
+        assert exc.value.offset == 2 * (len(valid) + 16)
+        assert str(exc.value).startswith(
+            f"corrupt record in {path} at byte {exc.value.offset}: data check failed"
+        )
+
+    def test_malformed_payload_names_shard(self, tmp_path):
+        valid = _valid_payload()
+        error = _read_corrupt(tmp_path, [valid, valid[:-3]])
+        path = str(tmp_path / "corrupt.tfrecord")
+        assert error.path == path
+        assert f"corrupt record in {path} at byte {len(valid) + 16}: " in str(error)
 
 
 class TestCorruptPayload:

@@ -5,11 +5,14 @@ from __future__ import annotations
 import random
 import signal
 import struct
+import tracemalloc
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusprep import tfrecord
 from corpusprep.errors import CorruptRecord, IoError
 from corpusprep.tfrecord import (
     crc32c,
@@ -92,6 +95,23 @@ class TestFraming:
         with pytest.raises(CorruptRecord) as exc:
             list(read_framed(str(p)))
         assert exc.value.offset == len(first)
+
+    def test_reads_one_record_at_a_time(self, tmp_path, monkeypatch):
+        # zlib's CRC stands in for the pure-Python CRC32C to keep 8 MB fast;
+        # framing and reading both look it up in the module
+        monkeypatch.setattr(tfrecord, "masked_crc32c", zlib.crc32)
+        payloads = [bytes([k]) * 4096 for k in range(256)]
+        path = tmp_path / "big.tfrecord"
+        path.write_bytes(b"".join(frame_record(p) for p in payloads) * 8)
+        assert path.stat().st_size >= 8 * 2**20
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in read_framed(str(path)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 8 * 256
+        assert peak < 2**20
 
     def test_every_single_byte_flip_detected(self, tmp_path):
         payloads = [b"esimene kirje", b"x", bytes(range(40))]
