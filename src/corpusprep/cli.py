@@ -163,6 +163,8 @@ def _cmd_make_examples(args) -> int:
 
 
 def _cmd_read_examples(args) -> int:
+    if args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     shown = 0
     for example in read_tfrecords(args.shards):
         print(json.dumps(dataclasses.asdict(example)))

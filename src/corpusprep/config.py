@@ -37,7 +37,8 @@ def bound_errors(cls, values: Dict[str, object], prefix: str = "") -> List[str]:
         (low, high), value = f.metadata["bounds"], values[f.name]
         if not low <= value <= high:
             limit = f">= {low:g}" if high == float("inf") else f"in [{low:g}, {high:g}]"
-            errors.append(f"{prefix}{f.name} must be {limit}, got {value:g}")
+            shown = value if isinstance(value, int) else f"{value:g}"
+            errors.append(f"{prefix}{f.name} must be {limit}, got {shown}")
     return errors
 
 
@@ -82,7 +83,7 @@ class GenerationConfig:
     random_next_prob: float = bounded(0.5, 0, 1)
     short_seq_prob: float = bounded(0.1, 0, 1)
     dupe_factor: int = bounded(10, 1)
-    shards: int = bounded(4, 1)
+    shards: int = bounded(4, 1, 512)  # every shard file is open at once
     seed: int = 12345
 
     __post_init__ = _check_bounds

@@ -66,10 +66,6 @@ class LanguageProfiles:
             total += 1
         self.totals[lang] = self.totals.get(lang, 0) + total
 
-    @property
-    def languages(self) -> list[str]:
-        return sorted(self.counts)
-
     def vocabulary_size(self) -> int:
         grams = set()
         for bucket in self.counts.values():

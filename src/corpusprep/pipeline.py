@@ -39,13 +39,7 @@ from .ingest import (
     CorpusStats, Document, json_line, open_output, read_documents, write_documents, write_jsonl
 )
 from .langid import default_profiles, detect_language
-from .pretrain import (
-    SerializedExample,
-    build_instances,
-    serialize_example,
-    tokenize_documents,
-    write_tfrecords,
-)
+from .pretrain import build_instances, serialize_example, tokenize_documents, write_tfrecords
 from .truecase import CasingLexicon, build_casing_lexicon, truecase
 
 
@@ -131,17 +125,10 @@ def write_examples(
     docs: Iterable[Document], vocab: Vocab, generation: GenerationConfig, out_dir: str, workers: int
 ) -> Tuple[List[str], int]:
     """Tokenize, build and serialize instances into shards; (paths, count)."""
-    count = 0
     tokenized = tokenize_documents(docs, vocab)
-
-    def examples() -> Iterator[SerializedExample]:
-        nonlocal count
-        for inst in build_instances(tokenized, vocab, generation, workers=workers):
-            count += 1
-            yield serialize_example(inst, vocab, generation)
-
-    paths = write_tfrecords(examples(), out_dir, generation.shards)
-    return paths, count
+    instances = build_instances(tokenized, vocab, generation, workers=workers)
+    examples = (serialize_example(inst, vocab, generation) for inst in instances)
+    return write_tfrecords(examples, out_dir, generation.shards)
 
 
 def truecase_file(

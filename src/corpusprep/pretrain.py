@@ -40,7 +40,7 @@ from .bpe import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, encode
 from .config import GenerationConfig
 from .errors import CorpusTooSmall, CorruptRecord, IdOutOfRange, IoError, NoMaskableTokens
 from .ingest import Document, open_output
-from .tfrecord import FRAME_OVERHEAD, encode_example, frame_record, parse_example, read_framed
+from .tfrecord import encode_example, frame_record, parse_example, read_framed
 
 
 def masked_budget(max_seq_length: int, masked_lm_prob: float) -> int:
@@ -348,8 +348,8 @@ def shard_paths(out_dir: str, shards: int) -> List[str]:
 
 def write_tfrecords(
     examples: Iterable[SerializedExample], out_dir: str, shards: int
-) -> List[str]:
-    """Distribute examples round-robin by arrival index over shard files.
+) -> Tuple[List[str], int]:
+    """Distribute examples round-robin by arrival index over shard files; (paths, count).
 
     Shard files of an earlier run with another shard count are removed
     first, so the pretrain-*.tfrecord glob matches only this run's shards.
@@ -365,11 +365,12 @@ def write_tfrecords(
                 os.remove(path)
     except OSError as exc:
         raise IoError(f"cannot write {out_dir}: {exc}") from exc
+    count = 0
     with ExitStack() as stack:
         handles = [stack.enter_context(open_output(path, binary=True)) for path in paths]
-        for index, example in enumerate(examples):
-            handles[index % shards].write(frame_record(example_payload(example)))
-    return paths
+        for count, example in enumerate(examples, start=1):
+            handles[(count - 1) % shards].write(frame_record(example_payload(example)))
+    return paths, count
 
 
 def read_tfrecords(paths: Iterable[str]) -> Iterator[SerializedExample]:
@@ -388,17 +389,16 @@ def read_tfrecords(paths: Iterable[str]) -> Iterator[SerializedExample]:
         match = _SHARD_NAME.fullmatch(os.path.basename(path))
         return int(match.group(1)) if match else -1
 
-    # [path, records, offset]
-    streams = [[path, read_framed(path), 0] for path in sorted(paths, key=index)]
+    streams = [(path, read_framed(path)) for path in sorted(paths, key=index)]
     while streams:
         for entry in list(streams):
-            path, records, offset = entry
-            payload = next(records, None)
-            if payload is None:
+            path, records = entry
+            record = next(records, None)
+            if record is None:
                 streams.remove(entry)
                 continue
+            offset, payload = record
             yield _decode_payload(payload, path, offset)
-            entry[2] += FRAME_OVERHEAD + len(payload)
 
 
 def _decode_payload(payload: bytes, path: str, offset: int) -> SerializedExample:

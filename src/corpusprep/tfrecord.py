@@ -55,14 +55,11 @@ FeatureDict = Dict[str, Tuple[str, FeatureValue]]
 
 def _varint(value: int) -> bytes:
     out = bytearray()
-    while True:
-        bits = value & 0x7F
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(bits | 0x80)
-        else:
-            out.append(bits)
-            return bytes(out)
+    out.append(value)
+    return bytes(out)
 
 
 def _length_delimited(field_number: int, payload: bytes) -> bytes:
@@ -210,8 +207,8 @@ def frame_record(payload: bytes) -> bytes:
     )
 
 
-def read_framed(path: str) -> Iterator[bytes]:
-    """Yield payloads one record at a time, validating both CRCs of every record."""
+def read_framed(path: str) -> Iterator[Tuple[int, bytes]]:
+    """Yield (offset, payload) one record at a time, validating both CRCs of every record."""
     try:
         handle = open(path, "rb")
     except OSError as exc:
@@ -232,5 +229,5 @@ def read_framed(path: str) -> Iterator[bytes]:
             (stored_data_crc,) = struct.unpack("<I", handle.read(4))
             if stored_data_crc != masked_crc32c(payload):
                 raise CorruptRecord(path, offset, "data", "payload CRC mismatch")
+            yield offset, payload
             offset += FRAME_OVERHEAD + length
-            yield payload

@@ -143,7 +143,7 @@ def test_criterion_4_tfrecord_bit_exactness(tmp_path):
     path = str(tmp_path / "examples.tfrecord")
     with open(path, "wb") as handle:
         handle.write(b"".join(frame_record(p) for p in payloads))
-    assert list(read_framed(path)) == payloads
+    assert [payload for _, payload in read_framed(path)] == payloads
 
     corrupt = str(tmp_path / "corrupt.tfrecord")
     blob = b"".join(frame_record(p) for p in payloads[:3])
@@ -351,7 +351,8 @@ def test_criterion_9_shard_arithmetic(tmp_path):
         )
         for i in range(10)
     ]
-    paths = write_tfrecords(iter(examples), str(tmp_path), 4)
+    paths, count = write_tfrecords(iter(examples), str(tmp_path), 4)
+    assert count == 10
     assert [os.path.basename(path) for path in paths] == [
         f"pretrain-{i}-of-4.tfrecord" for i in range(4)
     ]

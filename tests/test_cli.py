@@ -732,6 +732,12 @@ class TestArgumentErrors:
         assert main(["stats", fixture_corpus_path, "--format", "parquet"]) == 1
         capsys.readouterr()
 
+    def test_negative_read_limit_exits_1(self, capsys, tmp_path):
+        assert main(["read-examples", str(tmp_path / "absent.tfrecord"), "--limit", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "invalid value: --limit must be >= 0, got -1\n"
+        assert captured.out == ""
+
 
 def test_console_script_is_installed(fixture_corpus_path):
     proc = subprocess.run(

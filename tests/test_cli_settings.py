@@ -117,7 +117,7 @@ def test_minimal_config_takes_every_default_from_the_dataclasses():
              "{tmp}/absent.txt", "--out-dir", "{tmp}/shards", "--shards", "0",
              "--masked-lm-prob", "1.5", "--max-seq-length", "4"],
             ["masked_lm_prob must be in [0, 1], got 1.5", "max_seq_length must be >= 5, got 4",
-             "shards must be >= 1, got 0"],
+             "shards must be in [1, 512], got 0"],
         ),
     ],
     ids=["filter", "make-examples"],
@@ -129,6 +129,26 @@ def test_out_of_range_flags_listed_together(argv, messages, capsys, tmp_path,
     err = capsys.readouterr().err
     assert err == f"invalid value: {'; '.join(messages)}\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["run", "--config", "{config}", "--shards", "513"],
+         "config error: examples.shards must be in [1, 512], got 513\n"),
+        (["make-examples", "{corpus}", "--vocab", "{tmp}/absent.txt", "--merges",
+          "{tmp}/absent.txt", "--out-dir", "{tmp}/shards", "--shards", "513"],
+         "invalid value: shards must be in [1, 512], got 513\n"),
+    ],
+    ids=["run", "make-examples"],
+)
+def test_shard_count_above_512_exits_1_before_any_work(argv, err, capsys, tmp_path,
+                                                       fixture_corpus_path):
+    config = _write_config(tmp_path, fixture_corpus_path)
+    argv = [a.format(corpus=fixture_corpus_path, tmp=tmp_path, config=config) for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == err
+    assert os.listdir(tmp_path) == ["job.conf"]
 
 
 def test_non_utf8_config_exits_1_naming_it(capsys, tmp_path):

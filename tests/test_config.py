@@ -191,7 +191,7 @@ BOUNDS = {
     (GenerationConfig, "random_next_prob"): (0, 1),
     (GenerationConfig, "short_seq_prob"): (0, 1),
     (GenerationConfig, "dupe_factor"): (1, None),
-    (GenerationConfig, "shards"): (1, None),
+    (GenerationConfig, "shards"): (1, 512),
 }
 
 
@@ -204,12 +204,15 @@ class TestBounds:
     def test_each_bound_holds_at_its_edges(self, cls, name):
         low, high = BOUNDS[cls, name]
         assert getattr(_make(cls, **{name: low}), name) == low
-        with pytest.raises(ValueError, match=f"^{name} must be (>= {low}|in \\[0, 1\\]), got "):
+        limit = f">= {low}" if high is None else f"in \\[{low}, {high}\\]"
+        with pytest.raises(ValueError, match=f"^{name} must be {limit}, got "):
             _make(cls, **{name: low - 1})
         if high is not None:
             assert getattr(_make(cls, **{name: high}), name) == high
-            with pytest.raises(ValueError, match=f"^{name} must be in \\[0, 1\\], got 1.5$"):
-                _make(cls, **{name: 1.5})
+            # one past high for an int field, half past for a float one
+            past = high + 1 if type(getattr(_make(cls), name)) is int else high + 0.5
+            with pytest.raises(ValueError, match=f"^{name} must be {limit}, got {past}$"):
+                _make(cls, **{name: past})
             with pytest.raises(ValueError):
                 _make(cls, **{name: float("nan")})
 
@@ -225,7 +228,7 @@ class TestBounds:
             "dupe_factor must be >= 1, got 0",
             "masked_lm_prob must be in [0, 1], got 1.5",
             "max_seq_length must be >= 5, got 4",
-            "shards must be >= 1, got 0",
+            "shards must be in [1, 512], got 0",
         ]
 
     def test_config_reports_every_bound_with_its_section(self):
@@ -242,7 +245,7 @@ class TestBounds:
             "examples.masked_lm_prob must be in [0, 1], got 1.5",
             "examples.max_seq_length must be >= 5, got 4",
             "examples.random_next_prob must be in [0, 1], got -0.5",
-            "examples.shards must be >= 1, got 0",
+            "examples.shards must be in [1, 512], got 0",
             "examples.short_seq_prob must be in [0, 1], got 3",
             "filter.lang_confidence_min must be in [0, 1], got 2",
             "filter.max_punct_ratio must be in [0, 1], got -1",
@@ -250,6 +253,17 @@ class TestBounds:
             "filter.min_words must be >= 1, got 0",
             "vocab.vocab_size must be >= 6, got 5",
         ]
+
+
+    def test_shard_count_above_512_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("[input]\npath = x\n[examples]\nshards = 513\n")
+        assert exc.value.diagnostics == ["examples.shards must be in [1, 512], got 513"]
+
+    def test_large_int_printed_as_given(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("[input]\npath = x\n[examples]\ndupe_factor = -1000000\n")
+        assert exc.value.diagnostics == ["examples.dupe_factor must be >= 1, got -1000000"]
 
 
 class TestOverrides:
@@ -272,7 +286,7 @@ class TestOverrides:
     def test_override_value_converted_and_ranged(self):
         with pytest.raises(ConfigError) as exc:
             parse_config_text(MINIMAL, {("examples", "shards"): "0"})
-        assert any("examples.shards must be >= 1" in d for d in exc.value.diagnostics)
+        assert any("examples.shards must be in [1, 512]" in d for d in exc.value.diagnostics)
 
 
 class TestValidateConfig:

@@ -614,7 +614,7 @@ class TestSharding:
 
     def test_ten_examples_over_four_shards(self, tmp_path):
         examples = self._examples(10)
-        paths = write_tfrecords(examples, str(tmp_path), shards=4)
+        paths, _ = write_tfrecords(examples, str(tmp_path), shards=4)
         from corpusprep.tfrecord import read_framed
 
         counts = [sum(1 for _ in read_framed(p)) for p in paths]
@@ -634,12 +634,12 @@ class TestSharding:
 
     def test_write_read_round_trip_preserves_order(self, tmp_path):
         examples = self._examples(11)
-        paths = write_tfrecords(examples, str(tmp_path), shards=3)
+        paths, _ = write_tfrecords(examples, str(tmp_path), shards=3)
         assert list(read_tfrecords(paths)) == examples
 
     def test_single_shard_round_trip(self, tmp_path):
         examples = self._examples(5)
-        paths = write_tfrecords(examples, str(tmp_path), shards=1)
+        paths, _ = write_tfrecords(examples, str(tmp_path), shards=1)
         assert len(paths) == 1
         assert list(read_tfrecords(paths)) == examples
 
@@ -648,14 +648,14 @@ class TestSharding:
         examples = [
             dataclasses.replace(ex, masked_lm_ids=(k,)) for k, ex in enumerate(self._examples(30))
         ]
-        paths = write_tfrecords(examples, str(tmp_path), shards=12)
+        paths, _ = write_tfrecords(examples, str(tmp_path), shards=12)
         globbed = sorted(glob.glob(str(tmp_path / "pretrain-*.tfrecord")))
         assert globbed != paths
         assert list(read_tfrecords(globbed)) == list(read_tfrecords(paths)) == examples
 
     def test_creates_missing_output_directory(self, tmp_path):
         target = str(tmp_path / "uus" / "kaust")
-        paths = write_tfrecords(self._examples(2), target, shards=2)
+        paths, _ = write_tfrecords(self._examples(2), target, shards=2)
         assert all(os.path.exists(p) for p in paths)
 
     def test_failure_mid_stream_leaves_no_shard(self, tmp_path):

@@ -60,7 +60,7 @@ class TestFraming:
         path = tmp_path / "r.tfrecord"
         payloads = [b"", b"a", b"teine", bytes(range(256))]
         path.write_bytes(b"".join(frame_record(p) for p in payloads))
-        assert list(read_framed(str(path))) == payloads
+        assert [payload for _, payload in read_framed(str(path))] == payloads
 
     def test_empty_file_yields_nothing(self, tmp_path):
         p = tmp_path / "empty.tfrecord"
@@ -130,7 +130,34 @@ class TestFraming:
 def test_framed_round_trip_property(tmp_path_factory, payloads):
     path = tmp_path_factory.mktemp("fr") / "r.tfrecord"
     path.write_bytes(b"".join(frame_record(p) for p in payloads))
-    assert list(read_framed(str(path))) == payloads
+    assert [payload for _, payload in read_framed(str(path))] == payloads
+
+
+def test_read_framed_yields_each_record_offset(tmp_path):
+    payloads = [b"", b"a", b"teine", bytes(range(256)), b"x" * 300]
+    path = tmp_path / "r.tfrecord"
+    path.write_bytes(b"".join(frame_record(p) for p in payloads))
+    starts = [sum(16 + len(p) for p in payloads[:k]) for k in range(len(payloads))]
+    assert list(read_framed(str(path))) == list(zip(starts, payloads))
+
+
+def _reference_varint(value):
+    """The earlier two-branch varint loop, kept as the oracle for _varint."""
+    out = bytearray()
+    while True:
+        bits = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(bits | 0x80)
+        else:
+            out.append(bits)
+            return bytes(out)
+
+
+def test_varint_matches_reference_loop():
+    values = [*range(2**16 + 1), 2**21, 2**35, 2**63 - 1]
+    for value in values:
+        assert tfrecord._varint(value) == _reference_varint(value), value
 
 
 class TestExampleEncoding:
@@ -278,4 +305,4 @@ def test_thousand_random_examples_round_trip(tmp_path):
         payloads.append(encode_example(features, ["ids", "w"]))
     path = tmp_path / "big.tfrecord"
     path.write_bytes(b"".join(frame_record(p) for p in payloads))
-    assert list(read_framed(str(path))) == payloads
+    assert [payload for _, payload in read_framed(str(path))] == payloads
