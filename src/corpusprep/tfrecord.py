@@ -12,8 +12,14 @@ write).  Int64 values are written as plain varints, so a negative value or
 one above 2^63 - 1 is rejected with ValueError.  The reader is one field
 iterator, _fields, that every message level loops over, keeping the fields it
 knows and passing over the rest; it rejects a varint, length-delimited,
-fixed64 or fixed32 field that runs past the end of its message.  It accepts
-packed and unpacked list encodings.
+fixed64 or fixed32 field that runs past the end of its message, and a varint
+of more than 64 bits.  It accepts packed and unpacked list encodings.
+
+The codec's hot loops have fast paths that give the same bytes and values:
+CRC32C is slicing-by-8 (eight 256-entry tables, one 8-byte word per step);
+an int64 list whose largest value is below 0x80 is packed as its bytes, and
+a packed block of ASCII bytes is parsed as its bytes.  tests/codec_oracle.py
+keeps the byte-at-a-time codec they are checked against.
 """
 
 from __future__ import annotations
@@ -27,19 +33,41 @@ from .errors import CorruptRecord, IoError
 _MASK_DELTA = 0xA282EAD8
 _U32 = 0xFFFFFFFF
 
-# Castagnoli polynomial, reflected form.
-_CRC_TABLE: List[int] = []
-for _byte in range(256):
-    _crc = _byte
-    for _ in range(8):
-        _crc = (_crc >> 1) ^ 0x82F63B78 if _crc & 1 else _crc >> 1
-    _CRC_TABLE.append(_crc)
+
+def _crc_tables() -> Tuple[List[int], ...]:
+    """Slicing-by-8 tables for CRC32C (Castagnoli polynomial, reflected form).
+
+    Table 0 is the usual byte table; entry b of table k is the CRC register
+    after byte b and then k zero bytes, so one 8-byte word takes 8 lookups.
+    """
+    first = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0x82F63B78 if crc & 1 else crc >> 1
+        first.append(crc)
+    tables = [first]
+    for _ in range(7):
+        tables.append([(crc >> 8) ^ first[crc & 0xFF] for crc in tables[-1]])
+    return tuple(tables)
+
+
+_CRC_TABLES = _crc_tables()
 
 
 def crc32c(data: bytes) -> int:
+    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
     crc = _U32
-    for byte in data:
-        crc = _CRC_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    words = len(data) & ~7
+    # each word: its first 4 bytes as one u32 to fold the register into, then 4 bytes
+    for low, b4, b5, b6, b7 in struct.iter_unpack("<I4B", memoryview(data)[:words]):
+        low ^= crc
+        crc = (
+            t7[low & 0xFF] ^ t6[low >> 8 & 0xFF] ^ t5[low >> 16 & 0xFF] ^ t4[low >> 24]
+            ^ t3[b4] ^ t2[b5] ^ t1[b6] ^ t0[b7]
+        )
+    for byte in data[words:]:
+        crc = t0[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc ^ _U32
 
 
@@ -54,6 +82,8 @@ FeatureDict = Dict[str, Tuple[str, FeatureValue]]
 
 
 def _varint(value: int) -> bytes:
+    if value < 0x80:
+        return bytes((value,))
     out = bytearray()
     while value > 0x7F:
         out.append(value & 0x7F | 0x80)
@@ -70,9 +100,11 @@ def _encode_feature(kind: str, values: FeatureValue) -> bytes:
     if kind == "int64":
         if min(values, default=0) < 0:
             raise ValueError("int64 values must be non-negative")
-        if max(values, default=0) >= 1 << 63:
+        top = max(values, default=0)
+        if top >= 1 << 63:
             raise ValueError("int64 values must not exceed 2**63 - 1")
-        packed = b"".join(_varint(v) for v in values)
+        # below 0x80 every value is a one-byte varint: the byte itself
+        packed = bytes(values) if top < 0x80 else b"".join(map(_varint, values))
         return _length_delimited(3, _length_delimited(1, packed))
     if kind == "float":
         packed = struct.pack(f"<{len(values)}f", *values)
@@ -93,7 +125,10 @@ def encode_example(features: FeatureDict, order: Sequence[str]) -> bytes:
 
 
 def _varint_at(data: bytes, pos: int) -> Tuple[int, int]:
-    """The varint starting at data[pos] and the position just after it."""
+    """The varint starting at data[pos] and the position just after it.
+
+    A varint holds at most 64 bits: ten bytes, the tenth no more than 0x01.
+    """
     result = 0
     shift = 0
     while True:
@@ -101,12 +136,12 @@ def _varint_at(data: bytes, pos: int) -> Tuple[int, int]:
             raise ValueError("truncated varint")
         byte = data[pos]
         pos += 1
+        if shift == 63 and byte > 0x01:
+            raise ValueError("varint exceeds 64 bits")
         result |= (byte & 0x7F) << shift
         if byte < 0x80:
             return result, pos
         shift += 7
-        if shift > 63:
-            raise ValueError("varint too long")
 
 
 _FIXED_SIZE = {1: 8, 5: 4}  # wire type -> bytes of a fixed64 / fixed32 field
@@ -164,7 +199,8 @@ def _parse_feature(data: bytes) -> Tuple[str, FeatureValue]:
             if kind == "int64" and item_wire == 0:
                 values.append(item)
             elif kind == "int64" and item_wire == 2:
-                values.extend(_packed_varints(item))
+                # in an ASCII block every byte is a whole varint: its own value
+                values.extend(item if item.isascii() else _packed_varints(item))
             elif kind == "float" and item_wire in (2, 5):
                 if len(item) % 4:
                     raise ValueError("packed float block not a multiple of 4 bytes")

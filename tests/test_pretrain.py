@@ -10,6 +10,7 @@ import os
 import random
 from types import SimpleNamespace
 
+import codec_oracle
 import pytest
 
 from corpusprep.bpe import CLS_ID, MASK_ID, SEP_ID, SPECIALS, Vocab
@@ -653,6 +654,48 @@ class TestSharding:
         assert globbed != paths
         assert list(read_tfrecords(globbed)) == list(read_tfrecords(paths)) == examples
 
+    def test_multi_byte_ids_match_oracle_frames(self, tmp_path):
+        # 400 pieces and 160 positions: ids and masked positions past 127 take
+        # the multi-byte varint path that a vocabulary under 128 pieces never does
+        pieces = SPECIALS + tuple(f"▁w{k}" for k in range(400 - len(SPECIALS)))
+        vocab = Vocab(pieces=pieces, merges=())
+        config = GenerationConfig(max_seq_length=160, seed=1)
+        rng = random.Random(11)
+        examples = []
+        for k in range(10):
+            a, b = rng.randint(60, 100), rng.randint(30, 57)
+            tokens = (CLS_ID, *rng.choices(range(300, 400), k=a), SEP_ID)
+            tokens += (*rng.choices(range(len(SPECIALS), 400), k=b), SEP_ID)
+            maskable = [i for i, t in enumerate(tokens) if t not in (CLS_ID, SEP_ID)]
+            positions = tuple(sorted(rng.sample(maskable, min(len(maskable), 24))))
+            inst = PretrainingInstance(
+                tokens=tokens,
+                segment_ids=(0,) * (a + 2) + (1,) * (b + 1),
+                masked_positions=positions,
+                masked_labels=tuple(tokens[i] for i in positions),
+                is_random_next=bool(k % 2),
+            )
+            examples.append(serialize_example(inst, vocab, config))
+        assert max(max(ex.masked_lm_positions) for ex in examples) >= 128
+
+        def oracle_payload(example):
+            features = {}
+            for name in FEATURE_ORDER:
+                values = getattr(example, name)
+                kind = "float" if name == "masked_lm_weights" else "int64"
+                features[name] = (kind, values if isinstance(values, tuple) else (values,))
+            return codec_oracle.encode_example(features, FEATURE_ORDER)
+
+        paths, count = write_tfrecords(examples, str(tmp_path), shards=3)
+        assert count == 10
+        for i, path in enumerate(paths):
+            expected = b"".join(
+                codec_oracle.frame_record(oracle_payload(ex)) for ex in examples[i::3]
+            )
+            with open(path, "rb") as handle:
+                assert handle.read() == expected
+        assert list(read_tfrecords(paths)) == examples
+
     def test_creates_missing_output_directory(self, tmp_path):
         target = str(tmp_path / "uus" / "kaust")
         paths, _ = write_tfrecords(self._examples(2), target, shards=2)
@@ -775,3 +818,13 @@ class TestCorruptPayload:
         features["next_sentence_labels"] = ("int64", labels)
         payload = encode_example(features, FEATURE_ORDER)
         assert _read_corrupt(tmp_path, [valid, payload]).offset == len(valid) + 16
+
+    def test_varint_past_64_bits(self, tmp_path):
+        valid = _valid_payload()
+        features = parse_example(valid)
+        features["input_ids"] = ("int64", [1, 2**70 - 1])  # nine 0xff bytes, then 0x7f
+        payload = codec_oracle.encode_example(features, FEATURE_ORDER)
+        error = _read_corrupt(tmp_path, [valid, payload])
+        path = tmp_path / "corrupt.tfrecord"
+        assert (error.path, error.offset) == (str(path), len(valid) + 16)
+        assert "varint exceeds 64 bits" in str(error)

@@ -8,6 +8,7 @@ import struct
 import tracemalloc
 import zlib
 
+import codec_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,23 +142,10 @@ def test_read_framed_yields_each_record_offset(tmp_path):
     assert list(read_framed(str(path))) == list(zip(starts, payloads))
 
 
-def _reference_varint(value):
-    """The earlier two-branch varint loop, kept as the oracle for _varint."""
-    out = bytearray()
-    while True:
-        bits = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(bits | 0x80)
-        else:
-            out.append(bits)
-            return bytes(out)
-
-
 def test_varint_matches_reference_loop():
     values = [*range(2**16 + 1), 2**21, 2**35, 2**63 - 1]
     for value in values:
-        assert tfrecord._varint(value) == _reference_varint(value), value
+        assert tfrecord._varint(value) == codec_oracle.varint(value), value
 
 
 class TestExampleEncoding:
@@ -306,3 +294,93 @@ def test_thousand_random_examples_round_trip(tmp_path):
     path = tmp_path / "big.tfrecord"
     path.write_bytes(b"".join(frame_record(p) for p in payloads))
     assert [payload for _, payload in read_framed(str(path))] == payloads
+
+
+# --- fast paths against the byte-at-a-time oracle -------------------------------
+
+# the varint length edges (1, 2 and 3 bytes) and the largest int64 (9 bytes)
+_EDGE_INT64 = [0, 127, 128, 2**14 - 1, 2**14, 2**63 - 1]
+_int64_lists = st.lists(
+    st.one_of(st.sampled_from(_EDGE_INT64), st.integers(0, 255), st.integers(0, 2**63 - 1)),
+    max_size=24,
+)
+
+
+def _one_block_example(name, block):
+    """An Example whose one int64 feature holds `block` as its packed list."""
+    ld = codec_oracle.length_delimited
+    return ld(1, ld(1, ld(1, name.encode("utf-8")) + ld(2, ld(3, ld(1, block)))))
+
+
+class TestCodecOracle:
+    @pytest.mark.parametrize("length", range(18))  # every tail length after 8-byte words
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_crc32c_every_short_length(self, length, data):
+        blob = data.draw(st.binary(min_size=length, max_size=length))
+        assert crc32c(blob) == codec_oracle.crc32c(blob)
+        assert masked_crc32c(blob) == codec_oracle.masked_crc32c(blob)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(min_size=18, max_size=3000))
+    def test_crc32c_long_data(self, blob):
+        assert crc32c(blob) == codec_oracle.crc32c(blob)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=600))
+    def test_frame_record(self, payload):
+        assert frame_record(payload) == codec_oracle.frame_record(payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.sampled_from(["ids", "mask", "x"]), _int64_lists, min_size=1))
+    def test_encode_and_parse_int64_lists(self, lists):
+        features = {name: ("int64", values) for name, values in lists.items()}
+        order = sorted(features)
+        assert encode_example(features, order) == codec_oracle.encode_example(features, order)
+        for packed in (True, False):
+            payload = codec_oracle.encode_example(features, order, packed=packed)
+            assert parse_example(payload) == features
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.binary(max_size=9), st.integers(0, 0x7F)), max_size=16))
+    def test_packed_block_mixing_varint_widths(self, varints):
+        # up to nine continuation bytes, then a last byte (0x01 at most after nine)
+        block = b"\x05\x96\x01" + b"".join(
+            bytes(x | 0x80 for x in more) + bytes([last if len(more) < 9 else last & 1])
+            for more, last in varints
+        )
+        expected = codec_oracle.packed_varints(block)
+        assert expected[:2] == [5, 150]
+        assert parse_example(_one_block_example("ids", block)) == {"ids": ("int64", expected)}
+
+
+class TestVarintBound:
+    def test_ten_byte_varint_up_to_64_bits_accepted(self):
+        block = bytes([0xFF] * 9 + [0x01])
+        assert parse_example(_one_block_example("ids", block)) == {"ids": ("int64", [2**64 - 1])}
+
+    @pytest.mark.parametrize("last", [0x02, 0x7F, 0x80, 0xFF])
+    def test_varint_past_64_bits_rejected(self, last):
+        block = bytes([0xFF] * 9 + [last, 0x00])
+        with pytest.raises(ValueError, match="varint exceeds 64 bits"):
+            parse_example(_one_block_example("ids", block))
+
+    def test_overlong_field_key_rejected(self):
+        with pytest.raises(ValueError, match="varint exceeds 64 bits"):
+            parse_example(bytes([0x88] + [0xFF] * 8 + [0x7F]))
+
+
+class TestLengthCrc:
+    @pytest.mark.parametrize("bit", [0, 13, 31])
+    def test_flipped_length_crc_bit(self, tmp_path, bit):
+        payload = bytes(range(7)) * 1000
+        first = codec_oracle.frame_record(b"kirje")
+        second = bytearray(codec_oracle.frame_record(payload))
+        second[8 + bit // 8] ^= 1 << (bit % 8)
+        path = tmp_path / "h.tfrecord"
+        path.write_bytes(first + bytes(second))
+        records = read_framed(str(path))
+        assert next(records) == (0, b"kirje")
+        with pytest.raises(CorruptRecord, match="length CRC mismatch") as exc:
+            next(records)
+        assert (exc.value.offset, exc.value.which_crc) == (len(first), "length")
