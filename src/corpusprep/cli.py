@@ -321,6 +321,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except ConfigError as exc:
         for diagnostic in exc.diagnostics:

@@ -291,7 +291,7 @@ def _read_jsonl(numbered: Iterable[Tuple[int, str]]) -> Iterator[Document]:
             raise MalformedRecord(line_no, '"lemmas" must be an array of strings')
         try:
             yield Document(
-                id=str(record.get("id") or f"doc-{ordinal}"),
+                id=f"doc-{ordinal}" if record.get("id") in (None, "") else str(record["id"]),
                 text=record["text"],
                 lang_tag=lang,
                 lemmas=tuple(lemmas) if lemmas is not None else None,

@@ -1,14 +1,15 @@
 """Character n-gram naive Bayes language identification.
 
-A profile per language holds counts of 1- to 3-character grams collected from
-seed text.  Detection lowercases the input, strips digits and URLs, pads each
-word with spaces and scores the gram stream against every profile with
-additive smoothing; the winning language is returned with its normalized
-posterior.
+A profile per language is a log-probability table over 1- to 3-character
+grams, built once by ``LanguageProfiles.from_texts`` from seed text with
+additive smoothing, plus one floor for grams the language never showed.
+Detection lowercases the input, strips digits and URLs, pads each word with
+spaces and sums the gram stream's table entries for every language; the
+winning language is returned with its normalized posterior.
 
 Small seed texts for Estonian, English, Finnish, German and Russian ship with
 the package, enough to separate languages reliably at document granularity.
-Profiles can also be trained from any text.
+Profiles can also be built from any text.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Dict, Iterator, Tuple
 
@@ -51,26 +54,27 @@ def iter_ngrams(normalized: str) -> Iterator[str]:
                     yield gram
 
 
-@dataclass
+@dataclass(frozen=True)
 class LanguageProfiles:
-    """Per-language n-gram counts plus the shared gram vocabulary."""
+    """Per language: gram -> log P(gram), and the log-probability of an unseen gram."""
 
-    counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    totals: Dict[str, int] = field(default_factory=dict)
+    logprobs: Dict[str, Dict[str, float]]
+    unseen: Dict[str, float]
 
-    def train(self, lang: str, text: str) -> None:
-        bucket = self.counts.setdefault(lang, {})
-        total = 0
-        for gram in iter_ngrams(normalize(text)):
-            bucket[gram] = bucket.get(gram, 0) + 1
-            total += 1
-        self.totals[lang] = self.totals.get(lang, 0) + total
-
-    def vocabulary_size(self) -> int:
-        grams = set()
-        for bucket in self.counts.values():
-            grams.update(bucket)
-        return len(grams)
+    @classmethod
+    def from_texts(cls, texts: Dict[str, str]) -> "LanguageProfiles":
+        """Profiles from one seed text per language, kept in the dict's order."""
+        counts = {lang: Counter(iter_ngrams(normalize(text))) for lang, text in texts.items()}
+        vocab = len(set().union(*counts.values()))
+        logprobs: Dict[str, Dict[str, float]] = {}
+        unseen: Dict[str, float] = {}
+        for lang, bucket in counts.items():
+            denom = sum(bucket.values()) + _SMOOTHING * (vocab + 1)
+            # grams with the same count share one float object, which keeps the tables small
+            by_count = {n: math.log((n + _SMOOTHING) / denom) for n in set(bucket.values())}
+            logprobs[lang] = {gram: by_count[n] for gram, n in bucket.items()}
+            unseen[lang] = math.log(_SMOOTHING / denom)
+        return cls(logprobs, unseen)
 
 
 def detect_language(text: str, profiles: LanguageProfiles) -> Tuple[str, float]:
@@ -78,21 +82,21 @@ def detect_language(text: str, profiles: LanguageProfiles) -> Tuple[str, float]:
 
     Raises TextTooShort when the normalized text has no alphabetic character.
     """
-    if not profiles.counts:
+    if not profiles.logprobs:
         raise ValueError("profiles are empty")
     normalized = normalize(text)
     if not any(ch.isalpha() for ch in normalized):
         raise TextTooShort("no alphabetic content to identify")
 
     grams = list(iter_ngrams(normalized))
-    vocab = profiles.vocabulary_size()
     scores: dict[str, float] = {}
-    log_prior = -math.log(len(profiles.counts))
-    for lang, bucket in profiles.counts.items():
-        denom = profiles.totals.get(lang, 0) + _SMOOTHING * (vocab + 1)
+    log_prior = -math.log(len(profiles.logprobs))
+    for lang, table in profiles.logprobs.items():
+        floor = profiles.unseen[lang]
         score = log_prior
+        # an explicit loop: sum() of floats compensates since Python 3.12 and rounds differently
         for gram in grams:
-            score += math.log((bucket.get(gram, 0) + _SMOOTHING) / denom)
+            score += table.get(gram, floor)
         scores[lang] = score
 
     # normalize in log space; ties broken by language code for determinism
@@ -102,16 +106,10 @@ def detect_language(text: str, profiles: LanguageProfiles) -> Tuple[str, float]:
     return best, math.exp(scores[best] - peak) / total
 
 
-_default_profiles: LanguageProfiles | None = None
-
-
+@lru_cache(maxsize=None)
 def default_profiles() -> LanguageProfiles:
-    """Profiles trained from the packaged seed texts (cached)."""
-    global _default_profiles
-    if _default_profiles is None:
-        profiles = LanguageProfiles()
-        for lang in _SEED_LANGUAGES:
-            seed = resources.files("corpusprep.data").joinpath(f"langseed/{lang}.txt")
-            profiles.train(lang, seed.read_text(encoding="utf-8"))
-        _default_profiles = profiles
-    return _default_profiles
+    """Profiles built from the packaged seed texts (cached)."""
+    seeds = resources.files("corpusprep.data").joinpath("langseed")
+    return LanguageProfiles.from_texts(
+        {lang: (seeds / f"{lang}.txt").read_text(encoding="utf-8") for lang in _SEED_LANGUAGES}
+    )

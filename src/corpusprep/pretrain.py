@@ -163,41 +163,40 @@ def _instances_for_doc(
         current_chunk.append(segment)
         current_length += len(segment)
         if i == len(document) - 1 or current_length >= target_seq_length:
-            if current_chunk:
-                a_end = 1
-                if len(current_chunk) >= 2:
-                    a_end = rng.randint(1, len(current_chunk) - 1)
-                tokens_a: List[int] = []
-                for j in range(a_end):
-                    tokens_a.extend(current_chunk[j])
+            a_end = 1
+            if len(current_chunk) >= 2:
+                a_end = rng.randint(1, len(current_chunk) - 1)
+            tokens_a: List[int] = []
+            for j in range(a_end):
+                tokens_a.extend(current_chunk[j])
 
-                is_random_next = rng.random() < config.random_next_prob
-                tokens_b: List[int] = []
-                if is_random_next:
-                    target_b_length = target_seq_length - len(tokens_a)
-                    foreign = docs[_pick_foreign_doc(rng, len(docs), doc_index)]
-                    start = rng.randint(0, len(foreign.sentences) - 1)
-                    for j in range(start, len(foreign.sentences)):
-                        tokens_b.extend(foreign.sentences[j])
-                        if len(tokens_b) >= target_b_length:
-                            break
-                    # segments beyond a_end were not consumed; rewind them
-                    i -= len(current_chunk) - a_end
-                elif len(current_chunk) >= 2:
-                    for j in range(a_end, len(current_chunk)):
-                        tokens_b.extend(current_chunk[j])
-                if tokens_b:
-                    _truncate_pair(tokens_a, tokens_b, max_num_tokens, rng)
-                    tokens = (CLS_ID, *tokens_a, SEP_ID, *tokens_b, SEP_ID)
-                    segment_ids = (0,) * (len(tokens_a) + 2) + (1,) * (len(tokens_b) + 1)
-                    instance = PretrainingInstance(
-                        tokens=tokens,
-                        segment_ids=segment_ids,
-                        masked_positions=(),
-                        masked_labels=(),
-                        is_random_next=is_random_next,
-                    )
-                    instances.append(apply_masking(instance, vocab, config, rng))
+            is_random_next = rng.random() < config.random_next_prob
+            tokens_b: List[int] = []
+            if is_random_next:
+                target_b_length = target_seq_length - len(tokens_a)
+                foreign = docs[_pick_foreign_doc(rng, len(docs), doc_index)]
+                start = rng.randint(0, len(foreign.sentences) - 1)
+                for j in range(start, len(foreign.sentences)):
+                    tokens_b.extend(foreign.sentences[j])
+                    if len(tokens_b) >= target_b_length:
+                        break
+                # segments beyond a_end were not consumed; rewind them
+                i -= len(current_chunk) - a_end
+            elif len(current_chunk) >= 2:
+                for j in range(a_end, len(current_chunk)):
+                    tokens_b.extend(current_chunk[j])
+            if tokens_b:
+                _truncate_pair(tokens_a, tokens_b, max_num_tokens, rng)
+                tokens = (CLS_ID, *tokens_a, SEP_ID, *tokens_b, SEP_ID)
+                segment_ids = (0,) * (len(tokens_a) + 2) + (1,) * (len(tokens_b) + 1)
+                instance = PretrainingInstance(
+                    tokens=tokens,
+                    segment_ids=segment_ids,
+                    masked_positions=(),
+                    masked_labels=(),
+                    is_random_next=is_random_next,
+                )
+                instances.append(apply_masking(instance, vocab, config, rng))
             current_chunk = []
             current_length = 0
         i += 1

@@ -738,6 +738,28 @@ class TestArgumentErrors:
         assert captured.err == "invalid value: --limit must be >= 0, got -1\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_run_workers_below_one_exits_1(self, workers, capsys, tmp_path, fixture_corpus_path):
+        out_dir = tmp_path / "out"
+        config = _write_config(tmp_path / "job.conf", fixture_corpus_path, str(out_dir))
+        assert main(["run", "--config", config, "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid value: --workers must be >= 1, got {workers}\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_make_examples_workers_below_one_exits_1(self, workers, capsys, tmp_path,
+                                                     fixture_corpus_path):
+        out_dir = tmp_path / "shards"
+        argv = ["make-examples", fixture_corpus_path, "--vocab", str(tmp_path / "absent.txt"),
+                "--merges", str(tmp_path / "absent.txt"), "--out-dir", str(out_dir)]
+        assert main(argv + ["--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid value: --workers must be >= 1, got {workers}\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
+
 
 def test_console_script_is_installed(fixture_corpus_path):
     proc = subprocess.run(

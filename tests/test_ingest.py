@@ -104,6 +104,14 @@ class TestJsonLines:
         ids = [d.id for d in read_documents(str(p), "json-lines")]
         assert ids == ["doc-0", "doc-1"]
 
+    def test_falsy_ids_kept_empty_or_null_synthesized(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        rows = [{"id": 0, "text": "a b"}, {"id": 7, "text": "c"}, {"id": "", "text": "d"},
+                {"id": None, "text": "e"}, {"id": False, "text": "f"}, {"id": "0", "text": "g"}]
+        p.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        ids = [d.id for d in read_documents(str(p), "json-lines")]
+        assert ids == ["0", "7", "doc-2", "doc-3", "False", "0"]
+
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text('{"text": "a"}\n\n{"text": "b"}\n', encoding="utf-8")

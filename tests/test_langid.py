@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from langid_oracle import oracle_detect_language, oracle_profiles, seed_texts
 
 from corpusprep.errors import TextTooShort
 from corpusprep.langid import (
@@ -60,24 +63,36 @@ class TestIterNgrams:
 
 
 class TestProfiles:
-    def test_train_accumulates_counts(self):
-        p = LanguageProfiles()
-        p.train("xx", "aa")
-        p.train("xx", "aa")
-        assert p.totals["xx"] == 2 * sum(1 for _ in iter_ngrams("aa"))
-
     def test_languages_sorted(self):
-        p = LanguageProfiles()
-        p.train("fi", "moi")
-        p.train("et", "tere")
-        assert sorted(p.counts) == ["et", "fi"]
+        p = LanguageProfiles.from_texts({"fi": "moi", "et": "tere"})
+        assert sorted(p.logprobs) == ["et", "fi"]
 
     def test_vocabulary_is_union_over_languages(self):
-        p = LanguageProfiles()
-        p.train("a", "xy")
-        p.train("b", "yz")
-        union = set(iter_ngrams("xy")) | set(iter_ngrams("yz"))
-        assert p.vocabulary_size() == len(union)
+        p = LanguageProfiles.from_texts({"a": "xy", "b": "yz"})
+        # " xy " and " yz " give 7 grams each and share only "y": 13 grams in all
+        assert len(set(iter_ngrams("xy")) | set(iter_ngrams("yz"))) == 13
+        denom = 7 + 0.5 * (13 + 1)
+        assert denom == 14.0
+        assert p.unseen == {"a": math.log(0.5 / 14.0), "b": math.log(0.5 / 14.0)}
+        assert p.logprobs["a"]["x"] == math.log(1.5 / 14.0)
+        assert "z" not in p.logprobs["a"]
+
+    def test_repeated_gram_counts(self):
+        p = LanguageProfiles.from_texts({"xx": "aa aa"})
+        # " aa " gives a, a, " a", aa, "a ", " aa", "aa ": 6 distinct, 14 grams in two words
+        denom = 14 + 0.5 * (6 + 1)
+        assert denom == 17.5
+        assert p.unseen["xx"] == math.log(0.5 / 17.5)
+        assert p.logprobs["xx"]["a"] == math.log(4.5 / 17.5)
+        assert p.logprobs["xx"]["aa "] == math.log(2.5 / 17.5)
+        assert p.logprobs["xx"][" a"] is p.logprobs["xx"]["aa "]  # one float per count
+
+    def test_profiles_are_immutable_and_cached(self):
+        profiles = default_profiles()
+        assert default_profiles() is profiles
+        assert list(profiles.logprobs) == ["de", "en", "et", "fi", "ru"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profiles.unseen = {}
 
 
 class TestDetect:
@@ -104,8 +119,8 @@ class TestDetect:
             detect_language("https://example.com 42", default_profiles())
 
     def test_empty_profiles_rejected(self):
-        with pytest.raises(ValueError):
-            detect_language("tere", LanguageProfiles())
+        with pytest.raises(ValueError, match="profiles are empty"):
+            detect_language("tere", LanguageProfiles.from_texts({}))
 
     def test_deterministic(self):
         text = "see on üks tavaline eesti keele lause"
@@ -114,9 +129,7 @@ class TestDetect:
         )
 
     def test_two_language_posteriors_sum_to_one(self):
-        p = LanguageProfiles()
-        p.train("aa", "aaa aab aba abb")
-        p.train("bb", "bbb bba bab baa")
+        p = LanguageProfiles.from_texts({"aa": "aaa aab aba abb", "bb": "bbb bba bab baa"})
         _, prob_a = detect_language("aaa", p)
         _, prob_b = detect_language("aaa bbb bbb bbb", p)
         assert prob_a > 0.5  # clearly language aa
@@ -124,9 +137,8 @@ class TestDetect:
         assert prob_b >= 0.5
 
     def test_tie_broken_by_language_code(self):
-        p = LanguageProfiles()
-        p.train("zz", "symmetric text")
-        p.train("aa", "symmetric text")
+        # zz first, so the tie is not won by insertion order
+        p = LanguageProfiles.from_texts({"zz": "symmetric text", "aa": "symmetric text"})
         lang, prob = detect_language("symmetric text", p)
         assert lang == "aa"
         assert prob == pytest.approx(0.5)
@@ -151,6 +163,73 @@ def test_detection_never_crashes_on_alphabetic_text(text):
     if not any(ch.isalpha() for ch in text):
         return
     lang, prob = detect_language(text, default_profiles())
-    assert lang in default_profiles().counts
+    assert lang in default_profiles().logprobs
     assert 0.0 <= prob <= 1.0
     assert math.isfinite(prob)
+
+
+def _both(text, profiles, oracle):
+    """(lang, prob) from the table detector and from the counts oracle, or both TextTooShort."""
+    results = []
+    for detect, model in ((detect_language, profiles), (oracle_detect_language, oracle)):
+        try:
+            results.append(detect(text, model))
+        except TextTooShort:
+            results.append(TextTooShort)
+    return results
+
+
+class TestAgainstOracle:
+    """The log tables give the counts detector's language and posterior bit for bit."""
+
+    ORACLE = oracle_profiles(seed_texts())
+
+    def test_seed_order_and_floors(self):
+        profiles = default_profiles()
+        assert list(profiles.logprobs) == list(self.ORACLE.counts)
+        vocab = self.ORACLE.vocabulary_size()
+        for lang, total in self.ORACLE.totals.items():
+            assert profiles.unseen[lang] == math.log(0.5 / (total + 0.5 * (vocab + 1)))
+
+    def test_seed_sentences(self):
+        lines = [line for text in seed_texts().values() for line in text.splitlines()]
+        assert len(lines) > 20
+        for line in lines:
+            table, oracle = _both(line, default_profiles(), self.ORACLE)
+            assert table == oracle, line
+
+    def test_fixture_corpus(self, fixture_corpus_path):
+        with open(fixture_corpus_path, encoding="utf-8") as handle:
+            texts = [json.loads(line)["text"] for line in handle if line.strip()]
+        assert texts
+        for text in texts:
+            table, oracle = _both(text, default_profiles(), self.ORACLE)
+            assert table == oracle, text
+
+
+_ALPHABET = (
+    "abcdefghijklmnopqrstuvwxyz ABCXYZ õäöüšž ÕÄÖÜŠŽ абвгдежзийклмнопрстуфхцчшщъыьэюя ЖЯ"
+    " 0123456789 .,;:!?-'\"()"
+)
+_WORDS = st.one_of(
+    st.text(alphabet=_ALPHABET, min_size=1, max_size=12),
+    st.sampled_from(["https://example.com/a?b=1", "www.delfi.ee", "HTTP://X.EE/ö", "42", "ß"]),
+)
+_TEXTS = st.lists(_WORDS, max_size=25).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TEXTS)
+def test_default_profiles_match_oracle(text):
+    table, oracle = _both(text, default_profiles(), TestAgainstOracle.ORACLE)
+    assert table == oracle
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(["zz", "et", "aa", "ru", "mm"]), _TEXTS, min_size=1),
+    _TEXTS,
+)
+def test_any_profiles_match_oracle(seeds, text):
+    table, oracle = _both(text, LanguageProfiles.from_texts(seeds), oracle_profiles(seeds))
+    assert table == oracle
