@@ -25,7 +25,6 @@ from typing import Dict, Iterator, Tuple
 
 from .errors import TextTooShort
 
-NGRAM_RANGE = (1, 2, 3)
 _SMOOTHING = 0.5
 
 _URL = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
@@ -44,14 +43,15 @@ def normalize(text: str) -> str:
 
 
 def iter_ngrams(normalized: str) -> Iterator[str]:
-    """All 1-3 grams of the space-padded words of already-normalized text."""
+    """All 1-3 grams of the space-padded words of already-normalized text: per
+    word, its characters, then the 2-grams and then the 3-grams of " word "."""
     for word in normalized.split():
         padded = f" {word} "
-        for n in NGRAM_RANGE:
-            for i in range(len(padded) - n + 1):
-                gram = padded[i : i + n]
-                if gram != " " * n:
-                    yield gram
+        yield from word
+        for i in range(len(padded) - 1):
+            yield padded[i : i + 2]
+        for i in range(len(padded) - 2):
+            yield padded[i : i + 3]
 
 
 @dataclass(frozen=True)

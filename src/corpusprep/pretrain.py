@@ -10,7 +10,8 @@ Tokens and masked labels are piece ids from encode to the serialized
 record; that tool keeps piece strings and looks each one up as it writes,
 which gives the same ids because a Vocab maps pieces to ids one to one.
 Random-next sampling may draw from any document, so the whole tokenized
-corpus is held in memory, as ids, while instances are generated.
+corpus is held in memory, as ids, while instances are generated; with more
+than one worker, so is at most one _POOL_WINDOW of generated instances.
 
 Two deliberate departures from that tool, both needed for reproducibility
 guarantees:
@@ -33,7 +34,7 @@ import os
 import random
 import re
 from contextlib import ExitStack
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, List, Sequence, Tuple, get_type_hints
 
 from .bpe import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, encode
@@ -103,10 +104,9 @@ class PretrainingInstance:
             raise ValueError("tokens must contain exactly two [SEP]")
         if len(self.segment_ids) != len(self.tokens):
             raise ValueError("segment_ids must align with tokens")
-        if any(s not in (0, 1) for s in self.segment_ids):
-            raise ValueError("segment_ids must be 0 or 1")
-        if any(a > b for a, b in zip(self.segment_ids, self.segment_ids[1:])):
-            raise ValueError("segment_ids must be non-decreasing")
+        zeros = self.segment_ids.count(0)
+        if tuple(self.segment_ids) != (0,) * zeros + (1,) * (len(self.segment_ids) - zeros):
+            raise ValueError("segment_ids must be zeros followed by ones")
         if len(self.masked_positions) != len(self.masked_labels):
             raise ValueError("masked_positions and masked_labels must align")
         if any(a >= b for a, b in zip(self.masked_positions, self.masked_positions[1:])):
@@ -187,16 +187,17 @@ def _instances_for_doc(
                     tokens_b.extend(current_chunk[j])
             if tokens_b:
                 _truncate_pair(tokens_a, tokens_b, max_num_tokens, rng)
-                tokens = (CLS_ID, *tokens_a, SEP_ID, *tokens_b, SEP_ID)
-                segment_ids = (0,) * (len(tokens_a) + 2) + (1,) * (len(tokens_b) + 1)
-                instance = PretrainingInstance(
-                    tokens=tokens,
-                    segment_ids=segment_ids,
-                    masked_positions=(),
-                    masked_labels=(),
-                    is_random_next=is_random_next,
+                tokens = [CLS_ID, *tokens_a, SEP_ID, *tokens_b, SEP_ID]
+                positions, labels = apply_masking(tokens, vocab, config, rng)
+                instances.append(
+                    PretrainingInstance(
+                        tokens=tuple(tokens),
+                        segment_ids=(0,) * (len(tokens_a) + 2) + (1,) * (len(tokens_b) + 1),
+                        masked_positions=positions,
+                        masked_labels=labels,
+                        is_random_next=is_random_next,
+                    )
                 )
-                instances.append(apply_masking(instance, vocab, config, rng))
             current_chunk = []
             current_length = 0
         i += 1
@@ -204,20 +205,17 @@ def _instances_for_doc(
 
 
 def apply_masking(
-    instance: PretrainingInstance,
-    vocab: Vocab,
-    config: GenerationConfig,
-    rng: random.Random,
-) -> PretrainingInstance:
-    """Mask non-special positions: 80% [MASK], 10% random piece, 10% kept."""
-    candidates = [idx for idx, token in enumerate(instance.tokens) if token >= len(SPECIALS)]
+    tokens: List[int], vocab: Vocab, config: GenerationConfig, rng: random.Random
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Mask non-special positions of tokens in place: 80% [MASK], 10% random
+    piece, 10% kept.  Returns the masked positions and their original ids."""
+    candidates = [idx for idx, token in enumerate(tokens) if token >= len(SPECIALS)]
     if not candidates:
         raise NoMaskableTokens("instance has no non-special tokens")
     budget = masked_budget(config.max_seq_length, config.masked_lm_prob)
     num = min(budget, max(1, round_half_up(config.masked_lm_prob * len(candidates))))
     positions = sorted(rng.sample(candidates, num))
 
-    tokens = list(instance.tokens)
     labels = []
     for pos in positions:
         labels.append(tokens[pos])
@@ -227,18 +225,18 @@ def apply_masking(
         elif roll < 0.9:
             tokens[pos] = rng.randint(len(SPECIALS), len(vocab) - 1)
         # else: token stays, label still recorded
-    return replace(
-        instance,
-        tokens=tuple(tokens),
-        masked_positions=tuple(positions),
-        masked_labels=tuple(labels),
-    )
+    return tuple(positions), tuple(labels)
 
 
 # --- parallel generation ---------------------------------------------------
 
 # set by _init_worker in pool workers only; the parent keeps no generation state
 _WORKER_STATE: dict = {}
+
+# (dupe, document) tasks given to the pool at a time: imap hands out all it gets at
+# once and the parent buffers each finished result until the writer takes it, so
+# unwindowed, the parent's peak memory grows with how far the workers run ahead
+_POOL_WINDOW = 64
 
 
 def _init_worker(docs, vocab, config):
@@ -274,8 +272,9 @@ def build_instances(
     with context.Pool(
         workers, initializer=_init_worker, initargs=(docs, vocab, config)
     ) as pool:
-        for batch in pool.imap(_run_task, tasks, chunksize=8):
-            yield from batch
+        for start in range(0, len(tasks), _POOL_WINDOW):
+            for batch in pool.imap(_run_task, tasks[start : start + _POOL_WINDOW], chunksize=8):
+                yield from batch
 
 
 # --- serialization ----------------------------------------------------------

@@ -5,8 +5,11 @@ vocabulary over all languages and takes one ``math.log`` per gram per
 language.  This is the detector ``corpusprep.langid`` shipped before its
 profiles became log-probability tables, kept only as the oracle that
 ``corpusprep.langid.detect_language`` must match language for language and
-bit for bit in the posterior.  It shares only ``normalize``, ``iter_ngrams``
-and the seed language order with ``corpusprep.langid``.
+bit for bit in the posterior.  Its gram stream is ``oracle_iter_ngrams``,
+the generator ``corpusprep.langid.iter_ngrams`` replaced, which slices every
+1-, 2- and 3-gram of each padded word and drops the all-space ones.  It
+shares only ``normalize`` and the seed language order with
+``corpusprep.langid``.
 """
 
 from __future__ import annotations
@@ -14,12 +17,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Tuple
 
 from corpusprep.errors import TextTooShort
-from corpusprep.langid import _SEED_LANGUAGES, iter_ngrams, normalize
+from corpusprep.langid import _SEED_LANGUAGES, normalize
 
 _SMOOTHING = 0.5
+
+
+def oracle_iter_ngrams(normalized: str) -> Iterator[str]:
+    """All 1-3 grams of the space-padded words, n by n, all-space grams dropped."""
+    for word in normalized.split():
+        padded = f" {word} "
+        for n in (1, 2, 3):
+            for i in range(len(padded) - n + 1):
+                gram = padded[i : i + n]
+                if gram != " " * n:
+                    yield gram
 
 
 @dataclass
@@ -32,7 +46,7 @@ class OracleProfiles:
     def train(self, lang: str, text: str) -> None:
         bucket = self.counts.setdefault(lang, {})
         total = 0
-        for gram in iter_ngrams(normalize(text)):
+        for gram in oracle_iter_ngrams(normalize(text)):
             bucket[gram] = bucket.get(gram, 0) + 1
             total += 1
         self.totals[lang] = self.totals.get(lang, 0) + total
@@ -68,7 +82,7 @@ def oracle_detect_language(text: str, profiles: OracleProfiles) -> Tuple[str, fl
     if not any(ch.isalpha() for ch in normalized):
         raise TextTooShort("no alphabetic content to identify")
 
-    grams = list(iter_ngrams(normalized))
+    grams = list(oracle_iter_ngrams(normalized))
     vocab = profiles.vocabulary_size()
     scores: dict[str, float] = {}
     log_prior = -math.log(len(profiles.counts))

@@ -9,7 +9,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from langid_oracle import oracle_detect_language, oracle_profiles, seed_texts
+from langid_oracle import oracle_detect_language, oracle_iter_ngrams, oracle_profiles, seed_texts
 
 from corpusprep.errors import TextTooShort
 from corpusprep.langid import (
@@ -233,3 +233,11 @@ def test_default_profiles_match_oracle(text):
 def test_any_profiles_match_oracle(seeds, text):
     table, oracle = _both(text, LanguageProfiles.from_texts(seeds), oracle_profiles(seeds))
     assert table == oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_TEXTS, st.text()))
+def test_ngrams_match_oracle(text):
+    # the same grams in the same order: scores are an ordered float sum
+    for normalized in (text, normalize(text)):
+        assert list(iter_ngrams(normalized)) == list(oracle_iter_ngrams(normalized))

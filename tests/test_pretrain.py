@@ -17,6 +17,7 @@ from corpusprep.bpe import CLS_ID, MASK_ID, SEP_ID, SPECIALS, Vocab
 from corpusprep.errors import CorpusTooSmall, CorruptRecord, IdOutOfRange, NoMaskableTokens
 from corpusprep.ingest import Document
 from corpusprep.pretrain import (
+    _POOL_WINDOW,
     FEATURE_ORDER,
     GenerationConfig,
     PretrainingInstance,
@@ -280,6 +281,30 @@ class TestInstanceInvariants:
                 is_random_next=False,
             )  # one [SEP]
 
+    # (0, 0, 2) and (0, 2, 2) are the (0, 2) case at the shortest length that
+    # passes the [CLS]/[SEP] checks
+    @pytest.mark.parametrize("segment_ids", [(0, 1, 0), (0, 0, 2), (0, 2, 2)])
+    def test_segments_not_zeros_then_ones_rejected(self, segment_ids):
+        with pytest.raises(ValueError, match="zeros followed by ones"):
+            PretrainingInstance(
+                tokens=(CLS_ID, SEP_ID, SEP_ID),
+                segment_ids=segment_ids,
+                masked_positions=(),
+                masked_labels=(),
+                is_random_next=False,
+            )
+
+    @pytest.mark.parametrize("segment_ids", [(1, 1, 1), (0, 0, 1)])
+    def test_segments_zeros_then_ones_accepted(self, segment_ids):
+        instance = PretrainingInstance(
+            tokens=(CLS_ID, SEP_ID, SEP_ID),
+            segment_ids=segment_ids,
+            masked_positions=(),
+            masked_labels=(),
+            is_random_next=False,
+        )
+        assert instance.segment_ids == segment_ids
+
     def test_stream_instances_satisfy_contract(self, mlm_stream):
         config = mlm_stream["config"]
         budget = masked_budget(config.max_seq_length, config.masked_lm_prob)
@@ -323,29 +348,23 @@ class TestMaskingDistribution:
 
     def test_masked_labels_record_original_tokens(self, synthetic_vocab):
         config = GenerationConfig(max_seq_length=16, seed=5, dupe_factor=1)
-        inst = PretrainingInstance(
-            # ▁p000 .. ▁p005, then ▁p009, the pieces after the five specials
-            tokens=(CLS_ID,) + tuple(5 + i for i in range(6)) + (SEP_ID, 5 + 9, SEP_ID),
-            segment_ids=(0,) * 8 + (1, 1),
-            masked_positions=(),
-            masked_labels=(),
-            is_random_next=False,
-        )
-        rng = random.Random(3)
-        masked = apply_masking(inst, synthetic_vocab, config, rng)
-        for pos, label in zip(masked.masked_positions, masked.masked_labels):
-            assert label == inst.tokens[pos]
+        # ▁p000 .. ▁p005, then ▁p009, the pieces after the five specials
+        original = [CLS_ID, *(5 + i for i in range(6)), SEP_ID, 5 + 9, SEP_ID]
+        tokens = list(original)
+        positions, labels = apply_masking(tokens, synthetic_vocab, config, random.Random(3))
+        assert isinstance(positions, tuple) and isinstance(labels, tuple)
+        assert positions and len(positions) == len(labels)
+        for pos, label in zip(positions, labels):
+            assert label == original[pos]
+        # masked in place; every other position keeps its token
+        assert tokens != original
+        assert all(t == original[k] for k, t in enumerate(tokens) if k not in positions)
 
     def test_no_maskable_tokens_rejected(self, synthetic_vocab):
-        inst = PretrainingInstance(
-            tokens=(CLS_ID, MASK_ID, SEP_ID, MASK_ID, SEP_ID),
-            segment_ids=(0, 0, 0, 1, 1),
-            masked_positions=(),
-            masked_labels=(),
-            is_random_next=False,
-        )
+        tokens = [CLS_ID, MASK_ID, SEP_ID, MASK_ID, SEP_ID]
         with pytest.raises(NoMaskableTokens):
-            apply_masking(inst, synthetic_vocab, GenerationConfig(), random.Random(0))
+            apply_masking(tokens, synthetic_vocab, GenerationConfig(), random.Random(0))
+        assert tokens == [CLS_ID, MASK_ID, SEP_ID, MASK_ID, SEP_ID]
 
     def test_random_replacements_never_special(self, mlm_stream):
         pieces = mlm_stream["vocab"].pieces
@@ -409,6 +428,16 @@ class TestBuildInstances:
     def test_worker_counts_agree(self, synthetic_docs, synthetic_vocab):
         config = GenerationConfig(max_seq_length=32, dupe_factor=2, seed=13)
         docs = synthetic_docs[:12]
+        serial = list(build_instances(docs, synthetic_vocab, config, workers=1))
+        two = list(build_instances(docs, synthetic_vocab, config, workers=2))
+        four = list(build_instances(docs, synthetic_vocab, config, workers=4))
+        assert serial == two == four
+
+    def test_worker_counts_agree_across_pool_windows(self, synthetic_docs, synthetic_vocab):
+        # 40 documents x dupe 3 = 120 tasks, more than one pool window
+        docs = synthetic_docs[:40]
+        config = GenerationConfig(max_seq_length=32, dupe_factor=3, seed=21)
+        assert config.dupe_factor * len(docs) > _POOL_WINDOW
         serial = list(build_instances(docs, synthetic_vocab, config, workers=1))
         two = list(build_instances(docs, synthetic_vocab, config, workers=2))
         four = list(build_instances(docs, synthetic_vocab, config, workers=4))
