@@ -3,8 +3,9 @@
 Synthesizes a few hundred documents with the usual defects baked in
 (markup, near-duplicates, other languages, too-short fragments), runs
 every stage, and prints the before/after statistics, the drop tally, and
-a handful of decoded pretraining examples.  Point --input at a real
-json-lines corpus to run on your own data instead.
+the piece ids of a handful of pretraining examples read back from the
+shards.  Point --input at a real json-lines corpus to run on your own
+data instead.
 
     python3 scripts/run_demo_pipeline.py --out-dir /tmp/demo
 """
@@ -16,10 +17,10 @@ import os
 import random
 import sys
 
-from corpusprep.config import PipelineConfig
+from corpusprep.config import GenerationConfig, PipelineConfig
 from corpusprep.ingest import json_line
 from corpusprep.pipeline import run_pipeline
-from corpusprep.pretrain import GenerationConfig, read_tfrecords
+from corpusprep.pretrain import read_tfrecords
 
 _WORDS = (
     "maja mets järv meri linn tänav kool laps õpetaja raamat sõna keel "
@@ -79,7 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument("--max-seq-length", type=int, default=64)
     parser.add_argument("--dupe-factor", type=int, default=2)
     parser.add_argument("--seed", type=int, default=12345)
-    parser.add_argument("--show", type=int, default=3, help="decoded examples to print")
+    parser.add_argument("--show", type=int, default=3, help="examples to print")
     args = parser.parse_args(argv)
 
     os.makedirs(args.out_dir, exist_ok=True)

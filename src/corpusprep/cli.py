@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import bpe, metrics
 from .config import (
-    FilterThresholds, GenerationConfig, PipelineConfig, numeric_fields, validate_config
+    FilterThresholds, GenerationConfig, PipelineConfig, bound_errors, numeric_fields,
+    validate_config,
 )
 from .errors import ConfigError, PipelineError, StageError
 from .ingest import (
@@ -132,6 +133,9 @@ def _cmd_truecase(args) -> int:
 
 
 def _cmd_bpe_train(args) -> int:
+    errors = bound_errors(PipelineConfig, vars(args))
+    if errors:
+        raise ValueError("; ".join(errors))
     vocab = bpe.train_bpe(read_documents(args.input, args.format), args.vocab_size)
     vocab.save(args.vocab, args.merges)
     print(f"trained {len(vocab)} pieces, {len(vocab.merges)} merges -> {args.vocab}")
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("bpe-train", _cmd_bpe_train, "learn a subword vocabulary", ["--format"])
     p.add_argument("input")
-    p.add_argument("--vocab-size", type=int, default=PipelineConfig.vocab_size)
+    _add_field_flags(p, PipelineConfig)  # --vocab-size
     p.add_argument("--vocab", default="vocab.txt")
     p.add_argument("--merges", default="merges.txt")
 

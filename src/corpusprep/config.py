@@ -5,17 +5,21 @@ blank lines and '#' comments.  Validation never stops at the first problem;
 every unknown section or key (with a closest-match suggestion), bad value,
 and out-of-range number is collected with its line number and raised
 together in one ConfigError.  Command-line overrides pass through the same
-schema checks as file entries.
+checks as file entries.
 
-The settings dataclasses live here.  Each numeric bound is declared once,
-beside its field's default; ``bound_errors`` checks it for the dataclasses,
-config files and command-line flags alike.
+The settings dataclasses live here.  One table, ``_KEYS``, maps each
+(section, key) to the dataclass field it fills; a key's kind is its field's
+default's type (bool, int, float, else a non-empty str; ``input.format``
+must also be one of FORMATS).  Each numeric bound is declared once, beside
+its field's default; ``bound_errors`` checks it for the dataclasses, config
+files and command-line flags alike.
 """
 
 from __future__ import annotations
 
 import difflib
 import re
+from collections import defaultdict
 from dataclasses import Field, dataclass, field, fields
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -117,36 +121,23 @@ def numeric_fields(cls) -> List[Field]:
     return [f for f in fields(cls) if type(f.default) in (int, float)]
 
 
-def _kinds(cls) -> Dict[str, str]:
-    return {f.name: type(f.default).__name__ for f in numeric_fields(cls)}
-
-
-# section -> key -> kind: str | int | float | bool | format
-_SCHEMA: Dict[str, Dict[str, str]] = {
-    "input": {"path": "str", "format": "format"},
-    "output": {"dir": "str", "report": "str"},
-    "stages": {stage: "bool" for stage in STAGE_ORDER},
-    "filter": {"target_lang": "str", **_kinds(FilterThresholds), "stopwords": "str"},
-    "truecase": {"lexicon": "str"},
-    "vocab": {"vocab_size": "int"},
-    "examples": _kinds(GenerationConfig),
+# (section, key) -> (settings dataclass, field) it fills; the nested sections
+# name their keys as the fields, [filter] fills PipelineConfig too
+_KEYS: Dict[Tuple[str, str], Tuple[type, str]] = {
+    ("input", "path"): (PipelineConfig, "input_path"),
+    ("input", "format"): (PipelineConfig, "input_format"),
+    ("output", "dir"): (PipelineConfig, "out_dir"),
+    ("output", "report"): (PipelineConfig, "report_path"),
+    ("filter", "target_lang"): (PipelineConfig, "target_lang"),
+    ("filter", "stopwords"): (PipelineConfig, "stopwords_path"),
+    ("truecase", "lexicon"): (PipelineConfig, "truecase_lexicon_path"),
+    ("vocab", "vocab_size"): (PipelineConfig, "vocab_size"),
+    **{("stages", stage): (StageToggles, stage) for stage in STAGE_ORDER},
+    **{("filter", f.name): (FilterThresholds, f.name) for f in numeric_fields(FilterThresholds)},
+    **{("examples", f.name): (GenerationConfig, f.name) for f in numeric_fields(GenerationConfig)},
 }
-
-# section -> the nested dataclass it fills, keys named as fields; every
-# other section fills PipelineConfig through _FIELDS
-_NESTED = {"stages": StageToggles, "filter": FilterThresholds, "examples": GenerationConfig}
-
-# (section, key) -> PipelineConfig field; [filter] also fills FilterThresholds
-_FIELDS: Dict[Tuple[str, str], str] = {
-    ("input", "path"): "input_path",
-    ("input", "format"): "input_format",
-    ("output", "dir"): "out_dir",
-    ("output", "report"): "report_path",
-    ("filter", "target_lang"): "target_lang",
-    ("filter", "stopwords"): "stopwords_path",
-    ("truecase", "lexicon"): "truecase_lexicon_path",
-    ("vocab", "vocab_size"): "vocab_size",
-}
+_SECTIONS = sorted({section for section, _ in _KEYS})
+_ALL_KEYS = sorted({key for _, key in _KEYS})
 
 
 def _suggest(word: str, options: List[str]) -> str:
@@ -154,25 +145,20 @@ def _suggest(word: str, options: List[str]) -> str:
     return f" (did you mean {close[0]!r}?)" if close else ""
 
 
-def _convert(kind: str, raw: str) -> object:
-    if kind == "str":
-        return raw
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "bool":
-        lowered = raw.lower()
-        if lowered in _TRUE:
-            return True
-        if lowered in _FALSE:
-            return False
+def _convert(cls, name: str, raw: str) -> object:
+    """raw as its field's default's type: bool, int, float, or else a non-empty str."""
+    kind = type(cls.__dataclass_fields__[name].default)
+    if kind is bool:
+        if raw.lower() in _TRUE | _FALSE:
+            return raw.lower() in _TRUE
         raise ValueError(f"not a boolean: {raw!r}")
-    if kind == "format":
-        if raw not in FORMATS:
-            raise ValueError(f"must be one of {', '.join(FORMATS)}")
-        return raw
-    raise AssertionError(kind)
+    if kind in (int, float):
+        return kind(raw)
+    if not raw:
+        raise ValueError("must not be empty")
+    if name == "input_format" and raw not in FORMATS:
+        raise ValueError(f"must be one of {', '.join(FORMATS)}")
+    return raw
 
 
 def parse_config_text(
@@ -180,84 +166,72 @@ def parse_config_text(
 ) -> PipelineConfig:
     """Parse and validate; raises ConfigError carrying every diagnostic."""
     diagnostics: List[str] = []
-    values: Dict[Tuple[str, str], object] = {}
-    section: Optional[str] = None
-    all_keys = sorted({key for keys in _SCHEMA.values() for key in keys})
+    # (section, settings dataclass) -> field -> value
+    given: Dict[Tuple[str, type], Dict[str, object]] = defaultdict(dict)
 
+    def put(where: str, section: str, key: str, raw: str) -> None:
+        cls, name = _KEYS[section, key]
+        try:
+            given[section, cls][name] = _convert(cls, name, raw)
+        except ValueError as exc:
+            diagnostics.append(f"{where}: bad value for {key}: {exc}")
+
+    section: Optional[str] = None
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         header = _SECTION_RE.match(stripped)
         if header:
-            name = header.group(1).strip()
-            if name not in _SCHEMA:
+            section = header.group(1).strip()
+            if section not in _SECTIONS:
                 diagnostics.append(
-                    f"line {line_no}: unknown section [{name}]"
-                    + _suggest(name, list(_SCHEMA))
+                    f"line {line_no}: unknown section [{section}]" + _suggest(section, _SECTIONS)
                 )
                 section = None
-            else:
-                section = name
             continue
         if "=" not in stripped:
             diagnostics.append(f"line {line_no}: expected key = value, got {stripped!r}")
             continue
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        raw = raw.strip()
         if section is None:
             diagnostics.append(f"line {line_no}: key {key!r} outside any known section")
-            continue
-        if key not in _SCHEMA[section]:
-            pool = list(_SCHEMA[section]) + all_keys
+        elif (section, key) not in _KEYS:
+            pool = [k for s, k in _KEYS if s == section] + _ALL_KEYS
             diagnostics.append(
-                f"line {line_no}: unknown key {key!r} in [{section}]"
-                + _suggest(key, pool)
+                f"line {line_no}: unknown key {key!r} in [{section}]" + _suggest(key, pool)
             )
-            continue
-        kind = _SCHEMA[section][key]
-        try:
-            value = _convert(kind, raw)
-        except ValueError as exc:
-            diagnostics.append(f"line {line_no}: bad value for {key}: {exc}")
-            continue
-        values[(section, key)] = value
+        else:
+            put(f"line {line_no}", section, key, raw.strip())
 
-    for (section_name, key), raw in (overrides or {}).items():
-        if section_name not in _SCHEMA or key not in _SCHEMA[section_name]:
-            diagnostics.append(f"override: unknown key {section_name}.{key}")
-            continue
-        kind = _SCHEMA[section_name][key]
-        try:
-            values[(section_name, key)] = _convert(kind, str(raw))
-        except ValueError as exc:
-            diagnostics.append(f"override: bad value for {key}: {exc}")
+    for (section, key), raw in (overrides or {}).items():
+        if (section, key) in _KEYS:
+            put("override", section, key, str(raw))
+        else:
+            diagnostics.append(f"override: unknown key {section}.{key}")
 
-    # a bounded key is named as its field in the dataclass its section fills
-    for name in sorted(_SCHEMA):
-        given = {key: value for (section, key), value in values.items() if section == name}
-        diagnostics += bound_errors(_NESTED.get(name, PipelineConfig), given, name + ".")
+    # a bound's message is prefixed with its key's section; sorted by section, then field
+    diagnostics += sorted(
+        error for (section, cls), named in given.items()
+        for error in bound_errors(cls, named, section + ".")
+    )
 
-    if ("input", "path") not in values:
+    if "input_path" not in given["input", PipelineConfig]:
         diagnostics.append("missing required key: input.path")
 
     if diagnostics:
         raise ConfigError(diagnostics)
 
     # keys not given fall back to the dataclass defaults
-    top: Dict[str, object] = {}
-    nested: Dict[str, Dict[str, object]] = {name: {} for name in _NESTED}
-    for (section_name, key), value in values.items():
-        if (section_name, key) in _FIELDS:
-            top[_FIELDS[section_name, key]] = value
-        else:
-            nested[section_name][key] = value
+    settings: Dict[type, Dict[str, object]] = defaultdict(dict)
+    for (_, cls), named in given.items():
+        settings[cls].update(named)
     return PipelineConfig(
-        stages=StageToggles(**nested["stages"]),
-        thresholds=FilterThresholds(**nested["filter"]),
-        generation=GenerationConfig(**nested["examples"]),
-        **top,
+        stages=StageToggles(**settings[StageToggles]),
+        thresholds=FilterThresholds(**settings[FilterThresholds]),
+        generation=GenerationConfig(**settings[GenerationConfig]),
+        **settings[PipelineConfig],
     )
 
 

@@ -123,16 +123,18 @@ def read_lines(path: str) -> Iterator[Tuple[int, str]]:
 def open_output(path: str, binary: bool = False) -> Iterator[IO]:
     """The one writer: path appears, renamed from ``<path>.tmp``, when the block completes.
 
-    A symlink or a path that is not a regular file (a device, a FIFO) is
-    written in place.  Raises IoError naming path if it cannot be written.
+    A symlink's target is replaced the same way, so the link stays.  A path
+    that is not a regular file (a device, a FIFO) is written in place.
+    Raises IoError naming path if it cannot be written.
     """
-    in_place = os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path))
-    target = path if in_place else path + ".tmp"
+    real = os.path.realpath(path) if os.path.islink(path) else path
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = path if in_place else real + ".tmp"
     try:
         with open(target, "wb") if binary else open(target, "w", encoding="utf-8") as out:
             yield out
         if not in_place:
-            os.replace(target, path)
+            os.replace(target, real)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:

@@ -34,7 +34,7 @@ from .cleaning import (
     strip_markup,
 )
 from .config import FilterThresholds, GenerationConfig, PipelineConfig
-from .errors import PipelineError, StageError, TextTooShort
+from .errors import IoError, PipelineError, StageError, TextTooShort
 from .ingest import (
     CorpusStats, Document, json_line, open_output, read_documents, write_documents, write_jsonl
 )
@@ -225,7 +225,11 @@ def _clean_stream(
 
 def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
     """Execute enabled stages, write artifacts, and return the report."""
-    os.makedirs(config.out_dir, exist_ok=True)
+    with _stage("output"):
+        try:
+            os.makedirs(config.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot write {config.out_dir}: {exc.strerror or exc}") from exc
     cleaned_path = os.path.join(config.out_dir, "cleaned.jsonl")
     drops_path = os.path.join(config.out_dir, "drops.jsonl")
     report_path = config.report_path or os.path.join(config.out_dir, "report.jsonl")

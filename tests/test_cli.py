@@ -583,6 +583,46 @@ def test_input_may_be_its_own_output(case, capsys, tmp_path, fixture_corpus_path
     assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", "fresh.jsonl"]
 
 
+@pytest.mark.parametrize("case", sorted(IN_PLACE))
+def test_symlinked_input_may_be_its_own_output(case, capsys, tmp_path, fixture_corpus_path):
+    fresh, src, link = (str(tmp_path / name) for name in ("fresh.jsonl", "src.jsonl", "link.jsonl"))
+    shutil.copyfile(fixture_corpus_path, src)
+    os.symlink(src, link)
+    argv = IN_PLACE[case]
+    assert main([arg.format(src=fixture_corpus_path, dst=fresh) for arg in argv]) == 0
+    assert main([arg.format(src=link, dst=link) for arg in argv]) == 0
+    capsys.readouterr()
+    assert os.path.islink(link) and os.readlink(link) == src
+    with open(fresh, "rb") as a, open(src, "rb") as b:
+        assert a.read() == b.read()
+    assert sorted(os.listdir(tmp_path)) == ["fresh.jsonl", "link.jsonl", "src.jsonl"]
+
+
+def test_run_writes_through_a_symlinked_cleaned_file(capsys, tmp_path, fixture_corpus_path):
+    config = _write_config(tmp_path / "job.conf", fixture_corpus_path, tmp_path / "plain")
+    assert main(["run", "--config", config]) == 0
+    out_dir, target = tmp_path / "out", tmp_path / "target.jsonl"
+    os.makedirs(out_dir)
+    target.write_text("stale\n", encoding="utf-8")
+    (out_dir / "cleaned.jsonl").symlink_to(target)
+    assert main(["run", "--config", config, "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert (out_dir / "cleaned.jsonl").is_symlink()
+    assert target.read_bytes() == (tmp_path / "plain" / "cleaned.jsonl").read_bytes()
+    for name in os.listdir(tmp_path / "plain"):
+        if name != "report.jsonl":
+            assert (out_dir / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_run_out_dir_that_is_a_file_names_output_stage(capsys, tmp_path, fixture_corpus_path):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n", encoding="utf-8")
+    config = _write_config(tmp_path / "job.conf", fixture_corpus_path, afile)
+    assert main(["run", "--config", config]) == 2
+    assert capsys.readouterr().err.startswith(f"stage output failed: cannot write {afile}: ")
+    assert afile.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_failed_rerun_leaves_no_report_or_empty_shard(capsys, tmp_path, fixture_corpus_path):
     out_dir = tmp_path / "out"
     config = _write_config(tmp_path / "job.conf", fixture_corpus_path, out_dir)
@@ -702,6 +742,39 @@ def test_report_to_symlink_writes_its_target(capsys, tmp_path, fixture_corpus_pa
     assert _read_lines(target) == [
         {"type": "stats", "documents": 12, "sentences": 20, "words": 206}
     ]
+
+
+@pytest.mark.parametrize("size", ["0", "5"])
+def test_bpe_train_vocab_size_below_six_exits_1(size, capsys, tmp_path, fixture_corpus_path):
+    vocab, merges = str(tmp_path / "vocab.txt"), str(tmp_path / "merges.txt")
+    argv = ["bpe-train", fixture_corpus_path, "--vocab-size", size, "--vocab", vocab,
+            "--merges", merges]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"invalid value: vocab_size must be >= 6, got {size}\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_empty_config_values_and_report_flag_exit_1_together(capsys, tmp_path):
+    config = tmp_path / "job.conf"
+    config.write_text(
+        "[input]\npath =\n[output]\ndir =\nreport =\n[filter]\ntarget_lang =\n"
+        "stopwords =\n[truecase]\nlexicon =\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config), "--report", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"config error: line {n}: bad value for {key}: must not be empty"
+        for n, key in [(2, "path"), (4, "dir"), (5, "report"), (7, "target_lang"),
+                       (8, "stopwords"), (10, "lexicon")]
+    ] + [
+        "config error: override: bad value for report: must not be empty",
+        "config error: missing required key: input.path",
+    ]
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["job.conf"]
 
 
 class TestReadExamplesErrors:

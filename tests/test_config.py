@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
+
 import pytest
 
 from corpusprep.config import (
+    _KEYS,
     STAGE_ORDER,
     FilterThresholds,
     GenerationConfig,
@@ -287,6 +290,60 @@ class TestOverrides:
         with pytest.raises(ConfigError) as exc:
             parse_config_text(MINIMAL, {("examples", "shards"): "0"})
         assert any("examples.shards must be in [1, 512]" in d for d in exc.value.diagnostics)
+
+
+SETTINGS = (StageToggles, FilterThresholds, GenerationConfig, PipelineConfig)
+
+# settings dataclass -> where a parsed PipelineConfig keeps it
+PLACE = {
+    StageToggles: lambda config: config.stages,
+    FilterThresholds: lambda config: config.thresholds,
+    GenerationConfig: lambda config: config.generation,
+    PipelineConfig: lambda config: config,
+}
+
+
+class TestKeyTable:
+    def test_each_settings_field_is_filled_by_exactly_one_key(self):
+        filled = list(_KEYS.values())
+        assert len(filled) == len(set(filled))
+        every = {
+            (cls, f.name) for cls in SETTINGS for f in fields(cls) if not is_dataclass(f.default)
+        }
+        # the stopword list is read from the file that filter.stopwords names
+        assert every - set(filled) == {(FilterThresholds, "stopwords")}
+        assert set(filled) <= every
+
+    @pytest.mark.parametrize("section, key", sorted(_KEYS))
+    def test_each_key_fills_its_field(self, section, key):
+        cls, name = _KEYS[section, key]
+        default = next(f.default for f in fields(cls) if f.name == name)
+        value = {
+            bool: lambda: not default,
+            int: lambda: default + 1,
+            float: lambda: default / 2,
+        }.get(type(default), lambda: "vert-xml" if key == "format" else "given")()
+        text = f"[input]\npath = x\n[{section}]\n{key} = {value}\n"
+        assert getattr(PLACE[cls](parse_config_text(text)), name) == value
+
+    def test_filter_bound_after_a_pipeline_key_is_reported(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("[input]\npath = x\n[filter]\ntarget_lang = et\nmin_words = 0\n")
+        assert exc.value.diagnostics == ["filter.min_words must be >= 1, got 0"]
+
+    def test_empty_string_values_rejected_with_every_diagnostic(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(
+                "[input]\npath = x\nformat =\n[output]\ndir =\n[vocab]\nvocab_size =\n",
+                {("output", "report"): "", ("filter", "stopwords"): ""},
+            )
+        assert exc.value.diagnostics == [
+            "line 3: bad value for format: must not be empty",
+            "line 5: bad value for dir: must not be empty",
+            "line 7: bad value for vocab_size: invalid literal for int() with base 10: ''",
+            "override: bad value for report: must not be empty",
+            "override: bad value for stopwords: must not be empty",
+        ]
 
 
 class TestValidateConfig:
