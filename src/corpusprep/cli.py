@@ -44,10 +44,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _path(value: str) -> str:
+    if not value:  # as for an empty config value
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 # flags several subcommands take; each subcommand names the ones its handler reads
 _SHARED_FLAGS: Dict[str, dict] = {
     "--format": dict(choices=FORMATS, default=PipelineConfig.input_format, help="input format"),
-    "--report": dict(help="json-lines report path"),
+    "--report": dict(type=_path, help="json-lines report path"),
     "--workers": dict(type=int, default=1, help="parallel workers"),
 }
 
@@ -63,10 +69,6 @@ def _from_args(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in numeric_fields(cls)})
 
 
-def _print_stats(stats: CorpusStats) -> None:
-    print(f"documents {stats.documents}  sentences {stats.sentences}  words {stats.words}")
-
-
 def _write_report_lines(path: Optional[str], records: List[dict]) -> None:
     if path is not None:
         write_jsonl(records, path)
@@ -74,7 +76,7 @@ def _write_report_lines(path: Optional[str], records: List[dict]) -> None:
 
 def _cmd_stats(args) -> int:
     stats = compute_stats(read_documents(args.input, args.format))
-    _print_stats(stats)
+    print(f"documents {stats.documents}  sentences {stats.sentences}  words {stats.words}")
     _write_report_lines(args.report, [{"type": "stats", **stats.as_dict()}])
     return 0
 
@@ -110,7 +112,7 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    thresholds = with_stopwords(_from_args(FilterThresholds, args), args.stopwords or None)
+    thresholds = with_stopwords(_from_args(FilterThresholds, args), args.stopwords)
     stages = [] if args.no_language else ["langfilter"]
     if not args.no_heuristics:
         stages.append("heuristics")
@@ -123,7 +125,7 @@ def _cmd_filter(args) -> int:
 def _cmd_truecase(args) -> int:
     tally = CorpusStats()
     lexicon = truecase_file(
-        args.input, args.format, args.output, args.output_format, args.lexicon or None, tally
+        args.input, args.format, args.output, args.output_format, args.lexicon, tally
     )
     if args.save_lexicon:
         lexicon.save(args.save_lexicon)
@@ -270,32 +272,32 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "filter":
             p.add_argument("--target-lang", default=PipelineConfig.target_lang)
             _add_field_flags(p, FilterThresholds)
-            p.add_argument("--stopwords", help="stopword list path")
+            p.add_argument("--stopwords", type=_path, help="stopword list path")
             p.add_argument("--no-language", action="store_true")
             p.add_argument("--no-heuristics", action="store_true")
         if name == "truecase":
-            p.add_argument("--lexicon", help="casing lexicon TSV")
-            p.add_argument("--save-lexicon")
+            p.add_argument("--lexicon", type=_path, help="casing lexicon TSV")
+            p.add_argument("--save-lexicon", type=_path)
 
     p = add("bpe-train", _cmd_bpe_train, "learn a subword vocabulary", ["--format"])
     p.add_argument("input")
     _add_field_flags(p, PipelineConfig)  # --vocab-size
-    p.add_argument("--vocab", default="vocab.txt")
-    p.add_argument("--merges", default="merges.txt")
+    p.add_argument("--vocab", type=_path, default="vocab.txt")
+    p.add_argument("--merges", type=_path, default="merges.txt")
 
     p = add("bpe-encode", _cmd_bpe_encode, "encode text to piece ids")
     p.add_argument("text", nargs="*")
-    p.add_argument("--input", help="file of lines to encode")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--merges", required=True)
+    p.add_argument("--input", type=_path, help="file of lines to encode")
+    p.add_argument("--vocab", type=_path, required=True)
+    p.add_argument("--merges", type=_path, required=True)
     p.add_argument("--pieces", action="store_true", help="print pieces, not ids")
 
     shared = ["--format", "--workers"]
     p = add("make-examples", _cmd_make_examples, "generate MLM/NSP TFRecord shards", shared)
     p.add_argument("input")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--merges", required=True)
-    p.add_argument("--out-dir", default=PipelineConfig.out_dir)
+    p.add_argument("--vocab", type=_path, required=True)
+    p.add_argument("--merges", type=_path, required=True)
+    p.add_argument("--out-dir", type=_path, default=PipelineConfig.out_dir)
     _add_field_flags(p, GenerationConfig)
 
     p = add("read-examples", _cmd_read_examples, "decode shard files to json-lines")

@@ -136,13 +136,13 @@ _KEYS: Dict[Tuple[str, str], Tuple[type, str]] = {
     **{("filter", f.name): (FilterThresholds, f.name) for f in numeric_fields(FilterThresholds)},
     **{("examples", f.name): (GenerationConfig, f.name) for f in numeric_fields(GenerationConfig)},
 }
-_SECTIONS = sorted({section for section, _ in _KEYS})
-_ALL_KEYS = sorted({key for _, key in _KEYS})
+_SECTIONS = {section: section for section, _ in _KEYS}  # as _suggest's options
 
 
-def _suggest(word: str, options: List[str]) -> str:
-    close = difflib.get_close_matches(word, options, n=1, cutoff=0.6)
-    return f" (did you mean {close[0]!r}?)" if close else ""
+def _suggest(word: str, options: Dict[str, str]) -> str:
+    """A hint naming the option closest to word, as options maps it for display."""
+    close = difflib.get_close_matches(word, list(options), n=1, cutoff=0.6)
+    return f" (did you mean {options[close[0]]!r}?)" if close else ""
 
 
 def _convert(cls, name: str, raw: str) -> object:
@@ -198,7 +198,9 @@ def parse_config_text(
         if section is None:
             diagnostics.append(f"line {line_no}: key {key!r} outside any known section")
         elif (section, key) not in _KEYS:
-            pool = [k for s, k in _KEYS if s == section] + _ALL_KEYS
+            # the section's own keys bare, another section's keys named with it
+            pool = {k: f"{s}.{k}" for s, k in _KEYS if s != section}
+            pool.update((k, k) for s, k in _KEYS if s == section)
             diagnostics.append(
                 f"line {line_no}: unknown key {key!r} in [{section}]" + _suggest(key, pool)
             )

@@ -39,7 +39,9 @@ from .ingest import (
     CorpusStats, Document, json_line, open_output, read_documents, write_documents, write_jsonl
 )
 from .langid import default_profiles, detect_language
-from .pretrain import build_instances, serialize_example, tokenize_documents, write_tfrecords
+from .pretrain import (
+    build_instances, encode_record, serialize_example, tokenize_documents, write_tfrecords
+)
 from .truecase import CasingLexicon, build_casing_lexicon, truecase
 
 
@@ -124,11 +126,13 @@ def with_stopwords(thresholds: FilterThresholds, path: Optional[str]) -> FilterT
 def write_examples(
     docs: Iterable[Document], vocab: Vocab, generation: GenerationConfig, out_dir: str, workers: int
 ) -> Tuple[List[str], int]:
-    """Tokenize, build and serialize instances into shards; (paths, count)."""
+    """Tokenize, build and frame instances, each where it is built, into shards; (paths, count)."""
     tokenized = tokenize_documents(docs, vocab)
-    instances = build_instances(tokenized, vocab, generation, workers=workers)
-    examples = (serialize_example(inst, vocab, generation) for inst in instances)
-    return write_tfrecords(examples, out_dir, generation.shards)
+    records = build_instances(
+        tokenized, vocab, generation, workers,
+        lambda instance: encode_record(serialize_example(instance, vocab, generation)),
+    )
+    return write_tfrecords(records, out_dir, generation.shards)
 
 
 def truecase_file(

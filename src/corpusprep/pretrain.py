@@ -11,7 +11,7 @@ record; that tool keeps piece strings and looks each one up as it writes,
 which gives the same ids because a Vocab maps pieces to ids one to one.
 Random-next sampling may draw from any document, so the whole tokenized
 corpus is held in memory, as ids, while instances are generated; with more
-than one worker, so is at most one _POOL_WINDOW of generated instances.
+than one worker, so is at most one _POOL_WINDOW of finished instances.
 
 Two deliberate departures from that tool, both needed for reproducibility
 guarantees:
@@ -33,9 +33,10 @@ import multiprocessing
 import os
 import random
 import re
+from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, List, Sequence, Tuple, get_type_hints
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, get_type_hints
 
 from .bpe import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, encode
 from .config import GenerationConfig
@@ -230,21 +231,20 @@ def apply_masking(
 
 # --- parallel generation ---------------------------------------------------
 
-# set by _init_worker in pool workers only; the parent keeps no generation state
-_WORKER_STATE: dict = {}
+# (docs, vocab, config, finish), filled by the pool's initializer in workers only;
+# the parent keeps no generation state
+_WORKER_ARGS: list = []
 
-# (dupe, document) tasks given to the pool at a time: imap hands out all it gets at
-# once and the parent buffers each finished result until the writer takes it, so
-# unwindowed, the parent's peak memory grows with how far the workers run ahead
+# (dupe, document) tasks handed to the pool, 8 to a chunk, and not yet taken by the
+# writer: the parent buffers each finished result until the writer takes it, so
+# unbounded, the parent's peak memory grows with how far the workers run ahead
 _POOL_WINDOW = 64
 
 
-def _init_worker(docs, vocab, config):
-    _WORKER_STATE["args"] = (docs, vocab, config)
-
-
-def _run_task(task: Tuple[int, int]) -> List[PretrainingInstance]:
-    return _instances_for_doc(*_WORKER_STATE["args"], *task)
+def _run_tasks(chunk: List[Tuple[int, int]]) -> list:
+    docs, vocab, config, finish = _WORKER_ARGS
+    return [finish(instance) for task in chunk
+            for instance in _instances_for_doc(docs, vocab, config, *task)]
 
 
 def build_instances(
@@ -252,11 +252,13 @@ def build_instances(
     vocab: Vocab,
     config: GenerationConfig,
     workers: int = 1,
-) -> Iterator[PretrainingInstance]:
-    """Yield instances for every (dupe, document) pair in that fixed order.
+    finish: Callable[[PretrainingInstance], object] = lambda instance: instance,
+) -> Iterator:
+    """Yield finish(instance) for the instances of each (dupe, document) pair in turn.
 
     Randomness comes only from config.seed and the pair identity, so the
-    stream is identical for any worker count.
+    stream is identical for any worker count.  finish runs in the process that
+    built the instance; forked workers inherit it, and pickle its results and errors.
     """
     docs = [doc for doc in docs if doc.sentences]
     if len(docs) < 2:
@@ -265,16 +267,20 @@ def build_instances(
 
     if workers <= 1:
         for dupe, doc_index in tasks:
-            yield from _instances_for_doc(docs, vocab, config, dupe, doc_index)
+            yield from map(finish, _instances_for_doc(docs, vocab, config, dupe, doc_index))
         return
 
     context = multiprocessing.get_context("fork")
     with context.Pool(
-        workers, initializer=_init_worker, initargs=(docs, vocab, config)
+        workers, initializer=_WORKER_ARGS.extend, initargs=((docs, vocab, config, finish),)
     ) as pool:
-        for start in range(0, len(tasks), _POOL_WINDOW):
-            for batch in pool.imap(_run_task, tasks[start : start + _POOL_WINDOW], chunksize=8):
-                yield from batch
+        pending = deque()  # a sliding window of chunks, oldest first
+        for start in range(0, len(tasks), 8):
+            pending.append(pool.apply_async(_run_tasks, (tasks[start : start + 8],)))
+            if len(pending) == _POOL_WINDOW // 8:
+                yield from pending.popleft().get()
+        for result in pending:
+            yield from result.get()
 
 
 # --- serialization ----------------------------------------------------------
@@ -335,6 +341,11 @@ def example_payload(example: SerializedExample) -> bytes:
     return encode_example(features, FEATURE_ORDER)
 
 
+def encode_record(example: SerializedExample) -> bytes:
+    """The example's framed shard record: its payload behind length and CRCs."""
+    return frame_record(example_payload(example))
+
+
 _SHARD_NAME = re.compile(r"pretrain-(\d+)-of-\d+\.tfrecord")
 
 
@@ -344,10 +355,8 @@ def shard_paths(out_dir: str, shards: int) -> List[str]:
     ]
 
 
-def write_tfrecords(
-    examples: Iterable[SerializedExample], out_dir: str, shards: int
-) -> Tuple[List[str], int]:
-    """Distribute examples round-robin by arrival index over shard files; (paths, count).
+def write_tfrecords(records: Iterable[bytes], out_dir: str, shards: int) -> Tuple[List[str], int]:
+    """Write framed records round-robin by arrival index over shard files; (paths, count).
 
     Shard files of an earlier run with another shard count are removed
     first, so the pretrain-*.tfrecord glob matches only this run's shards.
@@ -366,8 +375,8 @@ def write_tfrecords(
     count = 0
     with ExitStack() as stack:
         handles = [stack.enter_context(open_output(path, binary=True)) for path in paths]
-        for count, example in enumerate(examples, start=1):
-            handles[(count - 1) % shards].write(frame_record(example_payload(example)))
+        for count, record in enumerate(records, start=1):
+            handles[(count - 1) % shards].write(record)
     return paths, count
 
 

@@ -35,6 +35,7 @@ from corpusprep.pretrain import (
     GenerationConfig,
     SerializedExample,
     build_instances,
+    encode_record,
     masked_budget,
     round_half_up,
     write_tfrecords,
@@ -351,7 +352,7 @@ def test_criterion_9_shard_arithmetic(tmp_path):
         )
         for i in range(10)
     ]
-    paths, count = write_tfrecords(iter(examples), str(tmp_path), 4)
+    paths, count = write_tfrecords(map(encode_record, examples), str(tmp_path), 4)
     assert count == 10
     assert [os.path.basename(path) for path in paths] == [
         f"pretrain-{i}-of-4.tfrecord" for i in range(4)

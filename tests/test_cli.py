@@ -777,6 +777,30 @@ def test_empty_config_values_and_report_flag_exit_1_together(capsys, tmp_path):
     assert os.listdir(tmp_path) == ["job.conf"]
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["filter", "in.jsonl", "out.jsonl", "--stopwords", ""], "--stopwords"),
+        (["truecase", "in.jsonl", "out.jsonl", "--lexicon", ""], "--lexicon"),
+        (["stats", "in.jsonl", "--report", ""], "--report"),
+        (["bpe-train", "in.jsonl", "--vocab", ""], "--vocab"),
+        (["make-examples", "in.jsonl", "--vocab", "v", "--merges", "m", "--out-dir", ""],
+         "--out-dir"),
+    ],
+)
+def test_empty_path_flag_exits_1_naming_it(command, flag, capsys, tmp_path, monkeypatch):
+    # an empty path is not "not given": the packaged stopwords or a lexicon
+    # built from lemmas would be used silently, and "" is no report file
+    monkeypatch.chdir(tmp_path)
+    row = {"id": "a", "text": ET_SENTENCE, "lemmas": ET_SENTENCE.split()}
+    _write_jsonl(tmp_path / "in.jsonl", [row])
+    assert main(command) == 1
+    captured = capsys.readouterr()
+    assert f"error: argument {flag}: must not be empty" in captured.err
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["in.jsonl"]
+
+
 class TestReadExamplesErrors:
     def test_missing_shard_exits_2_naming_it(self, capsys, tmp_path):
         shard = str(tmp_path / "absent.tfrecord")

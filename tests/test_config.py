@@ -129,6 +129,13 @@ class TestDiagnostics:
         assert "maxseq" in diag
         assert "did you mean 'max_seq_length'?" in diag
 
+    def test_unknown_key_names_the_section_of_another_sections_key(self):
+        diags = self._diags("[input]\npath = x\n[filter]\nformat = x\nmin_word = 3\n")
+        assert diags == [
+            "line 4: unknown key 'format' in [filter] (did you mean 'input.format'?)",
+            "line 5: unknown key 'min_word' in [filter] (did you mean 'min_words'?)",
+        ]
+
     def test_unknown_section_suggested(self):
         diags = self._diags("[input]\npath = x\n[exampels]\nshards = 2\n")
         assert any("unknown section [exampels]" in d and "examples" in d for d in diags)

@@ -6,6 +6,7 @@ import dataclasses
 import glob
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 from types import SimpleNamespace
@@ -13,11 +14,13 @@ from types import SimpleNamespace
 import codec_oracle
 import pytest
 
-from corpusprep.bpe import CLS_ID, MASK_ID, SEP_ID, SPECIALS, Vocab
+from corpusprep.bpe import CLS_ID, MASK_ID, SEP_ID, SPECIALS, Vocab, train_bpe
 from corpusprep.errors import CorpusTooSmall, CorruptRecord, IdOutOfRange, NoMaskableTokens
 from corpusprep.ingest import Document
+from corpusprep.pipeline import write_examples
 from corpusprep.pretrain import (
     _POOL_WINDOW,
+    _instances_for_doc,
     FEATURE_ORDER,
     GenerationConfig,
     PretrainingInstance,
@@ -25,6 +28,7 @@ from corpusprep.pretrain import (
     TokenizedDoc,
     apply_masking,
     build_instances,
+    encode_record,
     example_payload,
     masked_budget,
     read_tfrecords,
@@ -471,6 +475,62 @@ class TestBuildInstances:
         b = list(build_instances(docs, vocab, config))
         assert a == b
 
+    def test_finished_streams_agree_across_pool_windows(self, synthetic_docs, synthetic_vocab):
+        docs = synthetic_docs[:40]
+        config = GenerationConfig(max_seq_length=32, dupe_factor=3, seed=21)
+        assert config.dupe_factor * len(docs) > _POOL_WINDOW
+
+        def finish(instance):
+            return encode_record(serialize_example(instance, synthetic_vocab, config))
+
+        expected = [finish(inst) for inst in build_instances(docs, synthetic_vocab, config)]
+        for workers in (1, 2, 4):
+            assert list(build_instances(docs, synthetic_vocab, config, workers, finish)) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_finish_error_past_first_window_reaches_parent(
+        self, workers, synthetic_docs, synthetic_vocab
+    ):
+        docs = synthetic_docs[:40]
+        config = GenerationConfig(max_seq_length=32, dupe_factor=2, seed=21)
+        serial = list(build_instances(docs, synthetic_vocab, config))
+        tasks = [(dupe, index) for dupe in range(2) for index in range(len(docs))]
+        per_task = [len(_instances_for_doc(docs, synthetic_vocab, config, *t)) for t in tasks]
+        # the last instance comes from the last task, task 79, in the second pool window
+        assert len(tasks) > _POOL_WINDOW and per_task[-1] > 0 and sum(per_task) == len(serial)
+        assert serial.count(serial[-1]) == 1
+
+        def finish(instance):
+            if instance == serial[-1]:
+                raise IdOutOfRange("id 999 outside vocabulary of 505 pieces")
+            return instance
+
+        got = []
+        with pytest.raises(IdOutOfRange) as exc:
+            for instance in build_instances(docs, synthetic_vocab, config, workers, finish):
+                got.append(instance)
+        assert exc.type is IdOutOfRange
+        assert str(exc.value) == "id 999 outside vocabulary of 505 pieces"
+        # every instance of the first window reached the parent before the error
+        assert got == serial[: len(got)] and len(got) >= sum(per_task[:_POOL_WINDOW])
+        assert multiprocessing.active_children() == []
+
+    def test_write_examples_shards_agree_across_worker_counts(self, tmp_path, fixture_docs):
+        vocab = train_bpe(fixture_docs, 300)
+        config = GenerationConfig(max_seq_length=32, dupe_factor=8, shards=3, seed=5)
+        assert config.dupe_factor * len(fixture_docs) > _POOL_WINDOW
+        written = {}
+        for workers in (1, 2):
+            out_dir = str(tmp_path / f"workers-{workers}")
+            paths, count = write_examples(fixture_docs, vocab, config, out_dir, workers)
+            shards = []
+            for path in paths:
+                with open(path, "rb") as handle:
+                    shards.append((os.path.basename(path), handle.read()))
+            written[workers] = (count, shards)
+        assert written[1][0] > 0
+        assert written[2] == written[1]
+
 
 class TestTokenizeDocuments:
     def test_lines_become_sentences(self):
@@ -644,7 +704,7 @@ class TestSharding:
 
     def test_ten_examples_over_four_shards(self, tmp_path):
         examples = self._examples(10)
-        paths, _ = write_tfrecords(examples, str(tmp_path), shards=4)
+        paths, _ = write_tfrecords(map(encode_record, examples), str(tmp_path), shards=4)
         from corpusprep.tfrecord import read_framed
 
         counts = [sum(1 for _ in read_framed(p)) for p in paths]
@@ -664,12 +724,12 @@ class TestSharding:
 
     def test_write_read_round_trip_preserves_order(self, tmp_path):
         examples = self._examples(11)
-        paths, _ = write_tfrecords(examples, str(tmp_path), shards=3)
+        paths, _ = write_tfrecords(map(encode_record, examples), str(tmp_path), shards=3)
         assert list(read_tfrecords(paths)) == examples
 
     def test_single_shard_round_trip(self, tmp_path):
         examples = self._examples(5)
-        paths, _ = write_tfrecords(examples, str(tmp_path), shards=1)
+        paths, _ = write_tfrecords(map(encode_record, examples), str(tmp_path), shards=1)
         assert len(paths) == 1
         assert list(read_tfrecords(paths)) == examples
 
@@ -678,7 +738,7 @@ class TestSharding:
         examples = [
             dataclasses.replace(ex, masked_lm_ids=(k,)) for k, ex in enumerate(self._examples(30))
         ]
-        paths, _ = write_tfrecords(examples, str(tmp_path), shards=12)
+        paths, _ = write_tfrecords(map(encode_record, examples), str(tmp_path), shards=12)
         globbed = sorted(glob.glob(str(tmp_path / "pretrain-*.tfrecord")))
         assert globbed != paths
         assert list(read_tfrecords(globbed)) == list(read_tfrecords(paths)) == examples
@@ -715,7 +775,7 @@ class TestSharding:
                 features[name] = (kind, values if isinstance(values, tuple) else (values,))
             return codec_oracle.encode_example(features, FEATURE_ORDER)
 
-        paths, count = write_tfrecords(examples, str(tmp_path), shards=3)
+        paths, count = write_tfrecords(map(encode_record, examples), str(tmp_path), shards=3)
         assert count == 10
         for i, path in enumerate(paths):
             expected = b"".join(
@@ -727,7 +787,7 @@ class TestSharding:
 
     def test_creates_missing_output_directory(self, tmp_path):
         target = str(tmp_path / "uus" / "kaust")
-        paths, _ = write_tfrecords(self._examples(2), target, shards=2)
+        paths, _ = write_tfrecords(map(encode_record, self._examples(2)), target, shards=2)
         assert all(os.path.exists(p) for p in paths)
 
     def test_failure_mid_stream_leaves_no_shard(self, tmp_path):
@@ -736,7 +796,7 @@ class TestSharding:
             raise CorpusTooSmall("stream ended early")
 
         with pytest.raises(CorpusTooSmall):
-            write_tfrecords(failing(), str(tmp_path), shards=2)
+            write_tfrecords(map(encode_record, failing()), str(tmp_path), shards=2)
         assert os.listdir(tmp_path) == []
 
 
