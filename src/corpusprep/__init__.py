@@ -32,7 +32,6 @@ from .pretrain import (
     SerializedExample,
     apply_masking,
     build_instances,
-    encode_record,
     masked_budget,
     read_tfrecords,
     serialize_example,
@@ -69,7 +68,6 @@ __all__ = [
     "default_profiles",
     "detect_language",
     "encode",
-    "encode_record",
     "heuristic_filter",
     "load_stopwords",
     "masked_budget",

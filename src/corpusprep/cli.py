@@ -19,7 +19,7 @@ from .config import (
     FilterThresholds, GenerationConfig, PipelineConfig, bound_errors, numeric_fields,
     validate_config,
 )
-from .errors import ConfigError, PipelineError, StageError
+from .errors import ConfigError, MalformedRecord, PipelineError, StageError
 from .ingest import (
     FORMATS, CorpusStats, compute_stats, read_documents, read_lines, write_documents, write_jsonl
 )
@@ -202,15 +202,14 @@ def _cmd_score_ner(args) -> int:
 
 
 def _cmd_score_cls(args) -> int:
-    gold: List[str] = []
-    pred: List[str] = []
-    for _, line in read_lines(args.input):
+    pairs: List[List[str]] = []
+    for line_no, line in read_lines(args.input):
         if not line.strip():
             continue
-        parts = line.split("\t")
-        gold.append(parts[0])
-        pred.append(parts[1] if len(parts) > 1 else "")
-    accuracy = metrics.classification_accuracy(gold, pred)
+        pairs.append(line.split("\t"))
+        if len(pairs[-1]) != 2:
+            raise MalformedRecord(line_no, "expected gold<TAB>pred")
+    accuracy = metrics.classification_accuracy([g for g, _ in pairs], [p for _, p in pairs])
     print(f"accuracy: {100.0 * accuracy:.2f}%")
     _write_report_lines(args.report, [{"type": "classification", "accuracy": round(accuracy, 6)}])
     return 0

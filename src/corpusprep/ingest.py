@@ -79,10 +79,16 @@ class CorpusStats:
     sentences: int = 0
     words: int = 0
 
-    def add_document(self, doc: Document) -> None:
-        self.documents += 1
-        self.sentences += len(doc.sentences())
-        self.words += len(doc.text.split())
+    def add_document(self, doc: Document) -> "CorpusStats":
+        """Count doc in and return its counts, for add() to put in later tallies unsplit."""
+        counts = CorpusStats(1, len(doc.sentences()), len(doc.text.split()))
+        self.add(counts)
+        return counts
+
+    def add(self, counts: "CorpusStats") -> None:
+        self.documents += counts.documents
+        self.sentences += counts.sentences
+        self.words += counts.words
 
     def __le__(self, other: "CorpusStats") -> bool:
         return (

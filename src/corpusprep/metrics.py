@@ -10,6 +10,7 @@ F1 are micro-averaged percentages, reported overall and per type.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -118,9 +119,9 @@ def ner_span_f1(
 ) -> SpanF1Report:
     """Micro P/R/F1 over exact (type, boundaries) span matches."""
     _check_alignment(gold, pred)
-    gold_count: Dict[str, int] = {}
-    pred_count: Dict[str, int] = {}
-    correct_count: Dict[str, int] = {}
+    gold_count: Counter = Counter()
+    pred_count: Counter = Counter()
+    correct_count: Counter = Counter()
     tokens = 0
     tokens_correct = 0
     for gold_tags, pred_tags in zip(gold, pred):
@@ -128,21 +129,13 @@ def ner_span_f1(
         pred_spans = extract_spans(pred_tags)
         tokens += len(gold_tags)
         tokens_correct += sum(1 for a, b in zip(gold_tags, pred_tags) if a == b)
-        for span in gold_spans:
-            gold_count[span[0]] = gold_count.get(span[0], 0) + 1
-        for span in pred_spans:
-            pred_count[span[0]] = pred_count.get(span[0], 0) + 1
-        for span in gold_spans & pred_spans:
-            correct_count[span[0]] = correct_count.get(span[0], 0) + 1
+        gold_count.update(span[0] for span in gold_spans)
+        pred_count.update(span[0] for span in pred_spans)
+        correct_count.update(span[0] for span in gold_spans & pred_spans)
 
-    types = sorted(set(gold_count) | set(pred_count))
     by_type = {
-        t: TypeScore(
-            gold=gold_count.get(t, 0),
-            predicted=pred_count.get(t, 0),
-            correct=correct_count.get(t, 0),
-        )
-        for t in types
+        t: TypeScore(gold=gold_count[t], predicted=pred_count[t], correct=correct_count[t])
+        for t in sorted(set(gold_count) | set(pred_count))
     }
     overall = TypeScore(
         gold=sum(gold_count.values()),

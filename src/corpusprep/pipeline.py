@@ -39,9 +39,7 @@ from .ingest import (
     CorpusStats, Document, json_line, open_output, read_documents, write_documents, write_jsonl
 )
 from .langid import default_profiles, detect_language
-from .pretrain import (
-    build_instances, encode_record, serialize_example, tokenize_documents, write_tfrecords
-)
+from .pretrain import build_instances, serialize_example, tokenize_documents, write_tfrecords
 from .truecase import CasingLexicon, build_casing_lexicon, truecase
 
 
@@ -130,7 +128,7 @@ def write_examples(
     tokenized = tokenize_documents(docs, vocab)
     records = build_instances(
         tokenized, vocab, generation, workers,
-        lambda instance: encode_record(serialize_example(instance, vocab, generation)),
+        lambda instance: serialize_example(instance, vocab, generation),
     )
     return write_tfrecords(records, out_dir, generation.shards)
 
@@ -172,7 +170,8 @@ def _clean_stream(
 
     Runs the named cleaning stages in canonical order, reports each dropped
     document to on_drop(doc, stage, reason) and adds every stage's output
-    to tallies[stage].
+    to tallies[stage].  A document is counted at ingest and after strip;
+    the later stages pass it on unchanged and add those counts.
     """
     profiles = default_profiles() if "langfilter" in stages else None
     seen_digests: set = set()
@@ -182,7 +181,7 @@ def _clean_stream(
             doc = next(reader, None)
         if doc is None:
             return
-        tallies["ingest"].add_document(doc)
+        counts = tallies["ingest"].add_document(doc)
 
         if "strip" in stages:
             with _stage("strip"):
@@ -192,7 +191,7 @@ def _clean_stream(
             if lemmas is not None and len(lemmas) != len(text.split()):
                 lemmas = None
             doc = Document(id=doc.id, text=text, lang_tag=doc.lang_tag, lemmas=lemmas)
-            tallies["strip"].add_document(doc)
+            counts = tallies["strip"].add_document(doc)
 
         if "langfilter" in stages:
             if doc.lang_tag != target_lang:
@@ -207,7 +206,7 @@ def _clean_stream(
                         DropReason(NON_TARGET_LANGUAGE, {"lang": lang, "prob": round(prob, 6)}),
                     )
                     continue
-            tallies["langfilter"].add_document(doc)
+            tallies["langfilter"].add(counts)
 
         if "dedup" in stages:
             digest = dedup_key(doc.text)
@@ -215,14 +214,14 @@ def _clean_stream(
                 on_drop(doc, "dedup", DropReason(DUPLICATE, digest.hex()))
                 continue
             seen_digests.add(digest)
-            tallies["dedup"].add_document(doc)
+            tallies["dedup"].add(counts)
 
         if "heuristics" in stages:
             reason = heuristic_filter(doc, thresholds)
             if reason is not None:
                 on_drop(doc, "heuristics", reason)
                 continue
-            tallies["heuristics"].add_document(doc)
+            tallies["heuristics"].add(counts)
 
         yield doc
 

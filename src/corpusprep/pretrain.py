@@ -6,9 +6,11 @@ A and segment B, B is either the document's continuation or sentences from a
 random other document, the pair is truncated to fit and 15% of the
 non-special tokens are masked 80/10/10.
 
-Tokens and masked labels are piece ids from encode to the serialized
-record; that tool keeps piece strings and looks each one up as it writes,
-which gives the same ids because a Vocab maps pieces to ids one to one.
+Tokens and masked labels are piece ids from encode to the record; that
+tool keeps piece strings and looks each one up as it writes, which gives the
+same ids because a Vocab maps pieces to ids one to one.  example_payload
+encodes an instance straight to payload bytes, padding as it encodes, and
+serialize_example frames them; SerializedExample is what read_tfrecords returns.
 Random-next sampling may draw from any document, so the whole tokenized
 corpus is held in memory, as ids, while instances are generated; with more
 than one worker, so is at most one _POOL_WINDOW of finished instances.
@@ -42,7 +44,7 @@ from .bpe import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, encode
 from .config import GenerationConfig
 from .errors import CorpusTooSmall, CorruptRecord, IdOutOfRange, IoError, NoMaskableTokens
 from .ingest import Document, open_output
-from .tfrecord import encode_example, frame_record, parse_example, read_framed
+from .tfrecord import example_writer, frame_record, parse_example, read_framed
 
 
 def masked_budget(max_seq_length: int, masked_lm_prob: float) -> int:
@@ -304,12 +306,11 @@ FEATURE_ORDER = tuple(field.name for field in fields(SerializedExample))
 _TYPES = get_type_hints(SerializedExample)  # feature name -> field type
 # feature name -> "float" or "int64", the list kind of its Feature message
 _KINDS = {name: "float" if _TYPES[name] == Tuple[float, ...] else "int64" for name in FEATURE_ORDER}
+_WRITE_EXAMPLE = example_writer([(name, _KINDS[name]) for name in FEATURE_ORDER])
 
 
-def serialize_example(
-    instance: PretrainingInstance, vocab: Vocab, config: GenerationConfig
-) -> SerializedExample:
-    """Pad every list of the instance to its fixed length."""
+def example_payload(instance: PretrainingInstance, vocab: Vocab, config: GenerationConfig) -> bytes:
+    """The instance's Example payload, every list padded to its fixed length."""
     length = config.max_seq_length
     budget = masked_budget(length, config.masked_lm_prob)
     ids = tuple(instance.tokens)
@@ -322,28 +323,22 @@ def serialize_example(
     mask_pad = budget - len(instance.masked_positions)
     if mask_pad < 0:
         raise ValueError(f"{len(instance.masked_positions)} masked positions exceed {budget}")
-    return SerializedExample(
-        input_ids=ids + (PAD_ID,) * pad,
-        input_mask=(1,) * len(ids) + (0,) * pad,
-        segment_ids=tuple(instance.segment_ids) + (0,) * pad,
-        masked_lm_positions=tuple(instance.masked_positions) + (0,) * mask_pad,
-        masked_lm_ids=tuple(instance.masked_labels) + (0,) * mask_pad,
-        masked_lm_weights=(1.0,) * len(instance.masked_positions) + (0.0,) * mask_pad,
-        next_sentence_labels=1 if instance.is_random_next else 0,
+    return _WRITE_EXAMPLE(  # the features in FEATURE_ORDER
+        ids + (PAD_ID,) * pad,
+        (1,) * len(ids) + (0,) * pad,
+        tuple(instance.segment_ids) + (0,) * pad,
+        tuple(instance.masked_positions) + (0,) * mask_pad,
+        tuple(instance.masked_labels) + (0,) * mask_pad,
+        (1.0,) * len(instance.masked_positions) + (0.0,) * mask_pad,
+        (1 if instance.is_random_next else 0,),
     )
 
 
-def example_payload(example: SerializedExample) -> bytes:
-    features = {}
-    for name in FEATURE_ORDER:
-        values = getattr(example, name)
-        features[name] = (_KINDS[name], (values,) if _TYPES[name] is int else values)
-    return encode_example(features, FEATURE_ORDER)
-
-
-def encode_record(example: SerializedExample) -> bytes:
-    """The example's framed shard record: its payload behind length and CRCs."""
-    return frame_record(example_payload(example))
+def serialize_example(
+    instance: PretrainingInstance, vocab: Vocab, config: GenerationConfig
+) -> bytes:
+    """The instance's framed shard record: its payload behind length and CRCs."""
+    return frame_record(example_payload(instance, vocab, config))
 
 
 _SHARD_NAME = re.compile(r"pretrain-(\d+)-of-\d+\.tfrecord")

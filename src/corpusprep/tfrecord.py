@@ -8,12 +8,15 @@ payload.  CRC32C uses the Castagnoli polynomial; the mask is
 Payloads are hand-rolled protocol-buffer messages: Example (field 1 =
 Features), Features (field 1 = repeated map entry of name string to
 Feature), Feature (field 2 = FloatList, field 3 = Int64List, both packed on
-write).  Int64 values are written as plain varints, so a negative value or
-one above 2^63 - 1 is rejected with ValueError.  The reader is one field
-iterator, _fields, that every message level loops over, keeping the fields it
-knows and passing over the rest; it rejects a varint, length-delimited,
-fixed64 or fixed32 field that runs past the end of its message, and a varint
-of more than 64 bits.  It accepts packed and unpacked list encodings.
+write).  The writer, example_writer, takes the schema (feature names and
+kinds, in wire order) once, encoding each name's key field then, and returns
+an encoder of each record's value lists in that order.  Int64 values are
+plain varints, so a negative value or one above 2^63 - 1 raises ValueError.
+The reader is one field iterator, _fields, that every message level loops
+over, keeping the fields it knows and passing over the rest; it rejects a
+varint, length-delimited, fixed64 or fixed32 field that runs past the end of
+its message, and a varint of more than 64 bits.  It accepts packed and
+unpacked list encodings.
 
 The codec's hot loops have fast paths that give the same bytes and values:
 CRC32C is slicing-by-8 (eight 256-entry tables, one 8-byte word per step);
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
 from .errors import CorruptRecord, IoError
 
@@ -112,16 +115,22 @@ def _encode_feature(kind: str, values: FeatureValue) -> bytes:
     raise ValueError(f"unsupported feature kind {kind!r}")
 
 
-def encode_example(features: FeatureDict, order: Sequence[str]) -> bytes:
-    """Serialize name -> typed list as a tf.train.Example, fields in `order`."""
-    entries = []
-    for name in order:
-        kind, values = features[name]
-        entry = _length_delimited(1, name.encode("utf-8")) + _length_delimited(
-            2, _encode_feature(kind, values)
-        )
-        entries.append(_length_delimited(1, entry))
-    return _length_delimited(1, b"".join(entries))
+def example_writer(schema: Sequence[Tuple[str, str]]) -> Callable[..., bytes]:
+    """The tf.train.Example encoder of these (feature name, kind) pairs, in wire order.
+
+    Each name's key field is encoded here, once.  The encoder takes one value
+    list per feature, in schema order, and returns the Example payload.
+    """
+    prepared = [(_length_delimited(1, name.encode("utf-8")), kind) for name, kind in schema]
+
+    def encode(*lists: FeatureValue) -> bytes:
+        entries = [
+            _length_delimited(1, name_field + _length_delimited(2, _encode_feature(kind, values)))
+            for (name_field, kind), values in zip(prepared, lists, strict=True)
+        ]
+        return _length_delimited(1, b"".join(entries))
+
+    return encode
 
 
 def _varint_at(data: bytes, pos: int) -> Tuple[int, int]:

@@ -3,9 +3,12 @@
 CRC32C runs one table lookup per byte, every int64 value is encoded by its
 own varint loop, and a packed int64 block is decoded one byte at a time.
 This is the codec ``corpusprep.tfrecord`` shipped before its fast paths,
-kept only as the oracle that ``crc32c``, ``encode_example``,
-``parse_example`` and ``frame_record`` must match byte for byte and value
-for value.  It shares no code with ``corpusprep.tfrecord``.
+kept only as the oracle that ``crc32c``, the encoders ``example_writer``
+returns, ``parse_example`` and ``frame_record`` must match byte for byte and
+value for value.  Its ``encode_example`` takes a name -> (kind, values) dict,
+the shape the writer no longer builds; tests that only need a payload build
+it here, and ``record_oracle`` builds whole shard records on it.  It shares no
+code with ``corpusprep.tfrecord``.
 """
 
 from __future__ import annotations

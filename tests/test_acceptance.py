@@ -18,8 +18,9 @@ from dataclasses import replace
 
 import pytest
 
+import codec_oracle
 from bpe_oracle import oracle_train_bpe
-from corpusprep.bpe import SPECIALS, decode, encode, train_bpe
+from corpusprep.bpe import SPECIALS, Vocab, decode, encode, train_bpe
 from corpusprep.config import PipelineConfig
 from corpusprep.errors import CorruptRecord
 from corpusprep.ingest import Document, read_documents
@@ -33,16 +34,16 @@ from corpusprep.metrics import (
 from corpusprep.pipeline import run_pipeline
 from corpusprep.pretrain import (
     GenerationConfig,
-    SerializedExample,
+    PretrainingInstance,
     build_instances,
-    encode_record,
     masked_budget,
     round_half_up,
+    serialize_example,
     write_tfrecords,
 )
 from corpusprep.tfrecord import (
     crc32c,
-    encode_example,
+    example_writer,
     frame_record,
     masked_crc32c,
     read_framed,
@@ -133,6 +134,7 @@ def test_criterion_4_tfrecord_bit_exactness(tmp_path):
     assert masked_crc32c(b"") == 0xA282EAD8  # the mask applied to a zero CRC
 
     rng = random.Random(20260817)
+    write = example_writer([("ids", "int64"), ("weights", "float"), ("label", "int64")])
     payloads = []
     for _ in range(1000):
         features = {
@@ -140,7 +142,8 @@ def test_criterion_4_tfrecord_bit_exactness(tmp_path):
             "weights": ("float", [rng.random() for _ in range(rng.randint(0, 8))]),
             "label": ("int64", [rng.randint(0, 1)]),
         }
-        payloads.append(encode_example(features, ["ids", "weights", "label"]))
+        payloads.append(write(*(values for _, values in features.values())))
+        assert payloads[-1] == codec_oracle.encode_example(features, list(features))
     path = str(tmp_path / "examples.tfrecord")
     with open(path, "wb") as handle:
         handle.write(b"".join(frame_record(p) for p in payloads))
@@ -340,19 +343,20 @@ def test_criterion_8_scorer_parity(data_dir):
 
 
 def test_criterion_9_shard_arithmetic(tmp_path):
-    examples = [
-        SerializedExample(
-            input_ids=(2, 5 + i, 3, 3),
-            input_mask=(1, 1, 1, 1),
+    vocab = Vocab(pieces=SPECIALS + tuple(f"▁w{k}" for k in range(10)), merges=())
+    config = GenerationConfig(max_seq_length=5, seed=1)
+    instances = [
+        PretrainingInstance(
+            tokens=(2, 5 + i, 3, 3),
             segment_ids=(0, 0, 0, 1),
-            masked_lm_positions=(1,),
-            masked_lm_ids=(5 + i,),
-            masked_lm_weights=(1.0,),
-            next_sentence_labels=i % 2,
+            masked_positions=(1,),
+            masked_labels=(5 + i,),
+            is_random_next=bool(i % 2),
         )
         for i in range(10)
     ]
-    paths, count = write_tfrecords(map(encode_record, examples), str(tmp_path), 4)
+    records = (serialize_example(instance, vocab, config) for instance in instances)
+    paths, count = write_tfrecords(records, str(tmp_path), 4)
     assert count == 10
     assert [os.path.basename(path) for path in paths] == [
         f"pretrain-{i}-of-4.tfrecord" for i in range(4)

@@ -286,6 +286,15 @@ class TestScorers:
         assert main(["score-cls", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "accuracy: 75.00%"
 
+    @pytest.mark.parametrize("line", ["pos", "pos\tneg\tneg", "pos neg"])
+    def test_score_cls_rejects_a_line_that_is_not_gold_tab_pred(self, capsys, tmp_path, line):
+        path = tmp_path / "cls.tsv"
+        path.write_text(f"pos\tpos\n\n{line}\nneg\tneg\n", encoding="utf-8")
+        assert main(["score-cls", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: MalformedRecord: line 3: expected gold<TAB>pred\n"
+
 
 def _write_config(path, input_path, out_dir) -> str:
     path.write_text(

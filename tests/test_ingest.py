@@ -49,6 +49,13 @@ class TestCorpusStats:
         stats.add_document(Document(id="b", text="kolmas."))
         assert stats.as_dict() == {"documents": 2, "sentences": 3, "words": 6}
 
+    def test_add_document_returns_its_counts_for_a_later_tally(self):
+        stats, later = CorpusStats(), CorpusStats(1, 1, 1)
+        counts = stats.add_document(Document(id="a", text="üks kaks.\nkolm."))
+        assert counts == stats == CorpusStats(1, 2, 3)
+        later.add(counts)
+        assert later == CorpusStats(2, 3, 4)
+
     def test_blank_lines_are_not_sentences(self):
         stats = CorpusStats()
         stats.add_document(Document(id="a", text="üks.\n\n  \nkaks."))

@@ -14,14 +14,15 @@ import hashlib
 import json
 import os
 import tracemalloc
+from collections import defaultdict
 
 import pytest
 
 from corpusprep.cleaning import strip_markup
-from corpusprep.config import STAGE_ORDER, PipelineConfig, StageToggles
+from corpusprep.config import STAGE_ORDER, FilterThresholds, PipelineConfig, StageToggles
 from corpusprep.errors import MalformedRecord, StageError
-from corpusprep.ingest import Document, read_documents
-from corpusprep.pipeline import PipelineReport, run_pipeline
+from corpusprep.ingest import CorpusStats, Document, compute_stats, read_documents
+from corpusprep.pipeline import PipelineReport, _clean_stream, run_pipeline
 from corpusprep.pretrain import GenerationConfig, read_tfrecords
 from corpusprep.truecase import CasingLexicon
 from dedup_stage import dedup
@@ -205,6 +206,27 @@ class TestDeterminism:
         out_b = str(tmp_path / "parallel")
         report_b = run_pipeline(_make_config(fixture_corpus_path, out_b), workers=3)
         assert _artifact_fingerprint(report_a, out_a) == _artifact_fingerprint(report_b, out_b)
+
+
+class TestCleanStreamTallies:
+    def test_each_document_is_split_at_ingest_and_after_strip_only(
+        self, monkeypatch, fixture_docs
+    ):
+        splits = []
+        sentences = Document.sentences
+        monkeypatch.setattr(Document, "sentences", lambda doc: splits.append(doc) or sentences(doc))
+        tallies = defaultdict(CorpusStats)
+        stages = ["strip", "langfilter", "dedup", "heuristics"]
+        stream = _clean_stream(
+            iter(fixture_docs), stages, FilterThresholds(), "et", lambda *drop: None, tallies
+        )
+        kept = list(stream)
+        # counted at ingest and after strip; the later stages add the counts after strip
+        assert len(splits) == 2 * len(fixture_docs)
+        monkeypatch.undo()
+        assert 0 < len(kept) < len(fixture_docs)
+        assert tallies["ingest"] == compute_stats(fixture_docs)
+        assert tallies["heuristics"] == compute_stats(kept)
 
 
 class TestStageToggles:

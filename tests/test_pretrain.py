@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import glob
 import hashlib
 import json
@@ -13,6 +14,9 @@ from types import SimpleNamespace
 
 import codec_oracle
 import pytest
+import record_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpusprep.bpe import CLS_ID, MASK_ID, SEP_ID, SPECIALS, Vocab, train_bpe
 from corpusprep.errors import CorpusTooSmall, CorruptRecord, IdOutOfRange, NoMaskableTokens
@@ -20,6 +24,7 @@ from corpusprep.ingest import Document
 from corpusprep.pipeline import write_examples
 from corpusprep.pretrain import (
     _POOL_WINDOW,
+    _decode_payload,
     _instances_for_doc,
     FEATURE_ORDER,
     GenerationConfig,
@@ -28,7 +33,6 @@ from corpusprep.pretrain import (
     TokenizedDoc,
     apply_masking,
     build_instances,
-    encode_record,
     example_payload,
     masked_budget,
     read_tfrecords,
@@ -38,9 +42,16 @@ from corpusprep.pretrain import (
     tokenize_documents,
     write_tfrecords,
 )
-from corpusprep.tfrecord import encode_example, frame_record, parse_example
+from corpusprep.tfrecord import frame_record, parse_example
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _read_back(record: bytes) -> SerializedExample:
+    """A framed record, decoded as read_tfrecords decodes each record of a shard."""
+    payload = record[12:-4]
+    assert frame_record(payload) == record
+    return _decode_payload(payload, "record", 0)
 
 
 class TestMaskedBudget:
@@ -232,7 +243,7 @@ class TestGoldenTrace:
     def test_serialized_examples_match_frozen_golden(self, golden, golden_setup):
         vocab, docs, config = golden_setup
         examples = [
-            serialize_example(inst, vocab, config)
+            _read_back(serialize_example(inst, vocab, config))
             for inst in build_instances(docs, vocab, config)
         ]
         assert len(examples) == len(golden["examples"])
@@ -481,7 +492,7 @@ class TestBuildInstances:
         assert config.dupe_factor * len(docs) > _POOL_WINDOW
 
         def finish(instance):
-            return encode_record(serialize_example(instance, synthetic_vocab, config))
+            return serialize_example(instance, synthetic_vocab, config)
 
         expected = [finish(inst) for inst in build_instances(docs, synthetic_vocab, config)]
         for workers in (1, 2, 4):
@@ -586,7 +597,8 @@ class TestSerialization:
 
     def test_padding_to_fixed_lengths(self):
         vocab, config, inst = self._tiny()
-        ex = serialize_example(inst, vocab, config)
+        ex = _read_back(serialize_example(inst, vocab, config))
+        assert ex == record_oracle.serialize(inst, vocab, config)
         assert len(ex.input_ids) == 8
         assert len(ex.input_mask) == 8
         assert len(ex.segment_ids) == 8
@@ -646,33 +658,31 @@ class TestSerialization:
 
     def test_payload_decodes_to_same_example(self):
         vocab, config, inst = self._tiny()
-        ex = serialize_example(inst, vocab, config)
-        from corpusprep.tfrecord import parse_example
-
-        parsed = parse_example(example_payload(ex))
+        ex = record_oracle.serialize(inst, vocab, config)
+        parsed = parse_example(example_payload(inst, vocab, config))
         assert parsed["input_ids"] == ("int64", list(ex.input_ids))
         assert parsed["next_sentence_labels"] == ("int64", [1])
 
     def test_payload_bytes_assembled_by_hand(self):
-        example = SerializedExample(
-            input_ids=(2, 300),
-            input_mask=(1, 1),
-            segment_ids=(0, 1),
-            masked_lm_positions=(1,),
-            masked_lm_ids=(300,),
-            masked_lm_weights=(1.0, 0.0),
-            next_sentence_labels=1,
+        vocab = Vocab(pieces=SPECIALS + tuple(f"▁w{k}" for k in range(300)), merges=())
+        config = GenerationConfig(max_seq_length=8, seed=1)  # masked budget 2
+        instance = PretrainingInstance(
+            tokens=(CLS_ID, 300, SEP_ID, 5, SEP_ID),
+            segment_ids=(0, 0, 0, 1, 1),
+            masked_positions=(1,),
+            masked_labels=(300,),
+            is_random_next=True,
         )
 
         def int64s(packed):  # Feature field 3: Int64List, its field 1 packed
             return _field(3, _field(1, packed))
 
         features = [
-            ("input_ids", int64s(b"\x02\xac\x02")),  # 300 is the varint ac 02
-            ("input_mask", int64s(b"\x01\x01")),
-            ("segment_ids", int64s(b"\x00\x01")),
-            ("masked_lm_positions", int64s(b"\x01")),
-            ("masked_lm_ids", int64s(b"\xac\x02")),
+            ("input_ids", int64s(b"\x02\xac\x02\x03\x05\x03" + bytes(3))),  # 300 is ac 02
+            ("input_mask", int64s(b"\x01" * 5 + bytes(3))),
+            ("segment_ids", int64s(b"\x00\x00\x00\x01\x01" + bytes(3))),
+            ("masked_lm_positions", int64s(b"\x01\x00")),
+            ("masked_lm_ids", int64s(b"\xac\x02\x00")),
             # Feature field 2: FloatList, 1.0 and 0.0 as little-endian float32
             ("masked_lm_weights", _field(2, _field(1, b"\x00\x00\x80\x3f" + bytes(4)))),
             ("next_sentence_labels", int64s(b"\x01")),
@@ -683,28 +693,36 @@ class TestSerialization:
         )
         assert 128 <= len(entries) < 2**14  # the Example's length is a two-byte varint
         expected = b"\x0a" + bytes([len(entries) & 0x7F | 0x80, len(entries) >> 7]) + entries
-        assert example_payload(example) == expected
+        assert example_payload(instance, vocab, config) == expected
+        assert serialize_example(instance, vocab, config) == frame_record(expected)
 
 
 class TestSharding:
-    def _examples(self, n, length=8):
-        vocab = Vocab(pieces=SPECIALS + ("▁a", "▁b"), merges=())
-        config = GenerationConfig(max_seq_length=length, seed=1)
-        out = []
-        for k in range(n):
-            inst = PretrainingInstance(
-                tokens=(CLS_ID, 5, SEP_ID, 6, SEP_ID),  # [CLS] ▁a [SEP] ▁b [SEP]
+    VOCAB = Vocab(pieces=SPECIALS + tuple(f"▁w{k}" for k in range(30)), merges=())
+    CONFIG = GenerationConfig(max_seq_length=8, seed=1)
+
+    def _instances(self, n):
+        return [
+            PretrainingInstance(
+                tokens=(CLS_ID, 5, SEP_ID, 6, SEP_ID),  # [CLS] ▁w0 [SEP] ▁w1 [SEP]
                 segment_ids=(0, 0, 0, 1, 1),
                 masked_positions=(1 + (k % 2) * 2,),
                 masked_labels=(5 if k % 2 == 0 else 6,),
                 is_random_next=bool(k % 2),
             )
-            out.append(serialize_example(inst, vocab, config))
-        return out
+            for k in range(n)
+        ]
+
+    def _records(self, instances):
+        return [serialize_example(inst, self.VOCAB, self.CONFIG) for inst in instances]
+
+    def _expected(self, instances):
+        """The oracle's examples: what reading the records back must give."""
+        return [record_oracle.serialize(inst, self.VOCAB, self.CONFIG) for inst in instances]
 
     def test_ten_examples_over_four_shards(self, tmp_path):
-        examples = self._examples(10)
-        paths, _ = write_tfrecords(map(encode_record, examples), str(tmp_path), shards=4)
+        records = self._records(self._instances(10))
+        paths, _ = write_tfrecords(records, str(tmp_path), shards=4)
         from corpusprep.tfrecord import read_framed
 
         counts = [sum(1 for _ in read_framed(p)) for p in paths]
@@ -723,25 +741,27 @@ class TestSharding:
         assert GenerationConfig().shards == 4
 
     def test_write_read_round_trip_preserves_order(self, tmp_path):
-        examples = self._examples(11)
-        paths, _ = write_tfrecords(map(encode_record, examples), str(tmp_path), shards=3)
-        assert list(read_tfrecords(paths)) == examples
+        instances = self._instances(11)
+        paths, _ = write_tfrecords(self._records(instances), str(tmp_path), shards=3)
+        assert list(read_tfrecords(paths)) == self._expected(instances)
 
     def test_single_shard_round_trip(self, tmp_path):
-        examples = self._examples(5)
-        paths, _ = write_tfrecords(map(encode_record, examples), str(tmp_path), shards=1)
+        instances = self._instances(5)
+        paths, _ = write_tfrecords(self._records(instances), str(tmp_path), shards=1)
         assert len(paths) == 1
-        assert list(read_tfrecords(paths)) == examples
+        assert list(read_tfrecords(paths)) == self._expected(instances)
 
     def test_sorted_glob_reads_in_arrival_order(self, tmp_path):
         # a sorted glob lists pretrain-10 and -11 before pretrain-2
-        examples = [
-            dataclasses.replace(ex, masked_lm_ids=(k,)) for k, ex in enumerate(self._examples(30))
+        instances = [
+            dataclasses.replace(inst, masked_labels=(k,))
+            for k, inst in enumerate(self._instances(30))
         ]
-        paths, _ = write_tfrecords(map(encode_record, examples), str(tmp_path), shards=12)
+        paths, _ = write_tfrecords(self._records(instances), str(tmp_path), shards=12)
         globbed = sorted(glob.glob(str(tmp_path / "pretrain-*.tfrecord")))
         assert globbed != paths
-        assert list(read_tfrecords(globbed)) == list(read_tfrecords(paths)) == examples
+        assert list(read_tfrecords(globbed)) == list(read_tfrecords(paths))
+        assert list(read_tfrecords(paths)) == self._expected(instances)
 
     def test_multi_byte_ids_match_oracle_frames(self, tmp_path):
         # 400 pieces and 160 positions: ids and masked positions past 127 take
@@ -750,36 +770,31 @@ class TestSharding:
         vocab = Vocab(pieces=pieces, merges=())
         config = GenerationConfig(max_seq_length=160, seed=1)
         rng = random.Random(11)
-        examples = []
+        instances = []
         for k in range(10):
             a, b = rng.randint(60, 100), rng.randint(30, 57)
             tokens = (CLS_ID, *rng.choices(range(300, 400), k=a), SEP_ID)
             tokens += (*rng.choices(range(len(SPECIALS), 400), k=b), SEP_ID)
             maskable = [i for i, t in enumerate(tokens) if t not in (CLS_ID, SEP_ID)]
             positions = tuple(sorted(rng.sample(maskable, min(len(maskable), 24))))
-            inst = PretrainingInstance(
-                tokens=tokens,
-                segment_ids=(0,) * (a + 2) + (1,) * (b + 1),
-                masked_positions=positions,
-                masked_labels=tuple(tokens[i] for i in positions),
-                is_random_next=bool(k % 2),
+            instances.append(
+                PretrainingInstance(
+                    tokens=tokens,
+                    segment_ids=(0,) * (a + 2) + (1,) * (b + 1),
+                    masked_positions=positions,
+                    masked_labels=tuple(tokens[i] for i in positions),
+                    is_random_next=bool(k % 2),
+                )
             )
-            examples.append(serialize_example(inst, vocab, config))
+        examples = [record_oracle.serialize(inst, vocab, config) for inst in instances]
         assert max(max(ex.masked_lm_positions) for ex in examples) >= 128
 
-        def oracle_payload(example):
-            features = {}
-            for name in FEATURE_ORDER:
-                values = getattr(example, name)
-                kind = "float" if name == "masked_lm_weights" else "int64"
-                features[name] = (kind, values if isinstance(values, tuple) else (values,))
-            return codec_oracle.encode_example(features, FEATURE_ORDER)
-
-        paths, count = write_tfrecords(map(encode_record, examples), str(tmp_path), shards=3)
+        records = [serialize_example(inst, vocab, config) for inst in instances]
+        paths, count = write_tfrecords(records, str(tmp_path), shards=3)
         assert count == 10
         for i, path in enumerate(paths):
             expected = b"".join(
-                codec_oracle.frame_record(oracle_payload(ex)) for ex in examples[i::3]
+                record_oracle.record(inst, vocab, config) for inst in instances[i::3]
             )
             with open(path, "rb") as handle:
                 assert handle.read() == expected
@@ -787,17 +802,71 @@ class TestSharding:
 
     def test_creates_missing_output_directory(self, tmp_path):
         target = str(tmp_path / "uus" / "kaust")
-        paths, _ = write_tfrecords(map(encode_record, self._examples(2)), target, shards=2)
+        paths, _ = write_tfrecords(self._records(self._instances(2)), target, shards=2)
         assert all(os.path.exists(p) for p in paths)
 
     def test_failure_mid_stream_leaves_no_shard(self, tmp_path):
         def failing():
-            yield from self._examples(5)
+            yield from self._records(self._instances(5))
             raise CorpusTooSmall("stream ended early")
 
         with pytest.raises(CorpusTooSmall):
-            write_tfrecords(map(encode_record, failing()), str(tmp_path), shards=2)
+            write_tfrecords(failing(), str(tmp_path), shards=2)
         assert os.listdir(tmp_path) == []
+
+
+# ids whose varints change width (1, 2 and 3 bytes), plus [UNK] and [MASK]
+_EDGE_IDS = (1, 4, 127, 128, 2**14 - 1, 2**14)
+
+
+@functools.lru_cache(maxsize=1)
+def _wide_vocab() -> Vocab:
+    return Vocab(pieces=SPECIALS + tuple(f"▁w{k}" for k in range(2**14 - 3)), merges=())
+
+
+def _random_instance(rng, length, budget, vocab_size, random_next):
+    """A valid instance of at most length tokens and at most budget masked positions."""
+
+    def ids(count):
+        wide = range(len(SPECIALS), vocab_size)
+        return [rng.choice(_EDGE_IDS if rng.random() < 0.5 else wide) for _ in range(count)]
+
+    total = rng.randint(2, length - 3)  # tokens of segments A and B together
+    a = rng.randint(1, total - 1)
+    tokens = (CLS_ID, *ids(a), SEP_ID, *ids(total - a), SEP_ID)
+    maskable = [i for i, t in enumerate(tokens) if t not in (CLS_ID, SEP_ID)]
+    positions = tuple(sorted(rng.sample(maskable, rng.randint(0, min(budget, len(maskable))))))
+    return PretrainingInstance(
+        tokens=tokens,
+        segment_ids=(0,) * (a + 2) + (1,) * (total - a + 1),
+        masked_positions=positions,
+        masked_labels=tuple(ids(len(positions))),
+        is_random_next=random_next,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    length=st.sampled_from([5, 8, 127, 128, 129, 160, 300]),
+    prob=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+    random_next=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(length=300, prob=0.0, random_next=False, seed=0)  # empty masked lists
+@example(length=300, prob=0.15, random_next=True, seed=1)
+def test_serialize_example_matches_record_oracle(length, prob, random_next, seed):
+    # lists longer than 128 take a two-byte length varint; ids and masked
+    # positions past 127 take multi-byte varints
+    vocab = _wide_vocab()
+    assert len(vocab) == 2**14 + 2
+    config = GenerationConfig(max_seq_length=length, masked_lm_prob=prob, seed=1)
+    budget = masked_budget(length, prob)
+    instance = _random_instance(random.Random(seed), length, budget, len(vocab), random_next)
+    expected = record_oracle.record(instance, vocab, config)
+    assert serialize_example(instance, vocab, config) == expected
+    example = _read_back(expected)
+    assert len(example.input_ids) == length and len(example.masked_lm_ids) == budget
+    assert example.next_sentence_labels == int(random_next)
 
 
 def _read_corrupt(tmp_path, payloads):
@@ -810,7 +879,7 @@ def _read_corrupt(tmp_path, payloads):
 
 
 def _valid_payload():
-    return example_payload(
+    return record_oracle.payload(
         SerializedExample(
             input_ids=(1, 2),
             input_mask=(1, 1),
@@ -826,21 +895,21 @@ def _valid_payload():
 class TestReadValidation:
     def test_unknown_feature_rejected(self, tmp_path):
         valid = _valid_payload()
-        payload = encode_example(
+        payload = codec_oracle.encode_example(
             {"mystery": ("int64", [1, 2])}, ["mystery"]
         )
         # the second record starts after the first one's 16 framing bytes
         assert _read_corrupt(tmp_path, [valid, payload]).offset == len(valid) + 16
 
     def test_missing_feature_rejected(self, tmp_path):
-        payload = encode_example({"input_ids": ("int64", [1])}, ["input_ids"])
+        payload = codec_oracle.encode_example({"input_ids": ("int64", [1])}, ["input_ids"])
         assert _read_corrupt(tmp_path, [payload]).offset == 0
 
     def test_wrong_kind_rejected(self, tmp_path):
         valid = _valid_payload()
         features = {name: ("int64", [0]) for name in FEATURE_ORDER}
         features["masked_lm_weights"] = ("int64", [1])  # must be float
-        payload = encode_example(features, FEATURE_ORDER)
+        payload = codec_oracle.encode_example(features, FEATURE_ORDER)
         assert _read_corrupt(tmp_path, [valid, payload]).offset == len(valid) + 16
 
 
@@ -905,7 +974,7 @@ class TestCorruptPayload:
         valid = _valid_payload()
         features = parse_example(valid)
         features["next_sentence_labels"] = ("int64", labels)
-        payload = encode_example(features, FEATURE_ORDER)
+        payload = codec_oracle.encode_example(features, FEATURE_ORDER)
         assert _read_corrupt(tmp_path, [valid, payload]).offset == len(valid) + 16
 
     def test_varint_past_64_bits(self, tmp_path):

@@ -17,7 +17,7 @@ from corpusprep import tfrecord
 from corpusprep.errors import CorruptRecord, IoError
 from corpusprep.tfrecord import (
     crc32c,
-    encode_example,
+    example_writer,
     frame_record,
     masked_crc32c,
     parse_example,
@@ -148,6 +148,12 @@ def test_varint_matches_reference_loop():
         assert tfrecord._varint(value) == codec_oracle.varint(value), value
 
 
+def write_features(features, order):
+    """features (name -> (kind, values)) through a writer prepared for their names and kinds."""
+    write = example_writer([(name, features[name][0]) for name in order])
+    return write(*(features[name][1] for name in order))
+
+
 class TestExampleEncoding:
     def test_round_trip_mixed_features(self):
         features = {
@@ -155,7 +161,7 @@ class TestExampleEncoding:
             "weights": ("float", [1.0, 0.0, 0.5]),
             "label": ("int64", [1]),
         }
-        payload = encode_example(features, ["ids", "weights", "label"])
+        payload = write_features(features, ["ids", "weights", "label"])
         parsed = parse_example(payload)
         assert parsed["ids"] == ("int64", [1, 2, 3, 300, 70000])
         assert parsed["label"] == ("int64", [1])
@@ -164,42 +170,56 @@ class TestExampleEncoding:
         assert weights == pytest.approx([1.0, 0.0, 0.5])
 
     def test_empty_lists_round_trip(self):
-        payload = encode_example({"ids": ("int64", [])}, ["ids"])
+        payload = write_features({"ids": ("int64", [])}, ["ids"])
         assert parse_example(payload)["ids"] == ("int64", [])
 
     def test_feature_order_changes_bytes_not_content(self):
         features = {"a": ("int64", [1]), "b": ("int64", [2])}
-        p1 = encode_example(features, ["a", "b"])
-        p2 = encode_example(features, ["b", "a"])
+        p1 = write_features(features, ["a", "b"])
+        p2 = write_features(features, ["b", "a"])
         assert p1 != p2
         assert parse_example(p1) == parse_example(p2)
 
     def test_unsupported_kind_rejected(self):
         with pytest.raises(ValueError):
-            encode_example({"x": ("bytes", [b"no"])}, ["x"])
+            write_features({"x": ("bytes", [b"no"])}, ["x"])
+
+    def test_one_writer_encodes_many_records(self):
+        write = example_writer([("ids", "int64"), ("w", "float")])
+        for ids, weights in [([1, 300], [0.5]), ([], []), ([2**14], [1.0, 0.0])]:
+            payload = write(ids, weights)
+            assert payload == codec_oracle.encode_example(
+                {"ids": ("int64", ids), "w": ("float", weights)}, ["ids", "w"]
+            )
+            assert parse_example(payload) == {"ids": ("int64", ids), "w": ("float", weights)}
+
+    @pytest.mark.parametrize("lists", [([1],), ([1], [0.5], [2])])
+    def test_value_lists_must_match_the_schema(self, lists):
+        with pytest.raises(ValueError):
+            example_writer([("ids", "int64"), ("w", "float")])(*lists)
 
     def test_negative_int64_rejected(self):
         # a plain varint of a negative value never ends (-1 >> 7 == -1), so an
         # interval timer turns a hang into a failure within two seconds
         def hang(signum, frame):
-            raise TimeoutError("encode_example did not return")
+            raise TimeoutError("the writer did not return")
 
         previous = signal.signal(signal.SIGALRM, hang)
         signal.setitimer(signal.ITIMER_REAL, 2.0)
         try:
             with pytest.raises(ValueError):
-                encode_example({"ids": ("int64", [3, -1])}, ["ids"])
+                write_features({"ids": ("int64", [3, -1])}, ["ids"])
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
 
     def test_int64_max_round_trips_and_past_it_rejected(self):
         top = 2**63 - 1
-        payload = encode_example({"ids": ("int64", [0, top])}, ["ids"])
+        payload = write_features({"ids": ("int64", [0, top])}, ["ids"])
         assert parse_example(payload) == {"ids": ("int64", [0, top])}
         for too_big in (2**63, 2**64, 2**70):
             with pytest.raises(ValueError):
-                encode_example({"ids": ("int64", [1, too_big])}, ["ids"])
+                write_features({"ids": ("int64", [1, too_big])}, ["ids"])
 
     def test_unpacked_int64_accepted(self):
         # wire-compatible unpacked encoding: repeated field 1, varint each
@@ -239,7 +259,7 @@ class TestExampleEncoding:
         assert values == pytest.approx([2.5, 2.5])
 
     def test_unknown_fields_of_every_wire_type_ignored(self):
-        payload = encode_example({"ids": ("int64", [5, 300])}, ["ids"])
+        payload = codec_oracle.encode_example({"ids": ("int64", [5, 300])}, ["ids"])
         # field 2 as a varint, fixed64, length-delimited and fixed32 field
         extra = b"\x10\x96\x01" + b"\x11" + bytes(8) + b"\x12\x02ab" + b"\x15" + bytes(4)
         assert parse_example(payload + extra) == parse_example(payload)
@@ -250,7 +270,7 @@ class TestExampleEncoding:
         ids=["fixed64", "fixed32", "length-delimited", "varint", "varint-missing"],
     )
     def test_truncated_trailing_field_rejected(self, tail):
-        payload = encode_example({"ids": ("int64", [5])}, ["ids"])
+        payload = codec_oracle.encode_example({"ids": ("int64", [5])}, ["ids"])
         with pytest.raises(ValueError):
             parse_example(payload + tail)
 
@@ -270,7 +290,7 @@ _rng_features = st.dictionaries(
 @given(_rng_features)
 def test_example_round_trip_property(features):
     order = sorted(features)
-    parsed = parse_example(encode_example(features, order))
+    parsed = parse_example(write_features(features, order))
     assert set(parsed) == set(features)
     for name, (kind, values) in features.items():
         got_kind, got_values = parsed[name]
@@ -290,7 +310,7 @@ def test_thousand_random_examples_round_trip(tmp_path):
             "ids": ("int64", [rng.randint(0, 50000) for _ in range(n)]),
             "w": ("float", [rng.random() for _ in range(rng.randint(0, 8))]),
         }
-        payloads.append(encode_example(features, ["ids", "w"]))
+        payloads.append(codec_oracle.encode_example(features, ["ids", "w"]))
     path = tmp_path / "big.tfrecord"
     path.write_bytes(b"".join(frame_record(p) for p in payloads))
     assert [payload for _, payload in read_framed(str(path))] == payloads
@@ -336,7 +356,7 @@ class TestCodecOracle:
     def test_encode_and_parse_int64_lists(self, lists):
         features = {name: ("int64", values) for name, values in lists.items()}
         order = sorted(features)
-        assert encode_example(features, order) == codec_oracle.encode_example(features, order)
+        assert write_features(features, order) == codec_oracle.encode_example(features, order)
         for packed in (True, False):
             payload = codec_oracle.encode_example(features, order, packed=packed)
             assert parse_example(payload) == features
