@@ -19,14 +19,17 @@ its message, and a varint of more than 64 bits.  It accepts packed and
 unpacked list encodings.
 
 The codec's hot loops have fast paths that give the same bytes and values:
-CRC32C is slicing-by-8 (eight 256-entry tables, one 8-byte word per step);
-an int64 list whose largest value is below 0x80 is packed as its bytes, and
-a packed block of ASCII bytes is parsed as its bytes.  tests/codec_oracle.py
-keeps the byte-at-a-time codec they are checked against.
+CRC32C is one GF(2)-linear map per block of up to 1,024 bytes (32
+AND-and-popcounts per block; its rows are built on first use) and a
+record's 12 header bytes are memoized by payload length; an int64 list whose
+largest value is below 0x80 is packed as its bytes, and a packed block of
+ASCII bytes is parsed as its bytes.  tests/codec_oracle.py keeps the
+byte-at-a-time codec they are checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
@@ -37,40 +40,53 @@ _MASK_DELTA = 0xA282EAD8
 _U32 = 0xFFFFFFFF
 
 
-def _crc_tables() -> Tuple[List[int], ...]:
-    """Slicing-by-8 tables for CRC32C (Castagnoli polynomial, reflected form).
+def _crc_byte(crc: int) -> int:
+    for _ in range(8):
+        crc = (crc >> 1) ^ 0x82F63B78 if crc & 1 else crc >> 1
+    return crc
 
-    Table 0 is the usual byte table; entry b of table k is the CRC register
-    after byte b and then k zero bytes, so one 8-byte word takes 8 lookups.
+
+_CRC_TABLE = [_crc_byte(byte) for byte in range(256)]  # Castagnoli polynomial, reflected form
+_CRC_BLOCK = 1024  # bytes per step of the linear map
+
+
+@functools.cache
+def _crc_rows() -> Tuple[int, ...]:
+    """The 32 rows of the GF(2) matrix taking a block, from register 0, to the register after it.
+
+    Bit 8q + b of a block read as a big-endian integer is bit b of the byte
+    followed by q more; row k holds there bit k of the register after byte
+    1 << b and q zero bytes.  Leading zero bytes leave register 0 at 0, so the
+    rows serve every block of up to _CRC_BLOCK bytes.  Columns are made and
+    transposed 1,024 at a time to keep the build's peak memory small.
     """
-    first = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = (crc >> 1) ^ 0x82F63B78 if crc & 1 else crc >> 1
-        first.append(crc)
-    tables = [first]
-    for _ in range(7):
-        tables.append([(crc >> 8) ^ first[crc & 0xFF] for crc in tables[-1]])
-    return tuple(tables)
-
-
-_CRC_TABLES = _crc_tables()
+    last = [_CRC_TABLE[1 << b] for b in range(8)]  # the columns of q = 0
+    rows = [0] * 32
+    for start in range(0, 8 * _CRC_BLOCK, 1024):
+        columns = []
+        for _ in range(128):
+            columns += last
+            last = [(crc >> 8) ^ _CRC_TABLE[crc & 0xFF] for crc in last]
+        # bit k of column j sits at string index 32 * (1023 - j) + 31 - k
+        bits = format(int.from_bytes(struct.pack("<1024I", *columns), "little"), "032768b")
+        for k in range(32):
+            rows[k] |= int(bits[31 - k :: 32], 2) << start
+    return tuple(rows)
 
 
 def crc32c(data: bytes) -> int:
-    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
+    rows = _crc_rows()
     crc = _U32
-    words = len(data) & ~7
-    # each word: its first 4 bytes as one u32 to fold the register into, then 4 bytes
-    for low, b4, b5, b6, b7 in struct.iter_unpack("<I4B", memoryview(data)[:words]):
-        low ^= crc
-        crc = (
-            t7[low & 0xFF] ^ t6[low >> 8 & 0xFF] ^ t5[low >> 16 & 0xFF] ^ t4[low >> 24]
-            ^ t3[b4] ^ t2[b5] ^ t1[b6] ^ t0[b7]
-        )
-    for byte in data[words:]:
-        crc = t0[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    for start in range(0, len(data), _CRC_BLOCK):
+        block = data[start : start + _CRC_BLOCK]
+        if len(block) < 4:  # too short to fold the register into
+            for byte in block:
+                crc = _CRC_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+            continue
+        # fold the register into the block's first four bytes; the block then runs from 0
+        swapped = int.from_bytes(crc.to_bytes(4, "little"), "big")
+        m = int.from_bytes(block, "big") ^ swapped << (8 * len(block) - 32)
+        crc = sum(((row & m).bit_count() & 1) << k for k, row in enumerate(rows))
     return crc ^ _U32
 
 
@@ -241,15 +257,16 @@ def parse_example(payload: bytes) -> FeatureDict:
 FRAME_OVERHEAD = 16  # bytes around each payload: length, length CRC, payload CRC
 
 
+@functools.lru_cache(maxsize=256)
+def _header(length: int) -> bytes:
+    """The 12 header bytes of a record of this payload length: length, masked length CRC."""
+    packed = struct.pack("<Q", length)
+    return packed + struct.pack("<I", masked_crc32c(packed))
+
+
 def frame_record(payload: bytes) -> bytes:
     """One TFRecord: length, masked length CRC, payload, masked payload CRC."""
-    header = struct.pack("<Q", len(payload))
-    return (
-        header
-        + struct.pack("<I", masked_crc32c(header))
-        + payload
-        + struct.pack("<I", masked_crc32c(payload))
-    )
+    return _header(len(payload)) + payload + struct.pack("<I", masked_crc32c(payload))
 
 
 def read_framed(path: str) -> Iterator[Tuple[int, bytes]]:
@@ -265,8 +282,8 @@ def read_framed(path: str) -> Iterator[Tuple[int, bytes]]:
             header = handle.read(12)
             if len(header) < 12:
                 raise CorruptRecord(path, offset, "length", "truncated record header")
-            length, stored_len_crc = struct.unpack("<QI", header)
-            if stored_len_crc != masked_crc32c(header[:8]):
+            (length,) = struct.unpack_from("<Q", header)
+            if header != _header(length):
                 raise CorruptRecord(path, offset, "length", "length CRC mismatch")
             if offset + 12 + length + 4 > total:
                 raise CorruptRecord(path, offset, "data", "truncated record payload")

@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 import signal
 import struct
+import subprocess
+import sys
 import tracemalloc
-import zlib
 
 import codec_oracle
 import pytest
@@ -46,6 +47,12 @@ class TestCrc32c:
 
     def test_single_bit_sensitivity(self):
         assert crc32c(b"\x00" * 8) != crc32c(b"\x00" * 7 + b"\x01")
+
+    def test_import_leaves_the_rows_unbuilt(self):
+        # the rows are built by the first CRC, so a run's setup never pays for them
+        code = "import corpusprep; print(corpusprep.tfrecord._crc_rows.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
 
 
 class TestFraming:
@@ -97,10 +104,7 @@ class TestFraming:
             list(read_framed(str(p)))
         assert exc.value.offset == len(first)
 
-    def test_reads_one_record_at_a_time(self, tmp_path, monkeypatch):
-        # zlib's CRC stands in for the pure-Python CRC32C to keep 8 MB fast;
-        # framing and reading both look it up in the module
-        monkeypatch.setattr(tfrecord, "masked_crc32c", zlib.crc32)
+    def test_reads_one_record_at_a_time(self, tmp_path):
         payloads = [bytes([k]) * 4096 for k in range(256)]
         path = tmp_path / "big.tfrecord"
         path.write_bytes(b"".join(frame_record(p) for p in payloads) * 8)
@@ -333,13 +337,27 @@ def _one_block_example(name, block):
 
 
 class TestCodecOracle:
-    @pytest.mark.parametrize("length", range(18))  # every tail length after 8-byte words
+    @pytest.mark.parametrize("length", range(18))  # the byte-table tails (0-3) and short blocks
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_crc32c_every_short_length(self, length, data):
         blob = data.draw(st.binary(min_size=length, max_size=length))
         assert crc32c(blob) == codec_oracle.crc32c(blob)
         assert masked_crc32c(blob) == codec_oracle.masked_crc32c(blob)
+
+    @pytest.mark.parametrize("length", [k * 1024 + d for k in (1, 2, 3) for d in range(-5, 6)])
+    def test_crc32c_block_boundaries(self, length):
+        # around each 1,024-byte block edge: the register carried in, a tail under 4 bytes
+        blob = random.Random(length).randbytes(length)
+        assert crc32c(blob) == codec_oracle.crc32c(blob)
+        assert masked_crc32c(blob) == codec_oracle.masked_crc32c(blob)
+
+    def test_crc32c_random_lengths(self):
+        rng = random.Random(20_000)
+        for _ in range(200):
+            blob = rng.randbytes(rng.randrange(20_001))
+            assert crc32c(blob) == codec_oracle.crc32c(blob), len(blob)
+            assert masked_crc32c(blob) == codec_oracle.masked_crc32c(blob), len(blob)
 
     @settings(max_examples=100, deadline=None)
     @given(st.binary(min_size=18, max_size=3000))
@@ -397,6 +415,19 @@ class TestLengthCrc:
         first = codec_oracle.frame_record(b"kirje")
         second = bytearray(codec_oracle.frame_record(payload))
         second[8 + bit // 8] ^= 1 << (bit % 8)
+        path = tmp_path / "h.tfrecord"
+        path.write_bytes(first + bytes(second))
+        records = read_framed(str(path))
+        assert next(records) == (0, b"kirje")
+        with pytest.raises(CorruptRecord, match="length CRC mismatch") as exc:
+            next(records)
+        assert (exc.value.offset, exc.value.which_crc) == (len(first), "length")
+
+    def test_flipped_length_crc_bit_after_a_record_of_that_length(self, tmp_path):
+        # the first record's header is memoized by its length; the second must not match it
+        first = codec_oracle.frame_record(b"kirje")
+        second = bytearray(codec_oracle.frame_record(b"teine"))
+        second[8] ^= 1
         path = tmp_path / "h.tfrecord"
         path.write_bytes(first + bytes(second))
         records = read_framed(str(path))
