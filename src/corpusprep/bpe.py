@@ -72,12 +72,11 @@ class Vocab:
 
     def save(self, vocab_path: str, merges_path: str) -> None:
         """vocab file: one piece per line, line number = id; merges: "left right"."""
-        with open_output(vocab_path) as out:
+        with open_output(vocab_path) as vocab_out, open_output(merges_path) as merges_out:
             for piece in self.pieces:
-                out.write(piece + "\n")
-        with open_output(merges_path) as out:
+                vocab_out.write(piece + "\n")
             for left, right in self.merges:
-                out.write(f"{left} {right}\n")
+                merges_out.write(f"{left} {right}\n")
 
     @classmethod
     def load(cls, vocab_path: str, merges_path: str, marker: str = DEFAULT_MARKER) -> "Vocab":

@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
-from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from . import bpe, metrics
@@ -21,17 +21,9 @@ from .config import (
 )
 from .errors import ConfigError, MalformedRecord, PipelineError, StageError
 from .ingest import (
-    FORMATS, CorpusStats, compute_stats, read_documents, read_lines, write_documents, write_jsonl
+    FORMATS, CorpusStats, compute_stats, open_output, read_documents, read_lines, write_jsonl
 )
-from .pipeline import (
-    _clean_stream,
-    _stage,
-    drop_record,
-    run_pipeline,
-    truecase_file,
-    with_stopwords,
-    write_examples,
-)
+from .pipeline import clean_file, run_pipeline, truecase_file, with_stopwords, write_examples
 from .pretrain import read_tfrecords
 
 
@@ -76,26 +68,16 @@ def _write_report_lines(path: Optional[str], records: List[dict]) -> None:
 
 def _cmd_stats(args) -> int:
     stats = compute_stats(read_documents(args.input, args.format))
-    print(f"documents {stats.documents}  sentences {stats.sentences}  words {stats.words}")
     _write_report_lines(args.report, [{"type": "stats", **stats.as_dict()}])
+    print(f"documents {stats.documents}  sentences {stats.sentences}  words {stats.words}")
     return 0
 
 
-def _clean_file(
-    args, stages: List[str], thresholds: FilterThresholds = FilterThresholds(), target_lang=None
-) -> Tuple[int, List[dict]]:
-    """Run cleaning stages over args.input into args.output; (kept, drop records)."""
-    dropped: List[dict] = []
-    stream = _clean_stream(
-        read_documents(args.input, args.format),
-        stages,
-        thresholds,
-        target_lang,
-        lambda doc, stage, reason: dropped.append(drop_record(doc, stage, reason)),
-        defaultdict(CorpusStats),
-    )
-    with _stage("output"):
-        return write_documents(stream, args.output, args.output_format), dropped
+def _clean_file(args, stages, thresholds=FilterThresholds(), target_lang=None) -> Tuple[int, int]:
+    """Run cleaning stages over args.input into args.output, drops to --report; (kept, dropped)."""
+    kept, drops = clean_file(args.input, args.format, args.output, args.output_format, stages,
+                             thresholds, target_lang, getattr(args, "report", None))
+    return kept, sum(drops.values())
 
 
 def _cmd_clean(args) -> int:
@@ -106,8 +88,7 @@ def _cmd_clean(args) -> int:
 
 def _cmd_dedup(args) -> int:
     kept, dropped = _clean_file(args, ["dedup"])
-    print(f"kept {kept} documents, dropped {len(dropped)} duplicates -> {args.output}")
-    _write_report_lines(args.report, dropped)
+    print(f"kept {kept} documents, dropped {dropped} duplicates -> {args.output}")
     return 0
 
 
@@ -117,18 +98,19 @@ def _cmd_filter(args) -> int:
     if not args.no_heuristics:
         stages.append("heuristics")
     kept, dropped = _clean_file(args, stages, thresholds, args.target_lang)
-    print(f"kept {kept} documents, dropped {len(dropped)} -> {args.output}")
-    _write_report_lines(args.report, dropped)
+    print(f"kept {kept} documents, dropped {dropped} -> {args.output}")
     return 0
 
 
 def _cmd_truecase(args) -> int:
     tally = CorpusStats()
-    lexicon = truecase_file(
-        args.input, args.format, args.output, args.output_format, args.lexicon, tally
-    )
-    if args.save_lexicon:
-        lexicon.save(args.save_lexicon)
+    # the lexicon file is opened first, so it and the output appear together or not at all
+    with open_output(args.save_lexicon or os.devnull) as lexicon_out:
+        lexicon = truecase_file(
+            args.input, args.format, args.output, args.output_format, args.lexicon, tally
+        )
+        if args.save_lexicon:
+            lexicon.write(lexicon_out)
     count, entries = tally.documents, len(lexicon)
     print(f"truecased {count} documents with {entries} lexicon entries -> {args.output}")
     return 0
@@ -185,8 +167,8 @@ def _cmd_score_tags(args) -> int:
     gold = [g for _, g, _ in sequences]
     pred = [p for _, _, p in sequences]
     accuracy = metrics.tagging_accuracy(gold, pred)
-    print(f"accuracy: {100.0 * accuracy:.2f}%")
     _write_report_lines(args.report, [{"type": "tagging", "accuracy": round(accuracy, 6)}])
+    print(f"accuracy: {100.0 * accuracy:.2f}%")
     return 0
 
 
@@ -196,8 +178,8 @@ def _cmd_score_ner(args) -> int:
     pred = [p for _, _, p in sequences]
     report = metrics.ner_span_f1(gold, pred)
     tokens = sum(len(g) for g in gold)
-    sys.stdout.write(metrics.render_span_report(report, tokens))
     _write_report_lines(args.report, metrics.span_report_records(report))
+    sys.stdout.write(metrics.render_span_report(report, tokens))
     return 0
 
 
@@ -210,8 +192,8 @@ def _cmd_score_cls(args) -> int:
         if len(pairs[-1]) != 2:
             raise MalformedRecord(line_no, "expected gold<TAB>pred")
     accuracy = metrics.classification_accuracy([g for g, _ in pairs], [p for _, p in pairs])
-    print(f"accuracy: {100.0 * accuracy:.2f}%")
     _write_report_lines(args.report, [{"type": "classification", "accuracy": round(accuracy, 6)}])
+    print(f"accuracy: {100.0 * accuracy:.2f}%")
     return 0
 
 

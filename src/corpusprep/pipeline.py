@@ -3,10 +3,11 @@
 Stages run in a fixed order (strip, langfilter, dedup, heuristics,
 truecase); disabled stages are skipped, never reordered.  Documents stream
 through a single driver loop one at a time; only the dedup digest set, one
-digest per kept document, grows with the corpus.  ``truecase_file`` reads
-``cleaned.jsonl`` twice (casing evidence, then rewrite) and rewrites it in
-place; it and ``_clean_stream`` are the stage code the CLI runs too.  A run
-removes a stale ``report.jsonl`` first and writes the report last.
+digest per kept document, grows with the corpus.  ``clean_file`` runs that
+loop and commits the cleaned file and its streamed drop log together;
+``truecase_file`` reads ``cleaned.jsonl`` twice (casing evidence, then
+rewrite) and rewrites it in place.  The subcommands run these two too.
+A run removes a stale ``report.jsonl`` first and writes the report last.
 ``_stage`` is the one stage boundary: a PipelineError, OSError or ValueError
 raised inside a stage leaves it as StageError naming that stage.
 
@@ -17,7 +18,7 @@ with the same inputs and seed is byte-identical, report included.
 from __future__ import annotations
 
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -96,11 +97,6 @@ class PipelineReport:
         )
         out.append({"type": "artifacts", **self.artifacts})
         return out
-
-
-def drop_record(doc: Document, stage: str, reason: DropReason) -> dict:
-    """One dropped document as written to drops.jsonl and to --report files."""
-    return {"id": doc.id, "stage": stage, "reason": reason.kind, "detail": reason.detail}
 
 
 @contextmanager
@@ -226,6 +222,30 @@ def _clean_stream(
         yield doc
 
 
+def clean_file(
+    src: str, src_format: str, dst: str, dst_format: str, stages: List[str],
+    thresholds: FilterThresholds, target_lang: Optional[str], drops_path: Optional[str],
+    tallies: Optional[Dict[str, CorpusStats]] = None,
+) -> Tuple[int, Counter]:
+    """The cleaning stages over src into dst; (documents kept, drops by kind).
+
+    Each dropped document is one line of the drop log at drops_path (none if
+    None).  dst and the drop log appear together once the stages complete.
+    """
+    drops: Counter = Counter()
+    with _stage("output"), open_output(drops_path or os.devnull) as drop_log:
+
+        def on_drop(doc: Document, stage: str, reason: DropReason) -> None:
+            drops[reason.kind] += 1
+            if drops_path is not None:  # no per-drop encoding for os.devnull
+                record = dict(id=doc.id, stage=stage, reason=reason.kind, detail=reason.detail)
+                drop_log.write(json_line(record))
+
+        stream = _clean_stream(read_documents(src, src_format), stages, thresholds, target_lang,
+                               on_drop, defaultdict(CorpusStats) if tallies is None else tallies)
+        return write_documents(stream, dst, dst_format), drops
+
+
 def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
     """Execute enabled stages, write artifacts, and return the report."""
     with _stage("output"):
@@ -243,16 +263,8 @@ def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
     tallies: Dict[str, CorpusStats] = {name: CorpusStats() for name in ["ingest"] + enabled}
     thresholds = with_stopwords(config.thresholds, config.stopwords_path)
 
-    drops: Counter = Counter()
-    with _stage("output"), open_output(drops_path) as drop_log:
-
-        def on_drop(doc: Document, stage: str, reason: DropReason) -> None:
-            drops[reason.kind] += 1
-            drop_log.write(json_line(drop_record(doc, stage, reason)))
-
-        reader = read_documents(config.input_path, config.input_format)
-        stream = _clean_stream(reader, enabled, thresholds, config.target_lang, on_drop, tallies)
-        write_documents(stream, cleaned_path, "json-lines")
+    _, drops = clean_file(config.input_path, config.input_format, cleaned_path, "json-lines",
+                          enabled, thresholds, config.target_lang, drops_path, tallies)
 
     if config.stages.truecase:
         truecase_file(cleaned_path, "json-lines", cleaned_path, "json-lines",

@@ -353,18 +353,14 @@ def shard_paths(out_dir: str, shards: int) -> List[str]:
 def write_tfrecords(records: Iterable[bytes], out_dir: str, shards: int) -> Tuple[List[str], int]:
     """Write framed records round-robin by arrival index over shard files; (paths, count).
 
-    Shard files of an earlier run with another shard count are removed
-    first, so the pretrain-*.tfrecord glob matches only this run's shards.
     Every shard appears together once the stream is exhausted; a failure
-    mid-stream leaves no new shard.
+    mid-stream leaves no new shard and the earlier ones as they were.  Only
+    then are shard files of an earlier run with another shard count removed,
+    so the pretrain-*.tfrecord glob matches only this run's shards.
     """
     paths = shard_paths(out_dir, shards)
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for name in os.listdir(out_dir):
-            path = os.path.join(out_dir, name)
-            if _SHARD_NAME.fullmatch(name) and path not in paths:
-                os.remove(path)
     except OSError as exc:
         raise IoError(f"cannot write {out_dir}: {exc}") from exc
     count = 0
@@ -372,6 +368,13 @@ def write_tfrecords(records: Iterable[bytes], out_dir: str, shards: int) -> Tupl
         handles = [stack.enter_context(open_output(path, binary=True)) for path in paths]
         for count, record in enumerate(records, start=1):
             handles[(count - 1) % shards].write(record)
+    try:
+        for name in os.listdir(out_dir):
+            path = os.path.join(out_dir, name)
+            if _SHARD_NAME.fullmatch(name) and path not in paths:
+                os.remove(path)
+    except OSError as exc:
+        raise IoError(f"cannot write {out_dir}: {exc}") from exc
     return paths, count
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import IO, Dict, Iterable, Optional, Tuple
 
 from .cleaning import split_punct
 from .errors import MalformedRecord, MissingLemmas
@@ -44,11 +44,14 @@ class CasingLexicon:
         return len(self.entries)
 
     def save(self, path: str) -> None:
-        """Write TSV lines `lowercase<TAB>surface<TAB>count`, sorted by key."""
         with open_output(path) as out:
-            for key in sorted(self.entries):
-                surface, count = self.entries[key]
-                out.write(f"{key}\t{surface}\t{count}\n")
+            self.write(out)
+
+    def write(self, out: IO[str]) -> None:
+        """Write TSV lines `lowercase<TAB>surface<TAB>count`, sorted by key."""
+        for key in sorted(self.entries):
+            surface, count = self.entries[key]
+            out.write(f"{key}\t{surface}\t{count}\n")
 
     @classmethod
     def load(cls, path: str) -> "CasingLexicon":

@@ -14,6 +14,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -652,6 +653,72 @@ def test_failed_rerun_leaves_no_report_or_empty_shard(capsys, tmp_path, fixture_
     assert shards and all(os.path.getsize(out_dir / name) > 0 for name in shards)
 
 
+def _tree_bytes(root):
+    """Every file under root, by its path relative to root, with its bytes."""
+    files = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, root)] = handle.read()
+    return files
+
+
+def _shard_bytes(out_dir):
+    return {name: data for name, data in _tree_bytes(out_dir).items() if name.startswith("pretrain-")}
+
+
+@pytest.mark.parametrize("command", ["make-examples", "run"])
+def test_failed_rerun_with_other_shard_count_keeps_earlier_shards(command, capsys, tmp_path,
+                                                                  fixture_corpus_path):
+    out_dir = tmp_path / "out"
+    corpus = tmp_path / "one.jsonl"  # too small for a pretraining instance
+    with open(fixture_corpus_path, encoding="utf-8") as handle:
+        corpus.write_text(handle.readline(), encoding="utf-8")
+    if command == "run":
+        config = _write_config(tmp_path / "job.conf", fixture_corpus_path, out_dir)
+        first = ["run", "--config", config, "--shards", "2"]
+        config = _write_config(tmp_path / "one.conf", corpus, out_dir)
+        with open(config, "a", encoding="utf-8") as handle:
+            handle.write("[filter]\nmin_words = 1\nlang_confidence_min = 0\n")
+        rerun = ["run", "--config", config, "--shards", "4"]
+    else:
+        vocab, merges = str(tmp_path / "vocab.txt"), str(tmp_path / "merges.txt")
+        assert main(["bpe-train", fixture_corpus_path, "--vocab-size", "60",
+                     "--vocab", vocab, "--merges", merges]) == 0
+        common = ["--vocab", vocab, "--merges", merges, "--out-dir", str(out_dir)]
+        first = ["make-examples", fixture_corpus_path, *common, "--shards", "2"]
+        rerun = ["make-examples", str(corpus), *common, "--shards", "4"]
+    assert main(first) == 0
+    shards = _shard_bytes(out_dir)
+    assert sorted(shards) == ["pretrain-0-of-2.tfrecord", "pretrain-1-of-2.tfrecord"]
+    capsys.readouterr()
+    assert main(rerun) == 2
+    assert "need at least 2 documents" in capsys.readouterr().err
+    assert _shard_bytes(out_dir) == shards
+    assert not [name for name in os.listdir(out_dir) if name.endswith(".tmp")]
+
+
+def test_dedup_report_streams_its_drops(capsys, tmp_path):
+    copies = 10_000
+    corpus = _write_jsonl(
+        tmp_path / "in.jsonl", [{"id": f"d{i}", "text": "sama tekst"} for i in range(copies)]
+    )
+    report = tmp_path / "drops.jsonl"
+    argv = ["dedup", corpus, str(tmp_path / "unique.jsonl"), "--report", str(report)]
+    assert main(["dedup", corpus, os.devnull]) == 0  # first-use imports and caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f"dropped {copies - 1} duplicates" in capsys.readouterr().out
+    assert len(_read_lines(report)) == copies - 1
+    # the drop records are written as they occur, not held until the end
+    assert peak < report.stat().st_size / 4
+
+
 def test_truncated_input_rerun_keeps_earlier_artifacts(capsys, tmp_path, fixture_corpus_path):
     out_dir = tmp_path / "out"
     config = _write_config(tmp_path / "job.conf", fixture_corpus_path, out_dir)
@@ -688,13 +755,18 @@ def test_failed_clean_creates_no_output(capsys, tmp_path):
 # subcommand -> argv whose {bad} output path lies in a directory that does not exist
 OUTPUTS = {
     "bpe-train-vocab": [
-        "bpe-train", "{corpus}", "--vocab-size", "60", "--vocab", "{bad}", "--merges", "{merges}",
+        "bpe-train", "{corpus}", "--vocab-size", "90", "--vocab", "{bad}", "--merges", "{merges}",
+    ],
+    "bpe-train-merges": [
+        "bpe-train", "{corpus}", "--vocab-size", "90", "--vocab", "{vocab}", "--merges", "{bad}",
     ],
     "truecase-save-lexicon": [
         "truecase", "{corpus}", "{tmp}/cased.jsonl", "--save-lexicon", "{bad}",
     ],
     "dedup-report": ["dedup", "{corpus}", "{tmp}/unique.jsonl", "--report", "{bad}"],
+    "filter-report": ["filter", "{corpus}", "{tmp}/kept.jsonl", "--report", "{bad}"],
     "stats-report": ["stats", "{corpus}", "--report", "{bad}"],
+    "score-ner-report": ["score-ner", "{data}/ner_fixture.tsv", "--report", "{bad}"],
     "make-examples-out-dir": [
         "make-examples", "{corpus}", "--vocab", "{vocab}", "--merges", "{merges}",
         "--out-dir", "{bad}",
@@ -711,12 +783,18 @@ def test_unwritable_output_exits_2_naming_it(case, capsys, tmp_path, fixture_cor
     if case == "make-examples-out-dir":
         bad = os.path.join(vocab, "x")  # under a file, not a directory
     argv = [
-        arg.format(bad=bad, corpus=fixture_corpus_path, tmp=tmp_path, vocab=vocab, merges=merges)
+        arg.format(bad=bad, corpus=fixture_corpus_path, data=os.path.dirname(fixture_corpus_path),
+                   tmp=tmp_path, vocab=vocab, merges=merges)
         for arg in OUTPUTS[case]
     ]
+    before = _tree_bytes(tmp_path)
     capsys.readouterr()
     assert main(argv) == 2
-    assert f"cannot write {bad}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"cannot write {bad}" in captured.err
+    assert captured.out == ""
+    # the command's other outputs are absent, and the files it would replace are as they were
+    assert _tree_bytes(tmp_path) == before
 
 
 @pytest.mark.parametrize("command", ["clean", "dedup", "filter"])
