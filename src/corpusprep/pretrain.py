@@ -10,7 +10,9 @@ Tokens and masked labels are piece ids from encode to the record; that
 tool keeps piece strings and looks each one up as it writes, which gives the
 same ids because a Vocab maps pieces to ids one to one.  example_payload
 encodes an instance straight to payload bytes, padding as it encodes, and
-serialize_example frames them; SerializedExample is what read_tfrecords returns.
+serialize_example frames them.  read_tfrecords returns SerializedExamples,
+each decoded by the schema's layout reader or, for any other layout and to
+name a fault, by parse_example.
 Random-next sampling may draw from any document, so the whole tokenized
 corpus is held in memory, as ids, while instances are generated; with more
 than one worker, so is at most one _POOL_WINDOW of finished instances.
@@ -44,7 +46,7 @@ from .bpe import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, encode
 from .config import GenerationConfig
 from .errors import CorpusTooSmall, CorruptRecord, IdOutOfRange, IoError, NoMaskableTokens
 from .ingest import Document, open_output
-from .tfrecord import example_writer, frame_record, parse_example, read_framed
+from .tfrecord import example_reader, example_writer, frame_record, parse_example, read_framed
 
 
 def masked_budget(max_seq_length: int, masked_lm_prob: float) -> int:
@@ -307,6 +309,7 @@ _TYPES = get_type_hints(SerializedExample)  # feature name -> field type
 # feature name -> "float" or "int64", the list kind of its Feature message
 _KINDS = {name: "float" if _TYPES[name] == Tuple[float, ...] else "int64" for name in FEATURE_ORDER}
 _WRITE_EXAMPLE = example_writer([(name, _KINDS[name]) for name in FEATURE_ORDER])
+_READ_EXAMPLE = example_reader([(name, _KINDS[name]) for name in FEATURE_ORDER])
 
 
 def example_payload(instance: PretrainingInstance, vocab: Vocab, config: GenerationConfig) -> bytes:
@@ -407,6 +410,11 @@ def read_tfrecords(paths: Iterable[str]) -> Iterator[SerializedExample]:
 
 
 def _decode_payload(payload: bytes, path: str, offset: int) -> SerializedExample:
+    lists = _READ_EXAMPLE(payload)
+    if lists is not None and len(lists[-1]) == 1:  # the last feature, the label, is one value
+        return SerializedExample(*lists[:-1], *lists[-1])
+
+    # any other layout, or a fault to name
     def corrupt(message: str) -> CorruptRecord:
         return CorruptRecord(path, offset, "data", message)
 

@@ -8,22 +8,25 @@ payload.  CRC32C uses the Castagnoli polynomial; the mask is
 Payloads are hand-rolled protocol-buffer messages: Example (field 1 =
 Features), Features (field 1 = repeated map entry of name string to
 Feature), Feature (field 2 = FloatList, field 3 = Int64List, both packed on
-write).  The writer, example_writer, takes the schema (feature names and
-kinds, in wire order) once, encoding each name's key field then, and returns
-an encoder of each record's value lists in that order.  Int64 values are
-plain varints, so a negative value or one above 2^63 - 1 raises ValueError.
-The reader is one field iterator, _fields, that every message level loops
-over, keeping the fields it knows and passing over the rest; it rejects a
-varint, length-delimited, fixed64 or fixed32 field that runs past the end of
-its message, and a varint of more than 64 bits.  It accepts packed and
-unpacked list encodings.
+write).  A payload's structural bytes (tags, name fields, nested lengths)
+depend only on the sizes of its value blocks.  example_writer and
+example_reader take the schema (feature names and kinds, in wire order)
+once.  The writer joins each record's packed blocks with the heads memoized
+for their sizes; int64 values are plain varints, so a negative value or one
+above 2^63 - 1 raises ValueError.  The reader reads the block sizes once per
+payload length and checks each payload of that length against their heads.
+A payload of any other layout is left to parse_example, whose field
+iterator, _fields, every message level loops over, keeping the fields it
+knows and passing over the rest; it rejects a varint, length-delimited,
+fixed64 or fixed32 field that runs past the end of its message, and a
+varint of more than 64 bits.  It accepts packed and unpacked list encodings.
 
 The codec's hot loops have fast paths that give the same bytes and values:
 CRC32C is one GF(2)-linear map per block of up to 1,024 bytes (32
 AND-and-popcounts per block; its rows are built on first use) and a
-record's 12 header bytes are memoized by payload length; an int64 list whose
-largest value is below 0x80 is packed as its bytes, and a packed block of
-ASCII bytes is parsed as its bytes.  tests/codec_oracle.py keeps the
+record's 12 header bytes are memoized by payload length; an int64 list of
+values below 0x80 is packed as its bytes, and a packed block of ASCII bytes
+is parsed as its bytes.  tests/codec_oracle.py keeps the
 byte-at-a-time codec they are checked against.
 """
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 import functools
 import os
 import struct
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import CorruptRecord, IoError
 
@@ -115,36 +118,76 @@ def _length_delimited(field_number: int, payload: bytes) -> bytes:
     return _varint((field_number << 3) | 2) + _varint(len(payload)) + payload
 
 
-def _encode_feature(kind: str, values: FeatureValue) -> bytes:
-    if kind == "int64":
-        if min(values, default=0) < 0:
-            raise ValueError("int64 values must be non-negative")
-        top = max(values, default=0)
-        if top >= 1 << 63:
-            raise ValueError("int64 values must not exceed 2**63 - 1")
-        # below 0x80 every value is a one-byte varint: the byte itself
-        packed = bytes(values) if top < 0x80 else b"".join(map(_varint, values))
-        return _length_delimited(3, _length_delimited(1, packed))
+_LIST_FIELDS = {"int64": 3, "float": 2}  # list kind -> its Feature field number
+_LAYOUTS = 256  # layouts memoized per writer or reader, by block sizes and by payload length
+
+
+def _block(kind: str, values: FeatureValue) -> bytes:
+    """One feature's packed list: varints for int64, little-endian float32s for float."""
     if kind == "float":
-        packed = struct.pack(f"<{len(values)}f", *values)
-        return _length_delimited(2, _length_delimited(1, packed))
-    raise ValueError(f"unsupported feature kind {kind!r}")
+        return struct.pack(f"<{len(values)}f", *values)
+    try:
+        block = bytes(values)
+    except ValueError:  # a value outside 0-255
+        block = b"\x80"
+    if block.isascii():  # every value is below 0x80, so a one-byte varint: the byte itself
+        return block
+    if min(values, default=0) < 0:
+        raise ValueError("int64 values must be non-negative")
+    if max(values, default=0) >= 1 << 63:
+        raise ValueError("int64 values must not exceed 2**63 - 1")
+    return b"".join(map(_varint, values))
+
+
+def _layouts(schema: Sequence[Tuple[str, str]]) -> Tuple[List[Tuple[bytes, ...]], Callable]:
+    """Each feature's field prefixes, and the memoized layout of the Example of given block sizes.
+
+    A feature's four nested fields run up to their lengths, outermost first:
+    the map entry's tag, its key field and the Feature's tag, the list's tag,
+    the block's tag.  layout(sizes) is (heads, offsets, block spans); a head,
+    at its offset, is the structural bytes before its block.
+    """
+    for _name, kind in schema:
+        if kind not in _LIST_FIELDS:
+            raise ValueError(f"unsupported feature kind {kind!r}")
+    if not schema:
+        raise ValueError("an Example schema needs at least one feature")
+    prefixes = [(b"\x0a", _length_delimited(1, name.encode("utf-8")) + b"\x12",
+                 bytes((_LIST_FIELDS[kind] << 3 | 2,)), b"\x0a") for name, kind in schema]
+
+    @functools.lru_cache(maxsize=_LAYOUTS)
+    def layout(sizes: Tuple[int, ...]) -> tuple:
+        heads = []
+        for fields, size in zip(prefixes, sizes):
+            head = b""
+            for prefix in reversed(fields):  # innermost first: a length covers all after it
+                head = prefix + _varint(len(head) + size) + head
+            heads.append(head)
+        heads[0] = b"\x0a" + _varint(sum(map(len, heads)) + sum(sizes)) + heads[0]
+        offsets, spans, pos = [], [], 0
+        for head, size in zip(heads, sizes):
+            offsets.append(pos)
+            pos += len(head) + size
+            spans.append((pos - size, pos))
+        return tuple(heads), tuple(offsets), tuple(spans)
+
+    return prefixes, layout
 
 
 def example_writer(schema: Sequence[Tuple[str, str]]) -> Callable[..., bytes]:
     """The tf.train.Example encoder of these (feature name, kind) pairs, in wire order.
 
-    Each name's key field is encoded here, once.  The encoder takes one value
-    list per feature, in schema order, and returns the Example payload.
+    The encoder takes one value list per feature, in schema order, and returns
+    the Example payload: each list's packed block behind its head, from the
+    layout memoized for the blocks' sizes.
     """
-    prepared = [(_length_delimited(1, name.encode("utf-8")), kind) for name, kind in schema]
+    _prefixes, layout = _layouts(schema)
+    kinds = [kind for _name, kind in schema]
 
     def encode(*lists: FeatureValue) -> bytes:
-        entries = [
-            _length_delimited(1, name_field + _length_delimited(2, _encode_feature(kind, values)))
-            for (name_field, kind), values in zip(prepared, lists, strict=True)
-        ]
-        return _length_delimited(1, b"".join(entries))
+        blocks = [_block(kind, values) for kind, values in zip(kinds, lists, strict=True)]
+        heads = layout(tuple(map(len, blocks)))[0]
+        return b"".join([part for pair in zip(heads, blocks) for part in pair])
 
     return encode
 
@@ -199,16 +242,25 @@ def _fields(data: bytes) -> Iterator[Tuple[int, int, Union[int, bytes]]]:
         yield key >> 3, wire, value
 
 
-def _packed_varints(data: bytes) -> List[int]:
+def _packed_varints(data: bytes) -> Tuple[int, ...]:
+    if data.isascii():  # every byte is a whole varint: its own value
+        return tuple(data)
     values = []
     pos = 0
     while pos < len(data):
         value, pos = _varint_at(data, pos)
         values.append(value)
-    return values
+    return tuple(values)
+
+
+def _floats(block: bytes) -> Tuple[float, ...]:
+    if len(block) % 4:
+        raise ValueError("packed float block not a multiple of 4 bytes")
+    return struct.unpack(f"<{len(block) // 4}f", block)
 
 
 _LIST_KINDS = {3: "int64", 2: "float"}  # Feature field number -> list kind
+_BLOCK_READERS = {"int64": _packed_varints, "float": _floats}
 
 
 def _parse_feature(data: bytes) -> Tuple[str, FeatureValue]:
@@ -223,13 +275,8 @@ def _parse_feature(data: bytes) -> Tuple[str, FeatureValue]:
                 continue
             if kind == "int64" and item_wire == 0:
                 values.append(item)
-            elif kind == "int64" and item_wire == 2:
-                # in an ASCII block every byte is a whole varint: its own value
-                values.extend(item if item.isascii() else _packed_varints(item))
-            elif kind == "float" and item_wire in (2, 5):
-                if len(item) % 4:
-                    raise ValueError("packed float block not a multiple of 4 bytes")
-                values.extend(struct.unpack(f"<{len(item) // 4}f", item))
+            elif (kind, item_wire) in (("int64", 2), ("float", 2), ("float", 5)):
+                values.extend(_BLOCK_READERS[kind](item))
     return kind, values
 
 
@@ -252,6 +299,42 @@ def parse_example(payload: bytes) -> FeatureDict:
             if name is not None:
                 features[name] = value
     return features
+
+
+def example_reader(schema: Sequence[Tuple[str, str]]) -> Callable[[bytes], Optional[list]]:
+    """The decoder of payloads that example_writer lays out for these (name, kind) pairs.
+
+    It returns one tuple of values per feature, in schema order.  Block sizes
+    are read once per payload length, and each payload of that length is
+    checked against their layout's heads.  Any other layout, and any block that
+    does not decode, gives None: parse_example then decodes it or names its fault.
+    """
+    prefixes, layout = _layouts(schema)
+    readers = [_BLOCK_READERS[kind] for _name, kind in schema]
+    memo: Dict[int, tuple] = {}  # payload length -> the layout last found at that length
+
+    def decode(payload: bytes) -> Optional[list]:
+        try:
+            found = memo.get(len(payload))
+            if found is None or not all(map(payload.startswith, *found[:2])):
+                sizes, (_, pos) = [], _varint_at(payload, 1)
+                for fields in prefixes:
+                    for prefix in fields:
+                        size, pos = _varint_at(payload, pos + len(prefix))
+                    sizes.append(size)
+                    pos += size
+                found = layout(tuple(sizes))
+                if pos != len(payload) or not all(map(payload.startswith, *found[:2])):
+                    return None
+                if len(payload) not in memo and len(memo) == _LAYOUTS:
+                    del memo[next(iter(memo))]  # the oldest length
+                memo[len(payload)] = found
+            return [read(payload[start:end]) for read, (start, end) in zip(readers, found[2])]
+        except ValueError:  # a varint that does not end or exceeds 64 bits
+            return None
+
+    decode.memo = memo  # the layouts held
+    return decode
 
 
 FRAME_OVERHEAD = 16  # bytes around each payload: length, length CRC, payload CRC

@@ -6,8 +6,10 @@ kept only as the oracle that ``serialize_example`` must match byte for byte.
 ``serialize`` pads an instance into a ``SerializedExample`` (with the same
 length, mask-budget and id checks), ``payload`` turns that into a
 name -> (kind, values) dict for ``codec_oracle.encode_example``, and
-``record`` frames it with ``codec_oracle.frame_record``.  Only the feature
-names and the example type come from ``corpusprep``.
+``record`` frames it with ``codec_oracle.frame_record``.  ``decode`` is the
+read path before ``tfrecord.example_reader``: ``parse_example``, then a check
+of the feature names, kinds and the one-value label.  Only the feature names,
+the example type and ``parse_example`` come from ``corpusprep``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from corpusprep.bpe import PAD_ID, Vocab
 from corpusprep.config import GenerationConfig
 from corpusprep.errors import IdOutOfRange
 from corpusprep.pretrain import FEATURE_ORDER, PretrainingInstance, SerializedExample, masked_budget
+from corpusprep.tfrecord import parse_example
 
 
 def serialize(
@@ -60,3 +63,30 @@ def payload(example: SerializedExample) -> bytes:
 def record(instance: PretrainingInstance, vocab: Vocab, config: GenerationConfig) -> bytes:
     """The instance's framed shard record."""
     return codec_oracle.frame_record(payload(serialize(instance, vocab, config)))
+
+
+def decode(payload: bytes) -> SerializedExample:
+    """The example of a payload; ValueError, with the reader's CorruptRecord detail, if none."""
+    try:
+        features = parse_example(payload)
+    except ValueError as exc:
+        raise ValueError(f"malformed payload: {exc}") from exc
+    unknown = set(features) - set(FEATURE_ORDER)
+    if unknown:
+        raise ValueError(f"unexpected feature(s): {sorted(unknown)}")
+    missing = set(FEATURE_ORDER) - set(features)
+    if missing:
+        raise ValueError(f"missing feature(s): {sorted(missing)}")
+    decoded = {}
+    for name in FEATURE_ORDER:
+        kind, values = features[name]
+        expected = "float" if name == "masked_lm_weights" else "int64"
+        if kind != expected:
+            raise ValueError(f"feature {name} must be {expected}")
+        if name != "next_sentence_labels":
+            decoded[name] = tuple(values)
+        elif len(values) == 1:
+            decoded[name] = values[0]
+        else:
+            raise ValueError(f"feature {name} holds {len(values)} values, not 1")
+    return SerializedExample(**decoded)

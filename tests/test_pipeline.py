@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import itertools
 import os
-import tracemalloc
+import resource
 from collections import defaultdict
 
 import pytest
@@ -300,9 +301,33 @@ class TestFailureAttribution:
         assert excinfo.value.stage == "heuristics"
 
 
+def _peak_growth(work):
+    """work()'s result and the bytes by which it raised the peak resident set, in a forked child.
+
+    A forked child's peak starts at its resident set at the fork, so the
+    parent's own earlier peaks do not count.
+    """
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child reports through the pipe; it never returns into the test runner
+        try:
+            start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            result = work()
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            os.write(write_end, json.dumps([result, (peak - start) * 1024]).encode())  # KiB on Linux
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end) as pipe:
+        reported = pipe.read()
+    os.waitpid(pid, 0)
+    assert reported, "the measured pass raised in the child"
+    return json.loads(reported)
+
+
 class TestMemory:
     def test_streaming_keeps_memory_flat(self, tmp_path):
-        """Peak memory of a clean+dedup pass stays far below corpus size."""
+        """A clean+dedup pass raises the peak resident set far less than the corpus size."""
         path = str(tmp_path / "big.jsonl")
         filler = "sõna kala maja puu järv mets vesi lumi tuul päike " * 12
         with open(path, "w", encoding="utf-8") as handle:
@@ -312,14 +337,15 @@ class TestMemory:
         corpus_bytes = os.path.getsize(path)
         assert corpus_bytes > 10_000_000
 
-        def stripped():
-            for doc in read_documents(path, "json-lines"):
+        def stripped(limit=None):
+            for doc in itertools.islice(read_documents(path, "json-lines"), limit):
                 yield Document(id=doc.id, text=strip_markup(doc.text))
 
-        tracemalloc.start()
-        count = sum(1 for _ in dedup(stripped()))
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-
+        assert sum(1 for _ in dedup(stripped(500))) == 500  # first-use costs, before the fork
+        count, growth = _peak_growth(lambda: sum(1 for _ in dedup(stripped())))
         assert count == 20000
-        assert peak < corpus_bytes / 2
+        assert growth < corpus_bytes / 2
+        # the same check fails a pass that holds every document
+        count, growth = _peak_growth(lambda: len(list(dedup(stripped()))))
+        assert count == 20000
+        assert growth > corpus_bytes / 2

@@ -10,6 +10,7 @@ import json
 import multiprocessing
 import os
 import random
+import struct
 from types import SimpleNamespace
 
 import codec_oracle
@@ -24,6 +25,7 @@ from corpusprep.ingest import Document
 from corpusprep.pipeline import write_examples
 from corpusprep.pretrain import (
     _POOL_WINDOW,
+    _READ_EXAMPLE,
     _decode_payload,
     _instances_for_doc,
     FEATURE_ORDER,
@@ -42,7 +44,7 @@ from corpusprep.pretrain import (
     tokenize_documents,
     write_tfrecords,
 )
-from corpusprep.tfrecord import frame_record, parse_example
+from corpusprep.tfrecord import _LAYOUTS, example_reader, frame_record, parse_example
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -911,6 +913,167 @@ class TestReadValidation:
         features["masked_lm_weights"] = ("int64", [1])  # must be float
         payload = codec_oracle.encode_example(features, FEATURE_ORDER)
         assert _read_corrupt(tmp_path, [valid, payload]).offset == len(valid) + 16
+
+
+class TestReadMessages:
+    """The exact detail of each CorruptRecord raised for a payload that passes its CRCs."""
+
+    def _detail(self, tmp_path, payload):
+        text = str(_read_corrupt(tmp_path, [payload]))
+        prefix = f"corrupt record in {tmp_path / 'corrupt.tfrecord'} at byte 0: data check failed ("
+        assert text.startswith(prefix) and text.endswith(")"), text
+        return text[len(prefix) : -1]
+
+    def _payload(self, **changes):
+        """The valid payload's features with these replaced or added, new names last."""
+        features = {**parse_example(_valid_payload()), **changes}
+        return codec_oracle.encode_example(features, [*dict.fromkeys([*FEATURE_ORDER, *changes])])
+
+    def test_malformed_payload(self, tmp_path):
+        detail = self._detail(tmp_path, _valid_payload()[:-3])
+        assert detail == "malformed payload: truncated field 1 (wire type 2)"
+
+    def test_unexpected_feature(self, tmp_path):
+        payload = self._payload(mystery=("int64", [1, 2]))
+        assert self._detail(tmp_path, payload) == "unexpected feature(s): ['mystery']"
+
+    def test_missing_features(self, tmp_path):
+        payload = codec_oracle.encode_example({"input_ids": ("int64", [1])}, ["input_ids"])
+        assert self._detail(tmp_path, payload) == (
+            "missing feature(s): ['input_mask', 'masked_lm_ids', 'masked_lm_positions', "
+            "'masked_lm_weights', 'next_sentence_labels', 'segment_ids']"
+        )
+
+    def test_float_feature_of_another_kind(self, tmp_path):
+        payload = self._payload(masked_lm_weights=("int64", [1]))
+        assert self._detail(tmp_path, payload) == "feature masked_lm_weights must be float"
+
+    @pytest.mark.parametrize("labels", [[], [1, 0]])
+    def test_label_count_other_than_one(self, tmp_path, labels):
+        payload = self._payload(next_sentence_labels=("int64", labels))
+        assert self._detail(tmp_path, payload) == (
+            f"feature next_sentence_labels holds {len(labels)} values, not 1"
+        )
+
+    @pytest.mark.parametrize(
+        "name, block, detail",
+        [
+            ("masked_lm_weights", b"\x00\x00\x80", "packed float block not a multiple of 4 bytes"),
+            ("input_ids", b"\x01\x80", "truncated varint"),
+            ("input_ids", b"\xff" * 9 + b"\x7f", "varint exceeds 64 bits"),
+        ],
+    )
+    def test_block_that_does_not_decode(self, tmp_path, name, block, detail):
+        # the payload is in the written layout; only the one block is at fault
+        example = record_oracle.decode(_valid_payload())
+        assert _layout_payload(_blocks(example)) == _valid_payload()
+        payload = _layout_payload({**_blocks(example), name: block})
+        assert self._detail(tmp_path, payload) == f"malformed payload: {detail}"
+
+
+def _layout_payload(blocks):
+    """A payload in the writer's layout holding these raw packed blocks, by feature name."""
+    ld = codec_oracle.length_delimited
+    return ld(1, b"".join(
+        ld(1, ld(1, name.encode("ascii")) + ld(2, ld(2 if name == "masked_lm_weights" else 3, ld(1, blocks[name]))))
+        for name in FEATURE_ORDER
+    ))
+
+
+def _blocks(example):
+    """The packed blocks of an example's features, by name, packed by the oracle."""
+    return {
+        name: struct.pack(f"<{len(values)}f", *values) if name == "masked_lm_weights"
+        else b"".join(map(codec_oracle.varint, values if isinstance(values, tuple) else (values,)))
+        for name, values in ((name, getattr(example, name)) for name in FEATURE_ORDER)
+    }
+
+
+# ids across the varint width edges (127/128, 2**14 - 1/2**14) and well past them
+_ids = st.one_of(st.sampled_from([0, 1, 127, 128, 2**14 - 1, 2**14]), st.integers(0, 2**35))
+_examples = st.builds(
+    SerializedExample,
+    input_ids=st.lists(_ids, max_size=160).map(tuple),
+    input_mask=st.lists(st.integers(0, 1), max_size=160).map(tuple),
+    segment_ids=st.lists(st.integers(0, 1), max_size=160).map(tuple),
+    masked_lm_positions=st.lists(_ids, max_size=24).map(tuple),
+    masked_lm_ids=st.lists(_ids, max_size=24).map(tuple),
+    masked_lm_weights=st.lists(st.floats(width=32), max_size=24).map(tuple),
+    next_sentence_labels=_ids,
+)
+# a byte flipped (xor), inserted or dropped at a position taken modulo the payload's length
+_edits = st.lists(st.tuples(st.sampled_from("xid"), st.integers(0, 2**16), st.integers(1, 255)), max_size=3)
+
+
+def _edited(payload: bytes, edits) -> bytes:
+    data = bytearray(payload)
+    for op, where, byte in edits:
+        where %= len(data) + (op == "i")
+        if op == "x":
+            data[where] ^= byte
+        elif op == "i":
+            data.insert(where, byte)
+        else:
+            del data[where]
+    return bytes(data)
+
+
+def _lists(example: SerializedExample) -> list:
+    """An example's features as the layout reader returns them: one tuple each."""
+    return [*(getattr(example, name) for name in FEATURE_ORDER[:-1]), (example.next_sentence_labels,)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(example=_examples, edits=_edits)
+@example(example=SerializedExample((2, 5, 3), (1, 1, 1), (0, 0, 0), (), (), (), 0), edits=[])
+def test_layout_reader_matches_the_general_decode(example, edits):
+    # on any payload the layout reader gives what parse_example and the checks after it
+    # give, or None; _decode_payload then gives that same example or names the same fault
+    payload = _edited(record_oracle.payload(example), edits)
+    lists = _READ_EXAMPLE(payload)
+    if not edits:
+        assert repr(lists) == repr(_lists(example))
+    try:
+        expected = record_oracle.decode(payload)
+    except ValueError as exc:
+        assert lists is None or len(lists[-1]) != 1
+        with pytest.raises(CorruptRecord) as error:
+            _decode_payload(payload, "p", 0)
+        assert str(error.value) == f"corrupt record in p at byte 0: data check failed ({exc})"
+    else:
+        assert lists is None or repr(lists) == repr(_lists(expected))
+        assert repr(_decode_payload(payload, "p", 0)) == repr(expected)
+
+
+def _layout_reader():
+    return example_reader([(name, "float" if name == "masked_lm_weights" else "int64")
+                           for name in FEATURE_ORDER])
+
+
+class TestLayoutMemo:
+    BASE = SerializedExample((2, 1, 3), (1, 1, 1), (0, 0, 0), (1,), (5, 6), (1.0, 0.0), 1)
+
+    def test_payloads_of_one_length_and_other_layouts(self):
+        one = dataclasses.replace(self.BASE, input_ids=(2, 300, 3))
+        # the two-byte id moves from input_ids to masked_lm_ids: the same length, other heads
+        moved = dataclasses.replace(self.BASE, masked_lm_ids=(300, 6))
+        payloads = [record_oracle.payload(example) for example in (one, moved)]
+        renamed = payloads[0].replace(b"input_ids", b"input_idz")
+        assert len({len(payload) for payload in (*payloads, renamed)}) == 1
+        read = _layout_reader()
+        for _ in range(2):
+            assert read(payloads[0]) == _lists(one)
+            assert read(renamed) is None
+            assert read(payloads[1]) == _lists(moved)
+        assert len(read.memo) == 1
+
+    def test_memo_stays_within_its_bound(self):
+        read = _layout_reader()
+        examples = [dataclasses.replace(self.BASE, input_ids=(2,) * n) for n in range(_LAYOUTS + 40)]
+        for example in examples + examples[:5]:  # the first lengths again, after their eviction
+            assert read(record_oracle.payload(example)) == _lists(example)
+            assert len(read.memo) <= _LAYOUTS
+        assert len(read.memo) == _LAYOUTS
 
 
 def _field(number: int, payload: bytes) -> bytes:

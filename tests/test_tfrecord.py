@@ -21,6 +21,7 @@ from corpusprep.tfrecord import (
     example_writer,
     frame_record,
     masked_crc32c,
+    example_reader,
     parse_example,
     read_framed,
 )
@@ -185,7 +186,7 @@ class TestExampleEncoding:
         assert parse_example(p1) == parse_example(p2)
 
     def test_unsupported_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unsupported feature kind 'bytes'$"):
             write_features({"x": ("bytes", [b"no"])}, ["x"])
 
     def test_one_writer_encodes_many_records(self):
@@ -211,7 +212,7 @@ class TestExampleEncoding:
         previous = signal.signal(signal.SIGALRM, hang)
         signal.setitimer(signal.ITIMER_REAL, 2.0)
         try:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^int64 values must be non-negative$"):
                 write_features({"ids": ("int64", [3, -1])}, ["ids"])
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
@@ -222,7 +223,7 @@ class TestExampleEncoding:
         payload = write_features({"ids": ("int64", [0, top])}, ["ids"])
         assert parse_example(payload) == {"ids": ("int64", [0, top])}
         for too_big in (2**63, 2**64, 2**70):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^int64 values must not exceed 2\*\*63 - 1$"):
                 write_features({"ids": ("int64", [1, too_big])}, ["ids"])
 
     def test_unpacked_int64_accepted(self):
@@ -390,6 +391,64 @@ class TestCodecOracle:
         expected = codec_oracle.packed_varints(block)
         assert expected[:2] == [5, 150]
         assert parse_example(_one_block_example("ids", block)) == {"ids": ("int64", expected)}
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.sampled_from(_EDGE_INT64), st.integers(0, 2**15)), max_size=300),
+        st.lists(st.floats(width=32, allow_nan=False), max_size=140),
+        st.lists(st.sampled_from([0, 127, 128, 255, 256]), max_size=3),
+    )
+    def test_writer_and_layout_reader_at_the_varint_edges(self, ids, weights, label):
+        # lists past 127 bytes take two-byte lengths; values past 127, multi-byte varints
+        features = {"ids": ("int64", ids), "weights": ("float", weights), "label": ("int64", label)}
+        order = ["ids", "weights", "label"]
+        payload = write_features(features, order)
+        assert payload == codec_oracle.encode_example(features, order)
+        read = example_reader([(name, features[name][0]) for name in order])
+        assert read(payload) == [tuple(features[name][1]) for name in order]
+
+
+class TestLayoutReader:
+    SCHEMA = [("ids", "int64"), ("w", "float")]
+    FEATURES = {"ids": ("int64", [1, 300]), "w": ("float", [0.5])}
+
+    def test_other_layouts_read_as_none(self):
+        ld = codec_oracle.length_delimited
+        payload = codec_oracle.encode_example(self.FEATURES, ["ids", "w"])
+        other = [
+            codec_oracle.encode_example(self.FEATURES, ["ids", "w"], packed=False),
+            codec_oracle.encode_example(self.FEATURES, ["w", "ids"]),
+            codec_oracle.encode_example({**self.FEATURES, "x": ("int64", [1])}, ["ids", "w", "x"]),
+            codec_oracle.encode_example({"ids": ("int64", [1]), "w": ("int64", [1])}, ["ids", "w"]),
+            payload + b"\x10\x01",  # an unknown top-level varint field
+            ld(1, ld(1, ld(1, b"ids") + ld(2, ld(3, ld(1, b"\x01")) + b"\x10\x01"))),  # a trailing field
+        ]
+        read = example_reader(self.SCHEMA)
+        assert read(payload) == [(1, 300), (0.5,)]
+        for data in other:
+            assert read(data) is None
+            parse_example(data)  # the general parser still reads each of them
+        assert read(payload[:-1]) is None and read(b"") is None
+
+    def test_blocks_that_do_not_decode_read_as_none(self):
+        ld = codec_oracle.length_delimited
+
+        def payload(ids_block, w_block):
+            entries = [ld(1, ld(1, b"ids") + ld(2, ld(3, ld(1, ids_block)))),
+                       ld(1, ld(1, b"w") + ld(2, ld(2, ld(1, w_block))))]
+            return ld(1, b"".join(entries))
+
+        read = example_reader(self.SCHEMA)
+        assert read(payload(b"\x01\xac\x02", bytes(4))) == [(1, 300), (0.0,)]
+        for ids_block, w_block in [(b"\x01\xac", bytes(4)), (b"\xff" * 10, b""), (b"", bytes(3))]:
+            assert read(payload(ids_block, w_block)) is None
+            with pytest.raises(ValueError):
+                parse_example(payload(ids_block, w_block))
+
+    def test_schema_checked_once(self):
+        with pytest.raises(ValueError, match="unsupported feature kind 'bytes'"):
+            example_reader([("x", "bytes")])
 
 
 class TestVarintBound:
