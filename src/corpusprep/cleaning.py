@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import FrozenSet, Iterable, Optional, Tuple
@@ -96,6 +97,8 @@ def dedup_key(text: str) -> bytes:
 
 # --- heuristic quality filters -------------------------------------------
 
+_MEMO_LIMIT = 1 << 14  # a token -> stopword core memo is cleared once it holds this many
+
 
 def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
@@ -111,26 +114,37 @@ def split_punct(token: str) -> Tuple[str, str, str]:
     return token[:start], token[start:end], token[end:]
 
 
-def heuristic_filter(doc: Document, thresholds: FilterThresholds) -> Optional[DropReason]:
+def heuristic_filter(
+    doc: Document, thresholds: FilterThresholds, cores: Optional[dict] = None
+) -> Optional[DropReason]:
     """Return the first failing quality check, or None to keep the document.
 
     Checks run in a fixed order: word count, stopword ratio, punctuation
-    ratio.  The verdict depends only on the text and thresholds.
+    ratio.  The verdict depends only on the text and thresholds.  ``cores``
+    keeps each token's stopword core across calls, up to _MEMO_LIMIT tokens.
     """
     words = doc.tokens()
     if len(words) < thresholds.min_words:
         return DropReason(TOO_FEW_WORDS, len(words))
 
-    stopword_count = sum(
-        1 for word in words if split_punct(word.lower())[1] in thresholds.stopwords
-    )
+    memo = {} if cores is None else cores
+    stopword_count = 0
+    for word, n in Counter(words).items():
+        core = memo.get(word)
+        if core is None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            core = memo[word] = split_punct(word.lower())[1]
+        if core in thresholds.stopwords:
+            stopword_count += n
     stopword_ratio = stopword_count / len(words)
     if stopword_ratio > thresholds.max_stopword_ratio:
         return DropReason(TOO_MANY_STOPWORDS, stopword_ratio)
 
-    non_space = [ch for ch in doc.text if not ch.isspace()]
+    non_space = {ch: n for ch, n in Counter(doc.text).items() if not ch.isspace()}
     if non_space:
-        punct_ratio = sum(1 for ch in non_space if _is_punct(ch)) / len(non_space)
+        punct = sum(n for ch, n in non_space.items() if _is_punct(ch))
+        punct_ratio = punct / sum(non_space.values())
         if punct_ratio > thresholds.max_punct_ratio:
             return DropReason(TOO_MUCH_PUNCTUATION, punct_ratio)
 

@@ -39,7 +39,7 @@ from .errors import IoError, PipelineError, StageError, TextTooShort
 from .ingest import (
     CorpusStats, Document, json_line, open_output, read_documents, write_documents, write_jsonl
 )
-from .langid import default_profiles, detect_language
+from .langid import default_profiles, detect_language, score_rows
 from .pretrain import build_instances, serialize_example, tokenize_documents, write_tfrecords
 from .truecase import CasingLexicon, build_casing_lexicon, truecase
 
@@ -145,8 +145,9 @@ def truecase_file(
             lexicon = build_casing_lexicon(read_documents(src, src_format))
 
         def rewritten() -> Iterator[Document]:
+            memo: Dict[str, str] = {}
             for doc in read_documents(src, src_format):
-                cased = truecase(doc, lexicon)
+                cased = truecase(doc, lexicon, memo)
                 tally.add_document(cased)
                 yield cased
 
@@ -170,6 +171,8 @@ def _clean_stream(
     the later stages pass it on unchanged and add those counts.
     """
     profiles = default_profiles() if "langfilter" in stages else None
+    rows = None  # langid's rows: built at the first detection, held by this stream alone
+    cores: Dict[str, str] = {}
     seen_digests: set = set()
     reader = iter(docs)
     while True:
@@ -191,8 +194,9 @@ def _clean_stream(
 
         if "langfilter" in stages:
             if doc.lang_tag != target_lang:
+                rows = rows or score_rows(profiles)
                 try:
-                    lang, prob = detect_language(doc.text, profiles)
+                    lang, prob = detect_language(doc.text, profiles, rows)
                 except TextTooShort:
                     lang, prob = None, 0.0
                 if lang != target_lang or prob < thresholds.lang_confidence_min:
@@ -213,7 +217,7 @@ def _clean_stream(
             tallies["dedup"].add(counts)
 
         if "heuristics" in stages:
-            reason = heuristic_filter(doc, thresholds)
+            reason = heuristic_filter(doc, thresholds, cores)
             if reason is not None:
                 on_drop(doc, "heuristics", reason)
                 continue

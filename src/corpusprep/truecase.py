@@ -110,39 +110,51 @@ def build_casing_lexicon(docs: Iterable[Document]) -> CasingLexicon:
     return CasingLexicon(entries)
 
 
-# a token as str.split() sees it: re's \s and str.split() agree on every code point
-_TOKEN = re.compile(r"\S+")
+# tokens at the split's even positions: re's \s and str.split() agree on every code point
+_SPACES = re.compile(r"(\s+)")
+_MEMO_LIMIT = 1 << 14  # a token -> rewrite memo is cleared once it holds this many tokens
 
 
 def _has_internal_capital(core: str) -> bool:
     return any(ch.isupper() for ch in core[1:])
 
 
-def truecase_text(text: str, lexicon: CasingLexicon) -> str:
+def _rewrite(token: str, lexicon: CasingLexicon) -> str:
+    lead, core, trail = split_punct(token)
+    if core and not _has_internal_capital(core):
+        canonical = lexicon.lookup(core.lower())
+        if canonical is not None:
+            return lead + canonical + trail
+    return token
+
+
+def truecase_text(text: str, lexicon: CasingLexicon, memo: Optional[dict] = None) -> str:
     """Rewrite each known token to its canonical casing.
 
     Tokens with capitals after the first character (acronyms, camel case)
     and tokens the lexicon does not know stay as they are.  Surrounding
     punctuation and all whitespace are preserved.  Idempotent for a fixed
-    lexicon.
+    lexicon.  ``memo`` keeps tokens' rewrites under this lexicon across
+    calls, up to _MEMO_LIMIT tokens.
     """
+    memo = {} if memo is None else memo
+    parts = _SPACES.split(text)
+    for i in range(0, len(parts), 2):
+        token = parts[i]
+        cased = memo.get(token)
+        if cased is None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            cased = memo[token] = _rewrite(token, lexicon)
+        parts[i] = cased
+    return "".join(parts)
 
-    def rewrite(match: re.Match) -> str:
-        lead, core, trail = split_punct(match.group(0))
-        if core and not _has_internal_capital(core):
-            canonical = lexicon.lookup(core.lower())
-            if canonical is not None:
-                return lead + canonical + trail
-        return match.group(0)
 
-    return _TOKEN.sub(rewrite, text)
-
-
-def truecase(doc: Document, lexicon: CasingLexicon) -> Document:
+def truecase(doc: Document, lexicon: CasingLexicon, memo: Optional[dict] = None) -> Document:
     """Document-level truecase_text; id, language tag and lemmas carry over."""
     return Document(
         id=doc.id,
-        text=truecase_text(doc.text, lexicon),
+        text=truecase_text(doc.text, lexicon, memo),
         lang_tag=doc.lang_tag,
         lemmas=doc.lemmas,
     )

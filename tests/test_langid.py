@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from langid_oracle import oracle_detect_language, oracle_iter_ngrams, oracle_profiles, seed_texts
 
+from corpusprep import langid
 from corpusprep.errors import TextTooShort
 from corpusprep.langid import (
     LanguageProfiles,
@@ -18,6 +20,7 @@ from corpusprep.langid import (
     detect_language,
     iter_ngrams,
     normalize,
+    score_rows,
 )
 
 
@@ -241,3 +244,50 @@ def test_ngrams_match_oracle(text):
     # the same grams in the same order: scores are an ordered float sum
     for normalized in (text, normalize(text)):
         assert list(iter_ngrams(normalized)) == list(oracle_iter_ngrams(normalized))
+
+
+_SEED_LINES = [line for text in seed_texts().values() for line in text.splitlines() if line]
+
+
+@functools.lru_cache(maxsize=None)
+def _split_seeds(n):
+    """Table and oracle profiles of n languages, the packaged seed lines dealt round-robin.
+
+    The language codes run in reverse order, so ties are not won by position.
+    """
+    seeds = {f"l{n - i:02d}": "\n".join(_SEED_LINES[i::n]) for i in range(n)}
+    return LanguageProfiles.from_texts(seeds), oracle_profiles(seeds)
+
+
+class TestRowBlocks:
+    """Five languages share a row; short blocks are padded, and more than five take several."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 11])
+    def test_block_edges_match_oracle_bit_for_bit(self, n):
+        profiles, oracle = _split_seeds(n)
+        rows = score_rows(profiles)
+        assert len(rows) == -(-n // 5)
+        assert all(len(floor) == 5 for _, floor in rows)
+        for line in _SEED_LINES[::3] + ["tere maailm", "the quick brown fox", "123 !!"]:
+            table, expected = _both(line, profiles, oracle)
+            assert table == expected, (n, line)
+            if table is not TextTooShort:
+                assert detect_language(line, profiles, rows) == expected
+
+    def test_default_profiles_build_no_rows(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("score_rows called")
+
+        monkeypatch.setattr(langid, "score_rows", refuse)
+        default_profiles.cache_clear()
+        try:
+            assert list(default_profiles().logprobs) == list(seed_texts())
+        finally:
+            default_profiles.cache_clear()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 5, 6, 11]), _TEXTS)
+def test_any_block_count_matches_oracle(n, text):
+    table, oracle = _both(text, *_split_seeds(n))
+    assert table == oracle
