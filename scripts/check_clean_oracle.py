@@ -32,7 +32,7 @@ from corpusprep.cleaning import default_stopwords, heuristic_filter, strip_marku
 from corpusprep.config import FilterThresholds  # noqa: E402
 from corpusprep.errors import TextTooShort  # noqa: E402
 from corpusprep.ingest import Document, read_documents  # noqa: E402
-from corpusprep.langid import default_profiles, detect_language, score_rows  # noqa: E402
+from corpusprep.langid import default_profiles, detect_language  # noqa: E402
 from corpusprep.truecase import build_casing_lexicon, truecase_text  # noqa: E402
 
 
@@ -50,10 +50,10 @@ def _timed(fn, docs):
     return results, time.perf_counter() - start
 
 
-def _language(detect, profiles, *rows):
+def _language(detect, profiles):
     def run(doc):
         try:
-            return detect(doc.text, profiles, *rows)
+            return detect(doc.text, profiles)
         except TextTooShort:
             return None
 
@@ -74,12 +74,11 @@ def main(argv=None) -> int:
         FilterThresholds(min_words=1, max_stopword_ratio=1.0, max_punct_ratio=0.0),
     ]
     lexicon = build_casing_lexicon(docs)
-    profiles = default_profiles()
     cores: dict = {}
     memo: dict = {}
     stages = {
         "langid": (
-            _language(detect_language, profiles, score_rows(profiles)),
+            _language(detect_language, default_profiles()),
             _language(oracle_detect_language, oracle_profiles(seed_texts())),
         ),
         "heuristics": (

@@ -5,8 +5,9 @@ grams, built once by ``LanguageProfiles.from_texts`` from seed text with
 additive smoothing, plus one floor for grams the language never showed.
 Detection lowercases the input, strips digits and URLs, pads each word with
 spaces and sums the gram stream's table entries for every language; the
-winning language is returned with its normalized posterior.  Through
-``score_rows`` one lookup per gram serves five languages' sums.
+winning language is returned with its normalized posterior.  Through the
+profiles' ``rows``, built at the first detection, one lookup per gram serves
+five languages' sums.
 
 Small seed texts for Estonian, English, Finnish, German and Russian ship with
 the package, enough to separate languages reliably at document granularity.
@@ -20,10 +21,10 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from importlib import resources
 from itertools import repeat
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .errors import TextTooShort
 
@@ -34,8 +35,6 @@ _DIGITS = re.compile(r"\d+")
 _SPACES = re.compile(r"\s+")
 
 _SEED_LANGUAGES = ("de", "en", "et", "fi", "ru")
-
-ScoreRows = List[Tuple[Dict[str, List[float]], Tuple[float, ...]]]
 
 
 def normalize(text: str) -> str:
@@ -80,32 +79,28 @@ class LanguageProfiles:
             unseen[lang] = math.log(_SMOOTHING / denom)
         return cls(logprobs, unseen)
 
+    @cached_property
+    def rows(self) -> List[Tuple[Dict[str, List[float]], Tuple[float, ...]]]:
+        """Per block of five languages in profile order: gram -> the list of their log-probabilities
+        (a floor where one never saw the gram), and the tuple of floors; 0.0 pads a short block.
+        Built at the first detection.  The rows are lists because freed 5-tuples stay on the
+        interpreter's free list and hold memory after a run."""
+        langs = list(self.logprobs)
+        blocks = []
+        for start in range(0, len(langs), 5):
+            tables = [self.logprobs[lang] for lang in langs[start : start + 5]]
+            pad = 5 - len(tables)
+            floor = tuple(self.unseen[lang] for lang in langs[start : start + 5]) + (0.0,) * pad
+            keys = set().union(*tables)
+            columns = [[table.get(gram, f) for gram in keys] for table, f in zip(tables, floor)]
+            blocks.append((dict(zip(keys, map(list, zip(*columns, *[repeat(0.0)] * pad)))), floor))
+        return blocks
 
-def score_rows(profiles: LanguageProfiles, grams: Optional[Set[str]] = None) -> ScoreRows:
-    """Per block of five languages in profile order: gram -> the list of their log-probabilities
-    (a floor where one never saw the gram), and the tuple of floors; 0.0 pads a short block.
-    The rows cover ``grams``, by default every gram of the block's tables.  They are lists
-    because freed 5-tuples stay on the interpreter's free list and hold memory after a run."""
-    langs = list(profiles.logprobs)
-    blocks: ScoreRows = []
-    for start in range(0, len(langs), 5):
-        tables = [profiles.logprobs[lang] for lang in langs[start : start + 5]]
-        pad = 5 - len(tables)
-        floor = tuple(profiles.unseen[lang] for lang in langs[start : start + 5]) + (0.0,) * pad
-        keys = set().union(*tables) if grams is None else grams
-        columns = [[table.get(gram, f) for gram in keys] for table, f in zip(tables, floor)]
-        blocks.append((dict(zip(keys, map(list, zip(*columns, *[repeat(0.0)] * pad)))), floor))
-    return blocks
 
-
-def detect_language(
-    text: str, profiles: LanguageProfiles, rows: Optional[ScoreRows] = None
-) -> Tuple[str, float]:
+def detect_language(text: str, profiles: LanguageProfiles) -> Tuple[str, float]:
     """Return the maximum-posterior language and its normalized posterior.
 
-    ``rows`` is ``score_rows(profiles)``, for callers that detect many texts;
-    without it, rows for this text's grams are built.  Raises TextTooShort
-    when the normalized text has no alphabetic character.
+    Raises TextTooShort when the normalized text has no alphabetic character.
     """
     if not profiles.logprobs:
         raise ValueError("profiles are empty")
@@ -116,7 +111,7 @@ def detect_language(
     grams = list(iter_ngrams(normalized))
     log_prior = -math.log(len(profiles.logprobs))
     sums: List[float] = []
-    for table, floor in score_rows(profiles, set(grams)) if rows is None else rows:
+    for table, floor in profiles.rows:
         # an explicit loop: sum() of floats compensates since Python 3.12 and rounds differently;
         # each column is one language's left fold in gram order, the padded ones dropped by zip
         s0 = s1 = s2 = s3 = s4 = log_prior
@@ -136,9 +131,8 @@ def detect_language(
     return best, math.exp(scores[best] - peak) / total
 
 
-@lru_cache(maxsize=None)
 def default_profiles() -> LanguageProfiles:
-    """Profiles built from the packaged seed texts (cached)."""
+    """Profiles from the packaged seed texts, built by each call: keep them to detect many texts."""
     seeds = resources.files("corpusprep.data").joinpath("langseed")
     return LanguageProfiles.from_texts(
         {lang: (seeds / f"{lang}.txt").read_text(encoding="utf-8") for lang in _SEED_LANGUAGES}

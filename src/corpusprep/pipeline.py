@@ -7,7 +7,8 @@ digest per kept document, grows with the corpus.  ``clean_file`` runs that
 loop and commits the cleaned file and its streamed drop log together;
 ``truecase_file`` reads ``cleaned.jsonl`` twice (casing evidence, then
 rewrite) and rewrites it in place.  The subcommands run these two too.
-A run removes a stale ``report.jsonl`` first and writes the report last.
+A run refuses a report path that is its input, removes a stale
+``report.jsonl`` first and writes the report last.
 ``_stage`` is the one stage boundary: a PipelineError, OSError or ValueError
 raised inside a stage leaves it as StageError naming that stage.
 
@@ -39,7 +40,7 @@ from .errors import IoError, PipelineError, StageError, TextTooShort
 from .ingest import (
     CorpusStats, Document, json_line, open_output, read_documents, write_documents, write_jsonl
 )
-from .langid import default_profiles, detect_language, score_rows
+from .langid import default_profiles, detect_language
 from .pretrain import build_instances, serialize_example, tokenize_documents, write_tfrecords
 from .truecase import CasingLexicon, build_casing_lexicon, truecase
 
@@ -171,7 +172,6 @@ def _clean_stream(
     the later stages pass it on unchanged and add those counts.
     """
     profiles = default_profiles() if "langfilter" in stages else None
-    rows = None  # langid's rows: built at the first detection, held by this stream alone
     cores: Dict[str, str] = {}
     seen_digests: set = set()
     reader = iter(docs)
@@ -194,9 +194,8 @@ def _clean_stream(
 
         if "langfilter" in stages:
             if doc.lang_tag != target_lang:
-                rows = rows or score_rows(profiles)
                 try:
-                    lang, prob = detect_language(doc.text, profiles, rows)
+                    lang, prob = detect_language(doc.text, profiles)
                 except TextTooShort:
                     lang, prob = None, 0.0
                 if lang != target_lang or prob < thresholds.lang_confidence_min:
@@ -252,6 +251,10 @@ def clean_file(
 
 def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
     """Execute enabled stages, write artifacts, and return the report."""
+    report_path = config.report_path or os.path.join(config.out_dir, "report.jsonl")
+    paths = (report_path, config.input_path)
+    if all(map(os.path.exists, paths)) and os.path.samefile(*paths):
+        raise ValueError(f"report path {report_path} is the input file")
     with _stage("output"):
         try:
             os.makedirs(config.out_dir, exist_ok=True)
@@ -259,7 +262,6 @@ def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
             raise IoError(f"cannot write {config.out_dir}: {exc.strerror or exc}") from exc
     cleaned_path = os.path.join(config.out_dir, "cleaned.jsonl")
     drops_path = os.path.join(config.out_dir, "drops.jsonl")
-    report_path = config.report_path or os.path.join(config.out_dir, "report.jsonl")
     if os.path.isfile(report_path) and not os.path.islink(report_path):
         os.remove(report_path)
 

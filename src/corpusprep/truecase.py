@@ -98,6 +98,8 @@ def build_casing_lexicon(docs: Iterable[Document]) -> CasingLexicon:
             if not key or not lemma:
                 continue
             form = _capitalized(key) if lemma[:1].isupper() else key
+            if form.lower() != key:  # no vote: a capital that lowercases elsewhere (ﬁ, ß)
+                continue
             bucket = votes.setdefault(key, {})
             bucket[form] = bucket.get(form, 0) + 1
     if given and not votes:

@@ -633,6 +633,42 @@ def test_run_out_dir_that_is_a_file_names_output_stage(capsys, tmp_path, fixture
     assert afile.read_text(encoding="utf-8") == "kept\n"
 
 
+def test_run_keeps_a_token_whose_capital_lowercases_elsewhere(capsys, tmp_path,
+                                                               fixture_corpus_path):
+    # "ﬁ" (U+FB01) capitalizes to "FI", which lowercases to "fi": the lemma gives no vote
+    text = "ﬁnland on meie naaber ja seal elab palju inimesi kes räägivad soome keelt."
+    lemmas = ["Finland"] + [word.strip(".") for word in text.split()[1:]]
+    corpus = _write_jsonl(tmp_path / "corpus.jsonl", _read_lines(fixture_corpus_path) + [
+        {"id": "fin", "text": text, "lang": "et", "lemmas": lemmas}])
+    config = _write_config(tmp_path / "job.conf", corpus, tmp_path / "out")
+    assert main(["run", "--config", config]) == 0
+    assert main(["truecase", corpus, str(tmp_path / "cased.jsonl")]) == 0
+    capsys.readouterr()
+    for cased in (tmp_path / "out" / "cleaned.jsonl", tmp_path / "cased.jsonl"):
+        assert [row["text"] for row in _read_lines(cased) if row["id"] == "fin"] == [text]
+
+
+@pytest.mark.parametrize("case", ["config", "flag", "symlink"])
+def test_run_refuses_a_report_path_that_is_its_input(case, capsys, tmp_path, fixture_corpus_path):
+    corpus = tmp_path / "corpus.jsonl"
+    shutil.copyfile(fixture_corpus_path, corpus)
+    original, report = corpus.read_bytes(), corpus
+    if case == "symlink":
+        report = tmp_path / "link.jsonl"
+        report.symlink_to(corpus)
+    config = _write_config(tmp_path / "job.conf", corpus, tmp_path / "out")
+    argv = ["run", "--config", config]
+    if case == "flag":
+        argv += ["--report", str(report)]
+    else:
+        with open(config, "a", encoding="utf-8") as handle:
+            handle.write(f"[output]\nreport = {report}\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"invalid value: report path {report} is the input file\n"
+    assert corpus.read_bytes() == original
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_rerun_leaves_no_report_or_empty_shard(capsys, tmp_path, fixture_corpus_path):
     out_dir = tmp_path / "out"
     config = _write_config(tmp_path / "job.conf", fixture_corpus_path, out_dir)

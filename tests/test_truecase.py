@@ -58,6 +58,13 @@ class TestBuildLexicon:
         assert lex.lookup("tallinnas") == "Tallinnas"
         assert lex.lookup("tallinn") is None
 
+    def test_capital_that_does_not_lowercase_back_gives_no_vote(self):
+        # "ﬁ".upper() is "FI" and "ß".upper() is "SS": their capitals lowercase to other keys
+        docs = [_doc("ﬁnland ßa tallinn ﬁnland", ("Finland", "SSa", "Tallinn", "finland"))]
+        lex = build_casing_lexicon(docs)
+        assert lex.entries == {"ﬁnland": ("ﬁnland", 1), "tallinn": ("Tallinn", 1)}
+        assert truecase_text("ﬁnland ßa Tallinn", lex) == "ﬁnland ßa Tallinn"
+
     def test_empty_stream_gives_empty_lexicon(self):
         assert len(build_casing_lexicon([])) == 0
 
