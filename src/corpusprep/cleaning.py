@@ -8,7 +8,6 @@ in langid; truecasing in truecase.
 
 from __future__ import annotations
 
-import hashlib
 import re
 import unicodedata
 from collections import Counter
@@ -17,7 +16,7 @@ from importlib import resources
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 from .config import FilterThresholds
-from .ingest import Document, read_lines
+from .ingest import Document, blake2b_digest, read_lines
 
 # Drop reason kinds, as written to drop reports.
 NON_TARGET_LANGUAGE = "NonTargetLanguage"
@@ -92,7 +91,7 @@ def strip_markup(text: str) -> str:
 def dedup_key(text: str) -> bytes:
     """Stable 128-bit digest of lowercased, whitespace-normalized text."""
     normalized = " ".join(text.lower().split())
-    return hashlib.blake2b(normalized.encode("utf-8"), digest_size=16).digest()
+    return blake2b_digest(normalized.encode("utf-8"), 16)
 
 
 # --- heuristic quality filters -------------------------------------------

@@ -17,7 +17,6 @@ files and command-line flags alike.
 
 from __future__ import annotations
 
-import difflib
 import re
 from collections import defaultdict
 from dataclasses import Field, dataclass, field, fields
@@ -141,6 +140,8 @@ _SECTIONS = {section: section for section, _ in _KEYS}  # as _suggest's options
 
 def _suggest(word: str, options: Dict[str, str]) -> str:
     """A hint naming the option closest to word, as options maps it for display."""
+    import difflib  # only a failing config needs it
+
     close = difflib.get_close_matches(word, list(options), n=1, cutoff=0.6)
     return f" (did you mean {options[close[0]]!r}?)" if close else ""
 

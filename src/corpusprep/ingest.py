@@ -16,6 +16,7 @@ Three formats are supported:
   carry lemma annotations.
 
 Readers are generators and never hold more than one document in memory.
+The module also holds the blake2b digest that cleaning and pretraining share.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Tuple
 
 from .errors import IoError, MalformedRecord, UnreadableFile
+
+try:  # the C module itself: importing hashlib would also load OpenSSL's libcrypto
+    from _blake2 import blake2b
+except ImportError:  # an interpreter without it, whose hashlib has its own
+    from hashlib import blake2b
 
 FORMATS = ("vert-xml", "blankline-text", "json-lines")
 
@@ -146,6 +152,11 @@ def open_output(path: str, binary: bool = False) -> Iterator[IO]:
     finally:
         if not in_place and os.path.lexists(target):
             os.remove(target)
+
+
+def blake2b_digest(data: bytes, size: int) -> bytes:
+    """The size-byte blake2b digest of data, for dedup keys and per-document seeds."""
+    return blake2b(data, digest_size=size).digest()
 
 
 def read_documents(path: str, format: str) -> Iterator[Document]:

@@ -7,7 +7,7 @@ digest per kept document, grows with the corpus.  ``clean_file`` runs that
 loop and commits the cleaned file and its streamed drop log together;
 ``truecase_file`` reads ``cleaned.jsonl`` twice (casing evidence, then
 rewrite) and rewrites it in place.  The subcommands run these two too.
-A run refuses a report path that is its input, removes a stale
+A run refuses an input that is one of its artifacts, removes a stale
 ``report.jsonl`` first and writes the report last.
 ``_stage`` is the one stage boundary: a PipelineError, OSError or ValueError
 raised inside a stage leaves it as StageError naming that stage.
@@ -41,7 +41,9 @@ from .ingest import (
     CorpusStats, Document, json_line, open_output, read_documents, write_documents, write_jsonl
 )
 from .langid import default_profiles, detect_language
-from .pretrain import build_instances, serialize_example, tokenize_documents, write_tfrecords
+from .pretrain import (
+    build_instances, serialize_example, shard_paths, tokenize_documents, write_tfrecords
+)
 from .truecase import CasingLexicon, build_casing_lexicon, truecase
 
 
@@ -156,6 +158,13 @@ def truecase_file(
     return lexicon
 
 
+def _same_file(path: str, other: str) -> bool:
+    """Whether path and other name one file: one resolved path, or links to one file."""
+    if os.path.realpath(path) == os.path.realpath(other):
+        return True
+    return os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)
+
+
 def _clean_stream(
     docs: Iterator[Document],
     stages: List[str],
@@ -171,7 +180,7 @@ def _clean_stream(
     to tallies[stage].  A document is counted at ingest and after strip;
     the later stages pass it on unchanged and add those counts.
     """
-    profiles = default_profiles() if "langfilter" in stages else None
+    profiles = None  # built at the first document that needs identifying
     cores: Dict[str, str] = {}
     seen_digests: set = set()
     reader = iter(docs)
@@ -194,6 +203,8 @@ def _clean_stream(
 
         if "langfilter" in stages:
             if doc.lang_tag != target_lang:
+                if profiles is None:
+                    profiles = default_profiles()
                 try:
                     lang, prob = detect_language(doc.text, profiles)
                 except TextTooShort:
@@ -233,8 +244,12 @@ def clean_file(
     """The cleaning stages over src into dst; (documents kept, drops by kind).
 
     Each dropped document is one line of the drop log at drops_path (none if
-    None).  dst and the drop log appear together once the stages complete.
+    None).  dst and the drop log appear together once the stages complete; a
+    drop log that is src or dst (links count) is refused before either opens.
     """
+    for role, path in (("input", src), ("output", dst)):
+        if drops_path is not None and _same_file(drops_path, path):
+            raise ValueError(f"drop log path {drops_path} is the {role} file")
     drops: Counter = Counter()
     with _stage("output"), open_output(drops_path or os.devnull) as drop_log:
 
@@ -252,16 +267,21 @@ def clean_file(
 def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
     """Execute enabled stages, write artifacts, and return the report."""
     report_path = config.report_path or os.path.join(config.out_dir, "report.jsonl")
-    paths = (report_path, config.input_path)
-    if all(map(os.path.exists, paths)) and os.path.samefile(*paths):
-        raise ValueError(f"report path {report_path} is the input file")
+    cleaned_path = os.path.join(config.out_dir, "cleaned.jsonl")
+    drops_path = os.path.join(config.out_dir, "drops.jsonl")
+    vocab_path = os.path.join(config.out_dir, "vocab.txt")
+    merges_path = os.path.join(config.out_dir, "merges.txt")
+    artifacts = [("report", report_path), ("cleaned", cleaned_path), ("drops", drops_path),
+                 ("vocab", vocab_path), ("merges", merges_path)]
+    shards = shard_paths(config.out_dir, config.generation.shards)
+    for name, path in artifacts + [("shard", path) for path in shards]:
+        if _same_file(path, config.input_path):
+            raise ValueError(f"{name} path {path} is the input file")
     with _stage("output"):
         try:
             os.makedirs(config.out_dir, exist_ok=True)
         except OSError as exc:
             raise IoError(f"cannot write {config.out_dir}: {exc.strerror or exc}") from exc
-    cleaned_path = os.path.join(config.out_dir, "cleaned.jsonl")
-    drops_path = os.path.join(config.out_dir, "drops.jsonl")
     if os.path.isfile(report_path) and not os.path.islink(report_path):
         os.remove(report_path)
 
@@ -286,8 +306,6 @@ def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
 
     with _stage("bpe"):
         vocab = train_bpe(read_documents(cleaned_path, "json-lines"), config.vocab_size)
-        vocab_path = os.path.join(config.out_dir, "vocab.txt")
-        merges_path = os.path.join(config.out_dir, "merges.txt")
         vocab.save(vocab_path, merges_path)
 
     with _stage("examples"):

@@ -31,9 +31,7 @@ guarantees:
 
 from __future__ import annotations
 
-import hashlib
 import math
-import multiprocessing
 import os
 import random
 import re
@@ -45,7 +43,7 @@ from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, get_type
 from .bpe import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, encode
 from .config import GenerationConfig
 from .errors import CorpusTooSmall, CorruptRecord, IdOutOfRange, IoError, NoMaskableTokens
-from .ingest import Document, open_output
+from .ingest import Document, blake2b_digest, open_output
 from .tfrecord import example_reader, example_writer, frame_record, parse_example, read_framed
 
 
@@ -124,9 +122,7 @@ class PretrainingInstance:
 
 
 def _doc_rng(seed: int, doc_id: str, dupe: int) -> random.Random:
-    digest = hashlib.blake2b(
-        f"{doc_id}\x00{dupe}".encode("utf-8"), digest_size=8
-    ).digest()
+    digest = blake2b_digest(f"{doc_id}\x00{dupe}".encode("utf-8"), 8)
     return random.Random(seed ^ int.from_bytes(digest, "little"))
 
 
@@ -273,6 +269,8 @@ def build_instances(
         for dupe, doc_index in tasks:
             yield from map(finish, _instances_for_doc(docs, vocab, config, dupe, doc_index))
         return
+
+    import multiprocessing  # only a pool needs it, and it loads pickle and socket
 
     context = multiprocessing.get_context("fork")
     with context.Pool(

@@ -669,6 +669,41 @@ def test_run_refuses_a_report_path_that_is_its_input(case, capsys, tmp_path, fix
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["dedup", "filter"])
+@pytest.mark.parametrize("report, role", [
+    ("c.jsonl", "input"), ("d.jsonl", "output"), ("link.jsonl", "input"),
+])
+def test_cleaning_refuses_a_drop_log_that_is_its_input_or_output(command, report, role, capsys,
+                                                                 tmp_path, fixture_corpus_path):
+    corpus = tmp_path / "c.jsonl"
+    shutil.copyfile(fixture_corpus_path, corpus)
+    original = corpus.read_bytes()
+    os.link(corpus, tmp_path / "link.jsonl")  # a hard link: only samefile sees it
+    report = str(tmp_path / report)
+    assert main([command, str(corpus), str(tmp_path / "d.jsonl"), "--report", report]) == 1
+    assert capsys.readouterr().err == f"invalid value: drop log path {report} is the {role} file\n"
+    assert corpus.read_bytes() == original
+    assert sorted(os.listdir(tmp_path)) == ["c.jsonl", "link.jsonl"]
+
+
+@pytest.mark.parametrize("name, artifact", [
+    ("drops", "drops.jsonl"), ("cleaned", "cleaned.jsonl"), ("vocab", "vocab.txt"),
+    ("merges", "merges.txt"), ("shard", "pretrain-1-of-2.tfrecord"),
+])
+def test_run_refuses_an_input_that_is_one_of_its_artifacts(name, artifact, capsys, tmp_path,
+                                                           fixture_corpus_path):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    corpus = out_dir / artifact
+    shutil.copyfile(fixture_corpus_path, corpus)
+    original = corpus.read_bytes()
+    config = _write_config(tmp_path / "job.conf", corpus, out_dir)
+    assert main(["run", "--config", config]) == 1
+    assert capsys.readouterr().err == f"invalid value: {name} path {corpus} is the input file\n"
+    assert corpus.read_bytes() == original
+    assert os.listdir(out_dir) == [artifact]
+
+
 def test_failed_rerun_leaves_no_report_or_empty_shard(capsys, tmp_path, fixture_corpus_path):
     out_dir = tmp_path / "out"
     config = _write_config(tmp_path / "job.conf", fixture_corpus_path, out_dir)

@@ -261,9 +261,9 @@ class TestLangidLifetime:
         with open(src, "w", encoding="utf-8") as handle:
             for doc in fixture_docs:
                 handle.write(json.dumps({"id": doc.id, "text": doc.text, "lang": "et"}) + "\n")
-        kept, drops = _clean_recording_profiles(monkeypatch, tmp_path, src, lambda p: p)
+        built, drops = _clean_recording_profiles(monkeypatch, tmp_path, src, lambda p: p)
         assert drops[NON_TARGET_LANGUAGE] == 0
-        assert len(kept) == 1 and "rows" not in vars(kept[0])
+        assert built == []  # no document needed identifying, so no profiles were built
 
 
 class TestStageToggles:
