@@ -11,9 +11,9 @@ any stopword, then any punctuation, drops a document with its ratio) and
 ``truecase_text`` with the per-token truecaser there (the same text), under
 a casing lexicon built from the stripped documents' lemmas.  The shipped
 functions share one memo each across the documents, as a cleaning run
-does.  Prints one line with the document count, each stage's time on both
-sides and whether every result is identical; exits 0 when it is, 1 when it
-is not.
+does: a ``Memo`` of stopword cores and the lexicon's own rewrites.  Prints
+one line with the document count, each stage's time on both sides and
+whether every result is identical; exits 0 when it is, 1 when it is not.
 """
 
 from __future__ import annotations
@@ -28,10 +28,12 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from cleaning_oracle import oracle_heuristic_filter, oracle_truecase_text  # noqa: E402
 from langid_oracle import oracle_detect_language, oracle_profiles, seed_texts  # noqa: E402
-from corpusprep.cleaning import default_stopwords, heuristic_filter, strip_markup  # noqa: E402
+from corpusprep.cleaning import (  # noqa: E402
+    default_stopwords, heuristic_filter, stopword_core, strip_markup
+)
 from corpusprep.config import FilterThresholds  # noqa: E402
 from corpusprep.errors import TextTooShort  # noqa: E402
-from corpusprep.ingest import Document, read_documents  # noqa: E402
+from corpusprep.ingest import Document, Memo, read_documents  # noqa: E402
 from corpusprep.langid import default_profiles, detect_language  # noqa: E402
 from corpusprep.truecase import build_casing_lexicon, truecase_text  # noqa: E402
 
@@ -74,8 +76,7 @@ def main(argv=None) -> int:
         FilterThresholds(min_words=1, max_stopword_ratio=1.0, max_punct_ratio=0.0),
     ]
     lexicon = build_casing_lexicon(docs)
-    cores: dict = {}
-    memo: dict = {}
+    cores = Memo(stopword_core)
     stages = {
         "langid": (
             _language(detect_language, default_profiles()),
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
             lambda doc: [oracle_heuristic_filter(doc, each) for each in thresholds],
         ),
         "truecase": (
-            lambda doc: truecase_text(doc.text, lexicon, memo),
+            lambda doc: truecase_text(doc.text, lexicon),
             lambda doc: oracle_truecase_text(doc.text, lexicon),
         ),
     }

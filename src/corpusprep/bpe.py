@@ -10,8 +10,8 @@ Training is incremental (Sennrich et al. 2016): pair counts and a
 pair-to-word index persist across merges, each merge rewrites only the word
 types that hold the merged pair, and a lazy max-heap yields the next pair.
 Encoding replays merges by rank from a table built once per Vocab and
-memoizes piece ids per word on the Vocab; the memo is cleared whenever it
-reaches _MEMO_LIMIT words, so encoder memory stays bounded.
+memoizes piece ids per word in the Vocab's ``word_ids``, an ``ingest.Memo``,
+so encoder memory stays bounded.
 """
 
 from __future__ import annotations
@@ -21,17 +21,15 @@ import unicodedata
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EmptyCorpus, IdOutOfRange, MalformedRecord, VocabSizeTooSmall
-from .ingest import Document, open_output, read_lines
+from .ingest import Document, Memo, open_output, read_lines
 
 SPECIALS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 DEFAULT_MARKER = "▁"  # ▁
-# words memoized per vocab before encode clears the memo; a full memo takes
-# about 2 MB (120-140 bytes per word)
-_MEMO_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -42,8 +40,7 @@ class Vocab:
     merges: Tuple[Tuple[str, str], ...]
     marker: str = DEFAULT_MARKER
     piece_to_id: Dict[str, int] = field(init=False, repr=False, compare=False)
-    merge_ranks: Dict[Tuple[str, str], int] = field(init=False, repr=False, compare=False)
-    word_ids: Dict[str, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    word_ids: Memo = field(init=False, repr=False, compare=False)  # word -> its piece ids
 
     def __post_init__(self) -> None:
         if self.pieces[: len(SPECIALS)] != SPECIALS:
@@ -57,11 +54,9 @@ class Vocab:
             if left in SPECIALS or right in SPECIALS:
                 raise ValueError("special tokens cannot appear in merges")
         object.__setattr__(self, "piece_to_id", mapping)
-        # a merge listed twice keeps its later rank
-        object.__setattr__(
-            self, "merge_ranks", {pair: rank for rank, pair in enumerate(self.merges)}
-        )
-        object.__setattr__(self, "word_ids", {})
+        ranks = {pair: rank for rank, pair in enumerate(self.merges)}  # a later listing wins
+        encode_word = partial(_encode_word, marker=self.marker, ranks=ranks, piece_to_id=mapping)
+        object.__setattr__(self, "word_ids", Memo(encode_word))
 
     def __reduce__(self):
         # rebuild the derived maps on unpickling instead of shipping encode's memo
@@ -215,24 +210,19 @@ def _apply_merge(symbols: Sequence[str], pair: Tuple[str, str]) -> Tuple[str, ..
 def encode(text: str, vocab: Vocab) -> List[int]:
     """NFKC-normalize, split on whitespace, replay merges per word by rank.
 
-    Piece ids per word are memoized on the vocab; the memo is cleared once
-    it holds _MEMO_LIMIT words, so its memory stays bounded.
+    Piece ids per word come from the vocab's bounded memo, ``word_ids``.
     """
     memo = vocab.word_ids
     ids: List[int] = []
     for word in unicodedata.normalize("NFKC", text).split():
-        word_ids = memo.get(word)
-        if word_ids is None:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            word_ids = memo[word] = _encode_word(word, vocab)
-        ids.extend(word_ids)
+        ids.extend(memo[word])
     return ids
 
 
-def _encode_word(word: str, vocab: Vocab) -> Tuple[int, ...]:
-    ranks = vocab.merge_ranks
-    symbols: Tuple[str, ...] = (vocab.marker, *word)
+def _encode_word(
+    word: str, marker: str, ranks: Dict[Tuple[str, str], int], piece_to_id: Dict[str, int]
+) -> Tuple[int, ...]:
+    symbols: Tuple[str, ...] = (marker, *word)
     while len(symbols) > 1:
         best_rank = None
         best_pair = None
@@ -243,7 +233,7 @@ def _encode_word(word: str, vocab: Vocab) -> Tuple[int, ...]:
         if best_pair is None:
             break
         symbols = _apply_merge(symbols, best_pair)
-    return tuple(vocab.piece_to_id.get(symbol, UNK_ID) for symbol in symbols)
+    return tuple(piece_to_id.get(symbol, UNK_ID) for symbol in symbols)
 
 
 def decode(ids: Sequence[int], vocab: Vocab) -> str:

@@ -2,8 +2,9 @@
 
 Every function here works on one document and is pure: strip_markup,
 dedup_key and heuristic_filter.  The stages themselves, including the set of
-seen dedup digests, run in pipeline._clean_stream.  Language filtering lives
-in langid; truecasing in truecase.
+seen dedup digests and heuristic_filter's memo of stopword cores, run in
+pipeline._clean_stream.  Language filtering lives in langid; truecasing in
+truecase.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from importlib import resources
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 from .config import FilterThresholds
-from .ingest import Document, blake2b_digest, read_lines
+from .ingest import Document, Memo, blake2b_digest, read_lines
 
 # Drop reason kinds, as written to drop reports.
 NON_TARGET_LANGUAGE = "NonTargetLanguage"
@@ -96,9 +97,6 @@ def dedup_key(text: str) -> bytes:
 
 # --- heuristic quality filters -------------------------------------------
 
-_MEMO_LIMIT = 1 << 14  # a token -> stopword core memo is cleared once it holds this many
-
-
 def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
@@ -113,28 +111,28 @@ def split_punct(token: str) -> Tuple[str, str, str]:
     return token[:start], token[start:end], token[end:]
 
 
+def stopword_core(token: str) -> str:
+    """The form of a token that is looked up in a stopword list."""
+    return split_punct(token.lower())[1]
+
+
 def heuristic_filter(
-    doc: Document, thresholds: FilterThresholds, cores: Optional[dict] = None
+    doc: Document, thresholds: FilterThresholds, cores: Optional[Memo] = None
 ) -> Optional[DropReason]:
     """Return the first failing quality check, or None to keep the document.
 
     Checks run in a fixed order: word count, stopword ratio, punctuation
-    ratio.  The verdict depends only on the text and thresholds.  ``cores``
-    keeps each token's stopword core across calls, up to _MEMO_LIMIT tokens.
+    ratio.  The verdict depends only on the text and thresholds.  ``cores``,
+    a ``Memo(stopword_core)``, keeps each token's stopword core across calls.
     """
     words = doc.tokens()
     if len(words) < thresholds.min_words:
         return DropReason(TOO_FEW_WORDS, len(words))
 
-    memo = {} if cores is None else cores
+    cores = Memo(stopword_core) if cores is None else cores
     stopword_count = 0
     for word, n in Counter(words).items():
-        core = memo.get(word)
-        if core is None:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            core = memo[word] = split_punct(word.lower())[1]
-        if core in thresholds.stopwords:
+        if cores[word] in thresholds.stopwords:
             stopword_count += n
     stopword_ratio = stopword_count / len(words)
     if stopword_ratio > thresholds.max_stopword_ratio:

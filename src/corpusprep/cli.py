@@ -20,9 +20,7 @@ from .config import (
     validate_config,
 )
 from .errors import ConfigError, MalformedRecord, PipelineError, StageError
-from .ingest import (
-    FORMATS, CorpusStats, compute_stats, open_output, read_documents, read_lines, write_jsonl
-)
+from .ingest import FORMATS, compute_stats, open_output, read_documents, read_lines, write_jsonl
 from .pipeline import clean_file, run_pipeline, truecase_file, with_stopwords, write_examples
 from .pretrain import read_tfrecords
 
@@ -103,16 +101,14 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_truecase(args) -> int:
-    tally = CorpusStats()
     # the lexicon file is opened first, so it and the output appear together or not at all
     with open_output(args.save_lexicon or os.devnull) as lexicon_out:
-        lexicon = truecase_file(
-            args.input, args.format, args.output, args.output_format, args.lexicon, tally
+        count, lexicon = truecase_file(
+            args.input, args.format, args.output, args.output_format, args.lexicon
         )
         if args.save_lexicon:
             lexicon.write(lexicon_out)
-    count, entries = tally.documents, len(lexicon)
-    print(f"truecased {count} documents with {entries} lexicon entries -> {args.output}")
+    print(f"truecased {count} documents with {len(lexicon)} lexicon entries -> {args.output}")
     return 0
 
 

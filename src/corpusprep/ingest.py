@@ -16,7 +16,8 @@ Three formats are supported:
   carry lemma annotations.
 
 Readers are generators and never hold more than one document in memory.
-The module also holds the blake2b digest that cleaning and pretraining share.
+The module also holds the blake2b digest that cleaning and pretraining share
+and ``Memo``, the bounded per-token memo of encoding, heuristics and truecasing.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional, Tuple
+from typing import IO, Callable, Iterable, Iterator, Optional, Tuple
 
 from .errors import IoError, MalformedRecord, UnreadableFile
 
@@ -42,6 +43,9 @@ _ATTR = re.compile(r"""([\w:-]+)\s*=\s*"([^"]*)"|([\w:-]+)\s*=\s*'([^']*)'""")
 
 # only the characters that are structural in our vertical format
 _VERT_ESCAPES = [("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;")]
+
+# keys a Memo holds before it clears; a full BPE memo takes about 2 MB (120-140 bytes a word)
+MEMO_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -157,6 +161,25 @@ def open_output(path: str, binary: bool = False) -> Iterator[IO]:
 def blake2b_digest(data: bytes, size: int) -> bytes:
     """The size-byte blake2b digest of data, for dedup keys and per-document seeds."""
     return blake2b(data, digest_size=size).digest()
+
+
+class Memo(dict):
+    """fn(key) for each key looked up, computed at its first lookup and kept.
+
+    Cleared before a store once it holds MEMO_LIMIT keys, so its memory stays
+    bounded.  fn holds the tables it needs, not the memo's owner: no
+    reference cycle then keeps the owner alive.
+    """
+
+    def __init__(self, fn: Callable) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        if len(self) >= MEMO_LIMIT:
+            self.clear()
+        value = self[key] = self.fn(key)
+        return value
 
 
 def read_documents(path: str, format: str) -> Iterator[Document]:

@@ -33,12 +33,14 @@ from .cleaning import (
     default_stopwords,
     heuristic_filter,
     load_stopwords,
+    stopword_core,
     strip_markup,
 )
 from .config import FilterThresholds, GenerationConfig, PipelineConfig
 from .errors import IoError, PipelineError, StageError, TextTooShort
 from .ingest import (
-    CorpusStats, Document, json_line, open_output, read_documents, write_documents, write_jsonl
+    CorpusStats, Document, Memo, json_line, open_output, read_documents, write_documents,
+    write_jsonl,
 )
 from .langid import default_profiles, detect_language
 from .pretrain import (
@@ -133,33 +135,26 @@ def write_examples(
 
 
 def truecase_file(
-    src: str, src_format: str, dst: str, dst_format: str,
-    lexicon_path: Optional[str], tally: CorpusStats,
-) -> CasingLexicon:
-    """The truecase stage: rewrite src into dst (may be src), adding each document to tally.
+    src: str, src_format: str, dst: str, dst_format: str, lexicon_path: Optional[str]
+) -> Tuple[int, CasingLexicon]:
+    """The truecase stage: rewrite src into dst (may be src); (documents written, lexicon).
 
-    Uses the lexicon file if given, else a lexicon built from src's lemmas;
-    returns the lexicon used.
+    Uses the lexicon file if given, else a lexicon built from src's lemmas.
+    Truecasing changes no document, sentence or word count.
     """
     with _stage("truecase"):
         if lexicon_path is not None:
             lexicon = CasingLexicon.load(lexicon_path)
         else:
             lexicon = build_casing_lexicon(read_documents(src, src_format))
-
-        def rewritten() -> Iterator[Document]:
-            memo: Dict[str, str] = {}
-            for doc in read_documents(src, src_format):
-                cased = truecase(doc, lexicon, memo)
-                tally.add_document(cased)
-                yield cased
-
-        write_documents(rewritten(), dst, dst_format)
-    return lexicon
+        cased = (truecase(doc, lexicon) for doc in read_documents(src, src_format))
+        return write_documents(cased, dst, dst_format), lexicon
 
 
 def _same_file(path: str, other: str) -> bool:
-    """Whether path and other name one file: one resolved path, or links to one file."""
+    """Whether path and other name one regular file: one resolved path, or links to one file."""
+    if any(os.path.exists(name) and not os.path.isfile(name) for name in (path, other)):
+        return False  # a device or FIFO is written in place: writing it replaces no file
     if os.path.realpath(path) == os.path.realpath(other):
         return True
     return os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)
@@ -181,7 +176,7 @@ def _clean_stream(
     the later stages pass it on unchanged and add those counts.
     """
     profiles = None  # built at the first document that needs identifying
-    cores: Dict[str, str] = {}
+    cores = Memo(stopword_core)
     seen_digests: set = set()
     reader = iter(docs)
     while True:
@@ -286,23 +281,24 @@ def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
         os.remove(report_path)
 
     enabled = config.stages.enabled()
-    tallies: Dict[str, CorpusStats] = {name: CorpusStats() for name in ["ingest"] + enabled}
+    tallies = {name: CorpusStats() for name in ["ingest"] + enabled if name != "truecase"}
     thresholds = with_stopwords(config.thresholds, config.stopwords_path)
 
     _, drops = clean_file(config.input_path, config.input_format, cleaned_path, "json-lines",
                           enabled, thresholds, config.target_lang, drops_path, tallies)
 
-    if config.stages.truecase:
+    if config.stages.truecase:  # the lexicon is dropped here, or its memo lives on to the end
         truecase_file(cleaned_path, "json-lines", cleaned_path, "json-lines",
-                      config.truecase_lexicon_path, tallies["truecase"])
+                      config.truecase_lexicon_path)
 
     # stage-by-stage stats: each enabled stage's output is the next input
     stage_reports: List[StageReport] = []
     previous = tallies["ingest"]
     for name in enabled:
-        dropped = previous.documents - tallies[name].documents
-        stage_reports.append(StageReport(name, previous, tallies[name], dropped))
-        previous = tallies[name]
+        output = tallies.get(name, previous)  # truecase has no tally: it keeps every count
+        dropped = previous.documents - output.documents
+        stage_reports.append(StageReport(name, previous, output, dropped))
+        previous = output
 
     with _stage("bpe"):
         vocab = train_bpe(read_documents(cleaned_path, "json-lines"), config.vocab_size)

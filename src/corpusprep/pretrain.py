@@ -38,6 +38,7 @@ import re
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, get_type_hints
 
 from .bpe import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, encode
@@ -263,7 +264,8 @@ def build_instances(
     docs = [doc for doc in docs if doc.sentences]
     if len(docs) < 2:
         raise CorpusTooSmall("need at least 2 documents for random-next sampling")
-    tasks = [(dupe, idx) for dupe in range(config.dupe_factor) for idx in range(len(docs))]
+    # made as they are taken: itertools.product would first store its ranges as tuples
+    tasks = ((dupe, idx) for dupe in range(config.dupe_factor) for idx in range(len(docs)))
 
     if workers <= 1:
         for dupe, doc_index in tasks:
@@ -277,8 +279,8 @@ def build_instances(
         workers, initializer=_WORKER_ARGS.extend, initargs=((docs, vocab, config, finish),)
     ) as pool:
         pending = deque()  # a sliding window of chunks, oldest first
-        for start in range(0, len(tasks), 8):
-            pending.append(pool.apply_async(_run_tasks, (tasks[start : start + 8],)))
+        for chunk in iter(lambda: list(islice(tasks, 8)), []):
+            pending.append(pool.apply_async(_run_tasks, (chunk,)))
             if len(pending) == _POOL_WINDOW // 8:
                 yield from pending.popleft().get()
         for result in pending:

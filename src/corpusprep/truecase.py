@@ -5,18 +5,22 @@ letter, everything else is lowercase).  Building a lexicon from (token,
 lemma) pairs therefore tells us, per lowercase form, whether its canonical
 surface starts with a capital.  Applying the lexicon rewrites tokens whose
 lowercase form it knows and leaves everything else alone, which lowers
-sentence-initial capitals and restores capitals on proper nouns.
+sentence-initial capitals and restores capitals on proper nouns.  A
+lexicon memoizes each distinct token's rewrite in its ``rewrites``, an
+``ingest.Memo``.  A rewrite swaps a token's core for a surface with the same
+lowercase, so truecasing changes no sentence or word count.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import IO, Dict, Iterable, Optional, Tuple
 
 from .cleaning import split_punct
 from .errors import MalformedRecord, MissingLemmas
-from .ingest import Document, open_output, read_lines
+from .ingest import Document, Memo, open_output, read_lines
 
 
 @dataclass
@@ -24,10 +28,12 @@ class CasingLexicon:
     """Maps a lowercase form to its canonical surface form and evidence count."""
 
     entries: Dict[str, Tuple[str, int]] = field(default_factory=dict)
+    rewrites: Memo = field(init=False, repr=False, compare=False)  # token -> its truecased form
 
     def __post_init__(self) -> None:
         for key, (surface, count) in self.entries.items():
             self._check(key, surface, count)
+        self.rewrites = Memo(partial(_rewrite, entries=self.entries))
 
     @staticmethod
     def _check(key: str, surface: str, count: int) -> None:
@@ -114,49 +120,35 @@ def build_casing_lexicon(docs: Iterable[Document]) -> CasingLexicon:
 
 # tokens at the split's even positions: re's \s and str.split() agree on every code point
 _SPACES = re.compile(r"(\s+)")
-_MEMO_LIMIT = 1 << 14  # a token -> rewrite memo is cleared once it holds this many tokens
 
 
-def _has_internal_capital(core: str) -> bool:
-    return any(ch.isupper() for ch in core[1:])
-
-
-def _rewrite(token: str, lexicon: CasingLexicon) -> str:
+def _rewrite(token: str, entries: Dict[str, Tuple[str, int]]) -> str:
     lead, core, trail = split_punct(token)
-    if core and not _has_internal_capital(core):
-        canonical = lexicon.lookup(core.lower())
-        if canonical is not None:
-            return lead + canonical + trail
+    if core and not any(ch.isupper() for ch in core[1:]):  # no acronym or camel case
+        entry = entries.get(core.lower())
+        if entry is not None:
+            return lead + entry[0] + trail
     return token
 
 
-def truecase_text(text: str, lexicon: CasingLexicon, memo: Optional[dict] = None) -> str:
+def truecase_text(text: str, lexicon: CasingLexicon) -> str:
     """Rewrite each known token to its canonical casing.
 
     Tokens with capitals after the first character (acronyms, camel case)
     and tokens the lexicon does not know stay as they are.  Surrounding
     punctuation and all whitespace are preserved.  Idempotent for a fixed
-    lexicon.  ``memo`` keeps tokens' rewrites under this lexicon across
-    calls, up to _MEMO_LIMIT tokens.
+    lexicon.
     """
-    memo = {} if memo is None else memo
     parts = _SPACES.split(text)
-    for i in range(0, len(parts), 2):
-        token = parts[i]
-        cased = memo.get(token)
-        if cased is None:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            cased = memo[token] = _rewrite(token, lexicon)
-        parts[i] = cased
+    parts[::2] = map(lexicon.rewrites.__getitem__, parts[::2])
     return "".join(parts)
 
 
-def truecase(doc: Document, lexicon: CasingLexicon, memo: Optional[dict] = None) -> Document:
+def truecase(doc: Document, lexicon: CasingLexicon) -> Document:
     """Document-level truecase_text; id, language tag and lemmas carry over."""
     return Document(
         id=doc.id,
-        text=truecase_text(doc.text, lexicon, memo),
+        text=truecase_text(doc.text, lexicon),
         lang_tag=doc.lang_tag,
         lemmas=doc.lemmas,
     )

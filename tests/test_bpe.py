@@ -12,7 +12,7 @@ from bpe_oracle import oracle_encode, oracle_train_bpe
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusprep import bpe
+from corpusprep import ingest
 from corpusprep.bpe import (
     DEFAULT_MARKER,
     MASK_ID,
@@ -338,11 +338,10 @@ class TestEncodeCache:
         assert (repr(vocab), hash(vocab), pickle.dumps(vocab), saved("warm")) == before
         restored = pickle.loads(pickle.dumps(vocab))
         assert restored == vocab and not restored.word_ids
-        assert restored.merge_ranks == vocab.merge_ranks
         assert encode("tere tartu tere tallinn", restored) == ids
 
     def test_memo_past_its_bound_changes_no_ids(self, monkeypatch):
-        monkeypatch.setattr(bpe, "_MEMO_LIMIT", 3)
+        monkeypatch.setattr(ingest, "MEMO_LIMIT", 3)
         corpus = "kask kajakas kaskaad kastan kaktus"
         vocab = train_bpe(_docs(corpus), vocab_size=30)
         expected_vocab = oracle_train_bpe(_docs(corpus), 30)

@@ -2,23 +2,21 @@
 
 ``heuristic_filter`` counts characters once per distinct character and takes
 each token's stopword core from a memo; ``truecase_text`` rewrites each
-distinct token once through a memo.  Both must give what the per-token
-functions in ``tests/cleaning_oracle.py`` give, with a memo shared across
-documents and with one cleared at every few tokens.
+distinct token once through its lexicon's memo.  Both must give what the
+per-token functions in ``tests/cleaning_oracle.py`` give, with a cold memo,
+with one shared across documents and with one cleared at every few tokens.
 """
 
 from __future__ import annotations
-
-import importlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cleaning_oracle import oracle_heuristic_filter, oracle_truecase_text
-from corpusprep import cleaning
-from corpusprep.cleaning import heuristic_filter
+from corpusprep import ingest
+from corpusprep.cleaning import heuristic_filter, stopword_core
 from corpusprep.config import FilterThresholds
-from corpusprep.ingest import Document
+from corpusprep.ingest import Document, Memo
 from corpusprep.truecase import CasingLexicon, truecase_text
 
 # every code point str.split() breaks on that is easy to miss, plus the usual ones
@@ -64,7 +62,7 @@ def _doc(text):
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_TEXTS, min_size=1, max_size=4), _THRESHOLDS)
 def test_heuristics_match_oracle(texts, thresholds):
-    cores: dict = {}
+    cores = Memo(stopword_core)
     for text in texts:
         expected = oracle_heuristic_filter(_doc(text), thresholds)
         assert heuristic_filter(_doc(text), thresholds) == expected
@@ -74,17 +72,14 @@ def test_heuristics_match_oracle(texts, thresholds):
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_TEXTS, min_size=1, max_size=4), _LEXICONS)
 def test_truecase_matches_oracle(texts, lexicon):
-    memo: dict = {}
     for text in texts:
         expected = oracle_truecase_text(text, lexicon)
-        assert truecase_text(text, lexicon) == expected
-        assert truecase_text(text, lexicon, memo) == expected
+        assert truecase_text(text, CasingLexicon(lexicon.entries)) == expected  # a cold memo
+        assert truecase_text(text, lexicon) == expected  # one warm from the earlier texts
 
 
 def test_memos_past_their_bound_change_no_verdict_or_bytes(monkeypatch):
-    monkeypatch.setattr(cleaning, "_MEMO_LIMIT", 3)
-    # the package re-exports the function truecase under the module's name
-    monkeypatch.setattr(importlib.import_module("corpusprep.truecase"), "_MEMO_LIMIT", 3)
+    monkeypatch.setattr(ingest, "MEMO_LIMIT", 3)
     thresholds = FilterThresholds(
         min_words=2, max_stopword_ratio=0.3, max_punct_ratio=0.2, stopwords=frozenset({"ja", "on"})
     )
@@ -96,12 +91,11 @@ def test_memos_past_their_bound_change_no_verdict_or_bytes(monkeypatch):
         "linn linn linn ja",
         "«Ja» — (on) eesti € tallinn",
     ] * 3
-    cores: dict = {}
-    memo: dict = {}
+    cores = Memo(stopword_core)
     for text in texts:
         assert heuristic_filter(_doc(text), thresholds, cores) == oracle_heuristic_filter(
             _doc(text), thresholds
         )
-        assert truecase_text(text, lexicon, memo) == oracle_truecase_text(text, lexicon)
+        assert truecase_text(text, lexicon) == oracle_truecase_text(text, lexicon)
         assert len(cores) <= 3
-        assert len(memo) <= 3
+        assert len(lexicon.rewrites) <= 3

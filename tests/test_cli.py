@@ -147,7 +147,7 @@ class TestTruecase:
             entries = dict(line.split("\t")[:2] for line in handle)
         assert entries["tallinn"] == "Tallinn"
         assert entries["täna"] == "täna"
-        capsys.readouterr()
+        assert capsys.readouterr().out == f"truecased 1 documents with 6 lexicon entries -> {dst}\n"
 
     def test_external_lexicon_flag(self, capsys, tmp_path):
         lex = tmp_path / "casing.tsv"
@@ -684,6 +684,17 @@ def test_cleaning_refuses_a_drop_log_that_is_its_input_or_output(command, report
     assert capsys.readouterr().err == f"invalid value: drop log path {report} is the {role} file\n"
     assert corpus.read_bytes() == original
     assert sorted(os.listdir(tmp_path)) == ["c.jsonl", "link.jsonl"]
+
+
+def test_cleaning_writes_output_and_drop_log_to_one_device(capsys, tmp_path, fixture_corpus_path):
+    corpus = tmp_path / "c.jsonl"
+    shutil.copyfile(fixture_corpus_path, corpus)
+    original = corpus.read_bytes()
+    assert main(["dedup", str(corpus), os.devnull, "--report", os.devnull]) == 0
+    assert capsys.readouterr().out == f"kept 10 documents, dropped 2 duplicates -> {os.devnull}\n"
+    assert corpus.read_bytes() == original
+    assert os.listdir(tmp_path) == ["c.jsonl"]
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 @pytest.mark.parametrize("name, artifact", [

@@ -266,6 +266,25 @@ class TestLangidLifetime:
         assert built == []  # no document needed identifying, so no profiles were built
 
 
+class TestLexiconLifetime:
+    def test_lexicon_and_its_memo_die_before_bpe(self, monkeypatch, tmp_path,
+                                                  fixture_corpus_path):
+        refs, build, train = [], pipeline.build_casing_lexicon, pipeline.train_bpe
+
+        def build_casing_lexicon(docs):
+            lexicon = build(docs)
+            refs.extend([weakref.ref(lexicon), weakref.ref(lexicon.rewrites)])
+            return lexicon
+
+        def train_bpe(docs, vocab_size):
+            assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
+            return train(docs, vocab_size)
+
+        monkeypatch.setattr(pipeline, "build_casing_lexicon", build_casing_lexicon)
+        monkeypatch.setattr(pipeline, "train_bpe", train_bpe)
+        run_pipeline(_make_config(fixture_corpus_path, str(tmp_path / "out")))
+
+
 class TestStageToggles:
     def test_disabled_dedup_keeps_duplicates(self, tmp_path, fixture_corpus_path):
         out_dir = str(tmp_path / "nodedup")

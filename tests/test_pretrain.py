@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import random
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import codec_oracle
@@ -527,6 +528,19 @@ class TestBuildInstances:
         # every instance of the first window reached the parent before the error
         assert got == serial[: len(got)] and len(got) >= sum(per_task[:_POOL_WINDOW])
         assert multiprocessing.active_children() == []
+
+    def test_pairs_are_made_as_they_are_taken(self, synthetic_docs, synthetic_vocab):
+        # 400,000 (dupe, document) pairs: about 30 MB if listed before the first instance
+        config = GenerationConfig(max_seq_length=32, dupe_factor=200_000, seed=3)
+        stream = build_instances(synthetic_docs[:2], synthetic_vocab, config)
+        tracemalloc.start()
+        try:
+            assert next(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            stream.close()
+        assert peak < 1 << 20
 
     def test_write_examples_shards_agree_across_worker_counts(self, tmp_path, fixture_docs):
         vocab = train_bpe(fixture_docs, 300)

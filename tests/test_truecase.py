@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from corpusprep.cleaning import split_punct
 from corpusprep.errors import MalformedRecord, MissingLemmas
-from corpusprep.ingest import Document
+from corpusprep.ingest import Document, compute_stats
 from corpusprep.truecase import (
     CasingLexicon,
     build_casing_lexicon,
@@ -241,3 +241,31 @@ def test_truecase_rewrites_tokens_and_keeps_every_space(tokens, gaps, lead, trai
 
     expected = runs[0] + "".join(_rewrite_token(t) + run for t, run in zip(tokens, runs[1:]))
     assert truecase_text(text, _LEX) == expected
+
+
+# surfaces whose lowercase is longer ("İ"), shorter ("ẞ") or titlecase ("ǅ"), among any letters
+_surfaces = st.text(
+    alphabet=st.one_of(st.sampled_from("İẞǅﬁßΣς"), st.characters(categories=["L", "P", "N"])),
+    max_size=5,
+)
+_variants = st.sampled_from([str.lower, str.upper, str.capitalize, lambda word: word])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_surfaces, max_size=6),
+    st.lists(st.tuples(st.integers(0, 5), _variants, st.text(alphabet="«(.!", max_size=2)),
+             max_size=10),
+    st.lists(st.text(alphabet=_SPACES, min_size=1, max_size=3), min_size=11, max_size=11),
+)
+def test_truecasing_keeps_every_count(tmp_path_factory, surfaces, picks, gaps):
+    """A rewrite swaps a core for a surface with its lowercase: no count can change."""
+    lexicon = CasingLexicon({surface.lower(): (surface, 1) for surface in surfaces})
+    path = str(tmp_path_factory.getbasetemp() / "casing.tsv")
+    lexicon.save(path)
+    words = [surfaces[index % len(surfaces)] if surfaces else "x" for index, _, _ in picks]
+    tokens = [punct + variant(word) + punct for word, (_, variant, punct) in zip(words, picks)]
+    doc = Document(id="d", text="".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[-1])
+    for lex in (lexicon, CasingLexicon.load(path)):
+        assert lex.entries == lexicon.entries
+        assert compute_stats([truecase(doc, lex)]) == compute_stats([doc])
