@@ -29,7 +29,7 @@ from .ingest import Document, Memo, open_output, read_lines
 
 SPECIALS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
-DEFAULT_MARKER = "▁"  # ▁
+MARKER = "▁"  # U+2581, the word-boundary symbol before each word's characters
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,6 @@ class Vocab:
 
     pieces: Tuple[str, ...]
     merges: Tuple[Tuple[str, str], ...]
-    marker: str = DEFAULT_MARKER
     piece_to_id: Dict[str, int] = field(init=False, repr=False, compare=False)
     word_ids: Memo = field(init=False, repr=False, compare=False)  # word -> its piece ids
 
@@ -55,12 +54,12 @@ class Vocab:
                 raise ValueError("special tokens cannot appear in merges")
         object.__setattr__(self, "piece_to_id", mapping)
         ranks = {pair: rank for rank, pair in enumerate(self.merges)}  # a later listing wins
-        encode_word = partial(_encode_word, marker=self.marker, ranks=ranks, piece_to_id=mapping)
+        encode_word = partial(_encode_word, ranks=ranks, piece_to_id=mapping)
         object.__setattr__(self, "word_ids", Memo(encode_word))
 
     def __reduce__(self):
         # rebuild the derived maps on unpickling instead of shipping encode's memo
-        return (type(self), (self.pieces, self.merges, self.marker))
+        return (type(self), (self.pieces, self.merges))
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -74,7 +73,7 @@ class Vocab:
                 merges_out.write(f"{left} {right}\n")
 
     @classmethod
-    def load(cls, vocab_path: str, merges_path: str, marker: str = DEFAULT_MARKER) -> "Vocab":
+    def load(cls, vocab_path: str, merges_path: str) -> "Vocab":
         pieces = tuple(line for _, line in read_lines(vocab_path) if line)
         merges: List[Tuple[str, str]] = []
         for line_no, line in read_lines(merges_path):
@@ -84,7 +83,7 @@ class Vocab:
             if len(parts) != 2:
                 raise MalformedRecord(line_no, 'merge line must be "left right"')
             merges.append((parts[0], parts[1]))
-        return cls(pieces=pieces, merges=tuple(merges), marker=marker)
+        return cls(pieces=pieces, merges=tuple(merges))
 
 
 def _word_counts(docs: Iterable[Document]) -> Counter:
@@ -94,11 +93,7 @@ def _word_counts(docs: Iterable[Document]) -> Counter:
     return counts
 
 
-def train_bpe(
-    docs: Iterable[Document],
-    vocab_size: int,
-    word_boundary_marker: str = DEFAULT_MARKER,
-) -> Vocab:
+def train_bpe(docs: Iterable[Document], vocab_size: int) -> Vocab:
     """Learn a BPE vocabulary of exactly vocab_size pieces where possible.
 
     Ties on pair frequency break by lexicographic order of the concatenated
@@ -114,7 +109,7 @@ def train_bpe(
     if not words:
         raise EmptyCorpus("no words in training stream")
 
-    alphabet = {word_boundary_marker}
+    alphabet = {MARKER}
     for word in words:
         alphabet.update(word)
     floor = len(SPECIALS) + len(alphabet)
@@ -126,7 +121,7 @@ def train_bpe(
     pieces: List[str] = list(SPECIALS) + sorted(alphabet)
     known = set(pieces)
     merges: List[Tuple[str, str]] = []
-    symbolized: List[Tuple[str, ...]] = [(word_boundary_marker, *word) for word in words]
+    symbolized: List[Tuple[str, ...]] = [(MARKER, *word) for word in words]
     freqs: List[int] = list(words.values())
 
     # counts: live pair frequencies; where: word indices that contained each
@@ -178,7 +173,7 @@ def train_bpe(
             elif delta > 0 and pair[0] + pair[1] not in SPECIALS:
                 heapq.heappush(heap, (-count, pair[0] + pair[1], pair))
 
-    return Vocab(pieces=tuple(pieces), merges=tuple(merges), marker=word_boundary_marker)
+    return Vocab(pieces=tuple(pieces), merges=tuple(merges))
 
 
 def _pop_best(heap: list, counts: Dict[Tuple[str, str], int]) -> Optional[Tuple[str, str]]:
@@ -220,9 +215,9 @@ def encode(text: str, vocab: Vocab) -> List[int]:
 
 
 def _encode_word(
-    word: str, marker: str, ranks: Dict[Tuple[str, str], int], piece_to_id: Dict[str, int]
+    word: str, ranks: Dict[Tuple[str, str], int], piece_to_id: Dict[str, int]
 ) -> Tuple[int, ...]:
-    symbols: Tuple[str, ...] = (marker, *word)
+    symbols: Tuple[str, ...] = (MARKER, *word)
     while len(symbols) > 1:
         best_rank = None
         best_pair = None
@@ -243,4 +238,4 @@ def decode(ids: Sequence[int], vocab: Vocab) -> str:
         if not 0 <= idx < len(vocab.pieces):
             raise IdOutOfRange(f"id {idx} outside vocabulary of {len(vocab.pieces)} pieces")
         out.append(vocab.pieces[idx])
-    return "".join(out).replace(vocab.marker, " ").strip()
+    return "".join(out).replace(MARKER, " ").strip()

@@ -20,7 +20,10 @@ from .config import (
     validate_config,
 )
 from .errors import ConfigError, MalformedRecord, PipelineError, StageError
-from .ingest import FORMATS, compute_stats, open_output, read_documents, read_lines, write_jsonl
+from .ingest import (
+    FORMATS, compute_stats, open_output, read_documents, read_lines, refuse_shared_files,
+    write_jsonl,
+)
 from .pipeline import clean_file, run_pipeline, truecase_file, with_stopwords, write_examples
 from .pretrain import read_tfrecords
 
@@ -65,6 +68,7 @@ def _write_report_lines(path: Optional[str], records: List[dict]) -> None:
 
 
 def _cmd_stats(args) -> int:
+    refuse_shared_files([("input", args.input)], [("report", args.report)])
     stats = compute_stats(read_documents(args.input, args.format))
     _write_report_lines(args.report, [{"type": "stats", **stats.as_dict()}])
     print(f"documents {stats.documents}  sentences {stats.sentences}  words {stats.words}")
@@ -91,9 +95,12 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    thresholds = with_stopwords(_from_args(FilterThresholds, args), args.stopwords)
+    refuse_shared_files([("stopword list", args.stopwords)],
+                        [("output", args.output), ("drop log", args.report)])
+    thresholds = _from_args(FilterThresholds, args)
     stages = [] if args.no_language else ["langfilter"]
-    if not args.no_heuristics:
+    if not args.no_heuristics:  # a disabled heuristics stage loads no stopword list
+        thresholds = with_stopwords(thresholds, args.stopwords)
         stages.append("heuristics")
     kept, dropped = _clean_file(args, stages, thresholds, args.target_lang)
     print(f"kept {kept} documents, dropped {dropped} -> {args.output}")
@@ -101,6 +108,10 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_truecase(args) -> int:
+    refuse_shared_files([("input", args.input), ("output", args.output)],
+                        [("saved lexicon", args.save_lexicon)])
+    # the output may be the input, not the lexicon it is cased by
+    refuse_shared_files([("lexicon", args.lexicon)], [("output", args.output)])
     # the lexicon file is opened first, so it and the output appear together or not at all
     with open_output(args.save_lexicon or os.devnull) as lexicon_out:
         count, lexicon = truecase_file(
@@ -116,6 +127,7 @@ def _cmd_bpe_train(args) -> int:
     errors = bound_errors(PipelineConfig, vars(args))
     if errors:
         raise ValueError("; ".join(errors))
+    refuse_shared_files([("input", args.input)], [("vocab", args.vocab), ("merges", args.merges)])
     vocab = bpe.train_bpe(read_documents(args.input, args.format), args.vocab_size)
     vocab.save(args.vocab, args.merges)
     print(f"trained {len(vocab)} pieces, {len(vocab.merges)} merges -> {args.vocab}")
@@ -159,6 +171,7 @@ def _cmd_read_examples(args) -> int:
 
 
 def _cmd_score_tags(args) -> int:
+    refuse_shared_files([("input", args.input)], [("report", args.report)])
     sequences = metrics.read_conll(args.input)
     gold = [g for _, g, _ in sequences]
     pred = [p for _, _, p in sequences]
@@ -169,6 +182,7 @@ def _cmd_score_tags(args) -> int:
 
 
 def _cmd_score_ner(args) -> int:
+    refuse_shared_files([("input", args.input)], [("report", args.report)])
     sequences = metrics.read_conll(args.input)
     gold = [g for _, g, _ in sequences]
     pred = [p for _, _, p in sequences]
@@ -180,6 +194,7 @@ def _cmd_score_ner(args) -> int:
 
 
 def _cmd_score_cls(args) -> int:
+    refuse_shared_files([("input", args.input)], [("report", args.report)])
     pairs: List[List[str]] = []
     for line_no, line in read_lines(args.input):
         if not line.strip():

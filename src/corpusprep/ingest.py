@@ -16,8 +16,10 @@ Three formats are supported:
   carry lemma annotations.
 
 Readers are generators and never hold more than one document in memory.
-The module also holds the blake2b digest that cleaning and pretraining share
-and ``Memo``, the bounded per-token memo of encoding, heuristics and truecasing.
+Outputs go through ``open_output``, and ``refuse_shared_files`` and
+``make_output_dir`` decide where they may go.  The module also holds the
+blake2b digest that cleaning and pretraining share and ``Memo``, the bounded
+per-token memo of encoding, heuristics and truecasing.
 """
 
 from __future__ import annotations
@@ -144,18 +146,62 @@ def open_output(path: str, binary: bool = False) -> Iterator[IO]:
     Raises IoError naming path if it cannot be written.
     """
     real = os.path.realpath(path) if os.path.islink(path) else path
-    in_place = os.path.exists(path) and not os.path.isfile(path)
+    in_place = _in_place(path)
     target = path if in_place else real + ".tmp"
     try:
-        with open(target, "wb") if binary else open(target, "w", encoding="utf-8") as out:
-            yield out
-        if not in_place:
-            os.replace(target, real)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        with writing(path):
+            with open(target, "wb") if binary else open(target, "w", encoding="utf-8") as out:
+                yield out
+            if not in_place:
+                os.replace(target, real)
     finally:
         if not in_place and os.path.lexists(target):
             os.remove(target)
+
+
+@contextmanager
+def writing(path: str) -> Iterator[None]:
+    """An OSError inside the block becomes IoError("cannot write <path>: <reason>")."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def make_output_dir(path: str) -> None:
+    """Make directory path and its parents unless it exists; IoError naming path if it cannot."""
+    with writing(path):
+        os.makedirs(path, exist_ok=True)
+
+
+def _in_place(path: str) -> bool:
+    """A path that exists and is not a regular file (a device, a FIFO) is written in place."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
+def _file_key(path: Optional[str]) -> object:
+    """What every path of path's file shares: (device, inode), or the resolved path until it
+    exists.  None for no path or one written in place: writing it replaces no file."""
+    if path is None or _in_place(path):
+        return None
+    if not os.path.exists(path):
+        return os.path.realpath(path)
+    stat = os.stat(path)
+    return stat.st_dev, stat.st_ino
+
+
+def refuse_shared_files(inputs: Iterable[Tuple[str, Optional[str]]],
+                        outputs: Iterable[Tuple[str, Optional[str]]]) -> None:
+    """Refuse an output, a (role, path) pair like each input, that names the file of an input
+    or an earlier output: ValueError("<role> path <path> is the <other role> file")."""
+    named: dict = {}  # file key -> the role of the first path that names the file
+    for role, path in inputs:
+        named.setdefault(_file_key(path), role)
+    for role, path in outputs:
+        key = _file_key(path)
+        if key is not None and key in named:
+            raise ValueError(f"{role} path {path} is the {named[key]} file")
+        named[key] = role
 
 
 def blake2b_digest(data: bytes, size: int) -> bytes:

@@ -7,8 +7,8 @@ digest per kept document, grows with the corpus.  ``clean_file`` runs that
 loop and commits the cleaned file and its streamed drop log together;
 ``truecase_file`` reads ``cleaned.jsonl`` twice (casing evidence, then
 rewrite) and rewrites it in place.  The subcommands run these two too.
-A run refuses an input that is one of its artifacts, removes a stale
-``report.jsonl`` first and writes the report last.
+A run refuses an artifact path that names a file it reads or another
+artifact, removes a stale ``report.jsonl`` first and writes the report last.
 ``_stage`` is the one stage boundary: a PipelineError, OSError or ValueError
 raised inside a stage leaves it as StageError naming that stage.
 
@@ -22,6 +22,7 @@ import os
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .bpe import Vocab, train_bpe
@@ -37,10 +38,10 @@ from .cleaning import (
     strip_markup,
 )
 from .config import FilterThresholds, GenerationConfig, PipelineConfig
-from .errors import IoError, PipelineError, StageError, TextTooShort
+from .errors import PipelineError, StageError, TextTooShort
 from .ingest import (
-    CorpusStats, Document, Memo, json_line, open_output, read_documents, write_documents,
-    write_jsonl,
+    CorpusStats, Document, Memo, json_line, make_output_dir, open_output, read_documents,
+    refuse_shared_files, write_documents, write_jsonl,
 )
 from .langid import default_profiles, detect_language
 from .pretrain import (
@@ -151,15 +152,6 @@ def truecase_file(
         return write_documents(cased, dst, dst_format), lexicon
 
 
-def _same_file(path: str, other: str) -> bool:
-    """Whether path and other name one regular file: one resolved path, or links to one file."""
-    if any(os.path.exists(name) and not os.path.isfile(name) for name in (path, other)):
-        return False  # a device or FIFO is written in place: writing it replaces no file
-    if os.path.realpath(path) == os.path.realpath(other):
-        return True
-    return os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)
-
-
 def _clean_stream(
     docs: Iterator[Document],
     stages: List[str],
@@ -242,9 +234,7 @@ def clean_file(
     None).  dst and the drop log appear together once the stages complete; a
     drop log that is src or dst (links count) is refused before either opens.
     """
-    for role, path in (("input", src), ("output", dst)):
-        if drops_path is not None and _same_file(drops_path, path):
-            raise ValueError(f"drop log path {drops_path} is the {role} file")
+    refuse_shared_files([("input", src), ("output", dst)], [("drop log", drops_path)])
     drops: Counter = Counter()
     with _stage("output"), open_output(drops_path or os.devnull) as drop_log:
 
@@ -261,31 +251,35 @@ def clean_file(
 
 def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
     """Execute enabled stages, write artifacts, and return the report."""
-    report_path = config.report_path or os.path.join(config.out_dir, "report.jsonl")
-    cleaned_path = os.path.join(config.out_dir, "cleaned.jsonl")
-    drops_path = os.path.join(config.out_dir, "drops.jsonl")
-    vocab_path = os.path.join(config.out_dir, "vocab.txt")
-    merges_path = os.path.join(config.out_dir, "merges.txt")
-    artifacts = [("report", report_path), ("cleaned", cleaned_path), ("drops", drops_path),
-                 ("vocab", vocab_path), ("merges", merges_path)]
-    shards = shard_paths(config.out_dir, config.generation.shards)
-    for name, path in artifacts + [("shard", path) for path in shards]:
-        if _same_file(path, config.input_path):
-            raise ValueError(f"{name} path {path} is the input file")
+    out = partial(os.path.join, config.out_dir)
+    artifacts = {  # the report's record, in its order, which is the order they are refused in
+        "cleaned": out("cleaned.jsonl"),
+        "vocab": out("vocab.txt"),
+        "merges": out("merges.txt"),
+        "shards": shard_paths(config.out_dir, config.generation.shards),
+        "drops": out("drops.jsonl"),
+        "report": config.report_path or out("report.jsonl"),
+    }
+    inputs = [("input", config.input_path), ("stopword list", config.stopwords_path),
+              ("lexicon", config.truecase_lexicon_path)]
+    refuse_shared_files(inputs, [
+        ("shard" if name == "shards" else name, path)
+        for name, paths in artifacts.items() for path in (paths if name == "shards" else [paths])
+    ])
+    cleaned_path, report_path = artifacts["cleaned"], artifacts["report"]
     with _stage("output"):
-        try:
-            os.makedirs(config.out_dir, exist_ok=True)
-        except OSError as exc:
-            raise IoError(f"cannot write {config.out_dir}: {exc.strerror or exc}") from exc
-    if os.path.isfile(report_path) and not os.path.islink(report_path):
-        os.remove(report_path)
+        make_output_dir(config.out_dir)
+        if os.path.isfile(report_path) and not os.path.islink(report_path):
+            os.remove(report_path)
 
     enabled = config.stages.enabled()
     tallies = {name: CorpusStats() for name in ["ingest"] + enabled if name != "truecase"}
-    thresholds = with_stopwords(config.thresholds, config.stopwords_path)
+    thresholds = config.thresholds  # a disabled heuristics stage loads no stopword list
+    if config.stages.heuristics:
+        thresholds = with_stopwords(thresholds, config.stopwords_path)
 
     _, drops = clean_file(config.input_path, config.input_format, cleaned_path, "json-lines",
-                          enabled, thresholds, config.target_lang, drops_path, tallies)
+                          enabled, thresholds, config.target_lang, artifacts["drops"], tallies)
 
     if config.stages.truecase:  # the lexicon is dropped here, or its memo lives on to the end
         truecase_file(cleaned_path, "json-lines", cleaned_path, "json-lines",
@@ -302,27 +296,18 @@ def run_pipeline(config: PipelineConfig, workers: int = 1) -> PipelineReport:
 
     with _stage("bpe"):
         vocab = train_bpe(read_documents(cleaned_path, "json-lines"), config.vocab_size)
-        vocab.save(vocab_path, merges_path)
+        vocab.save(artifacts["vocab"], artifacts["merges"])
 
     with _stage("examples"):
         docs = read_documents(cleaned_path, "json-lines")
-        shard_files, instance_count = write_examples(
-            docs, vocab, config.generation, config.out_dir, workers
-        )
+        _, instance_count = write_examples(docs, vocab, config.generation, config.out_dir, workers)
 
     report = PipelineReport(
         stages=stage_reports,
         before=tallies["ingest"],
         after=previous,
         drops_by_reason=dict(sorted(drops.items())),
-        artifacts={
-            "cleaned": cleaned_path,
-            "vocab": vocab_path,
-            "merges": merges_path,
-            "shards": shard_files,
-            "drops": drops_path,
-            "report": report_path,
-        },
+        artifacts=artifacts,
         instances=instance_count,
     )
     with _stage("output"):

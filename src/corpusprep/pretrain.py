@@ -43,8 +43,8 @@ from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, get_type
 
 from .bpe import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, encode
 from .config import GenerationConfig
-from .errors import CorpusTooSmall, CorruptRecord, IdOutOfRange, IoError, NoMaskableTokens
-from .ingest import Document, blake2b_digest, open_output
+from .errors import CorpusTooSmall, CorruptRecord, IdOutOfRange, NoMaskableTokens
+from .ingest import Document, blake2b_digest, make_output_dir, open_output, writing
 from .tfrecord import example_reader, example_writer, frame_record, parse_example, read_framed
 
 
@@ -362,22 +362,17 @@ def write_tfrecords(records: Iterable[bytes], out_dir: str, shards: int) -> Tupl
     so the pretrain-*.tfrecord glob matches only this run's shards.
     """
     paths = shard_paths(out_dir, shards)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot write {out_dir}: {exc}") from exc
+    make_output_dir(out_dir)
     count = 0
     with ExitStack() as stack:
         handles = [stack.enter_context(open_output(path, binary=True)) for path in paths]
         for count, record in enumerate(records, start=1):
             handles[(count - 1) % shards].write(record)
-    try:
+    with writing(out_dir):
         for name in os.listdir(out_dir):
             path = os.path.join(out_dir, name)
             if _SHARD_NAME.fullmatch(name) and path not in paths:
                 os.remove(path)
-    except OSError as exc:
-        raise IoError(f"cannot write {out_dir}: {exc}") from exc
     return paths, count
 
 

@@ -4,7 +4,8 @@ Every merge recounts every pair of every word type, and every encode call
 rebuilds the merge ranks.  This is O(merges x types), far too slow for real
 corpora, and kept only as the oracle that ``corpusprep.bpe.train_bpe`` and
 ``corpusprep.bpe.encode`` must match piece for piece, merge for merge and
-id for id.  It shares no code with them beyond ``Vocab``.
+id for id.  It shares no code with them beyond ``Vocab`` and reads the
+boundary marker, ``bpe.MARKER``, when it is called.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import unicodedata
 from collections import Counter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from corpusprep.bpe import DEFAULT_MARKER, SPECIALS, UNK_ID, Vocab
+from corpusprep import bpe
+from corpusprep.bpe import SPECIALS, UNK_ID, Vocab
 from corpusprep.errors import EmptyCorpus, VocabSizeTooSmall
 from corpusprep.ingest import Document
 
@@ -25,16 +27,12 @@ def _word_counts(docs: Iterable[Document]) -> Counter:
     return counts
 
 
-def oracle_train_bpe(
-    docs: Iterable[Document],
-    vocab_size: int,
-    word_boundary_marker: str = DEFAULT_MARKER,
-) -> Vocab:
+def oracle_train_bpe(docs: Iterable[Document], vocab_size: int) -> Vocab:
     words = _word_counts(docs)
     if not words:
         raise EmptyCorpus("no words in training stream")
 
-    alphabet = {word_boundary_marker}
+    alphabet = {bpe.MARKER}
     for word in words:
         alphabet.update(word)
     floor = len(SPECIALS) + len(alphabet)
@@ -47,7 +45,7 @@ def oracle_train_bpe(
     known = set(pieces)
     merges: List[Tuple[str, str]] = []
     symbolized: Dict[Tuple[str, ...], int] = {
-        (word_boundary_marker, *word): freq for word, freq in words.items()
+        (bpe.MARKER, *word): freq for word, freq in words.items()
     }
 
     while len(pieces) < vocab_size:
@@ -70,7 +68,7 @@ def oracle_train_bpe(
             _apply_merge(symbols, best): freq for symbols, freq in symbolized.items()
         }
 
-    return Vocab(pieces=tuple(pieces), merges=tuple(merges), marker=word_boundary_marker)
+    return Vocab(pieces=tuple(pieces), merges=tuple(merges))
 
 
 def _apply_merge(symbols: Sequence[str], pair: Tuple[str, str]) -> Tuple[str, ...]:
@@ -90,7 +88,7 @@ def oracle_encode(text: str, vocab: Vocab) -> List[int]:
     ranks = {pair: rank for rank, pair in enumerate(vocab.merges)}
     ids: List[int] = []
     for word in unicodedata.normalize("NFKC", text).split():
-        symbols: Tuple[str, ...] = (vocab.marker, *word)
+        symbols: Tuple[str, ...] = (bpe.MARKER, *word)
         while len(symbols) > 1:
             best_rank = None
             best_pair = None

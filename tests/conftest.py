@@ -44,7 +44,7 @@ def fixture_manifest() -> dict:
 def make_synthetic_vocab(size: int = 505) -> Vocab:
     """A vocabulary of opaque word pieces, bypassing BPE training."""
     pieces = list(SPECIALS) + [f"▁p{i:03d}" for i in range(size - len(SPECIALS))]
-    return Vocab(pieces=tuple(pieces), merges=(), marker="▁")
+    return Vocab(pieces=tuple(pieces), merges=())
 
 
 def make_synthetic_docs(

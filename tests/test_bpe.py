@@ -12,9 +12,9 @@ from bpe_oracle import oracle_encode, oracle_train_bpe
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusprep import ingest
+from corpusprep import bpe, ingest
 from corpusprep.bpe import (
-    DEFAULT_MARKER,
+    MARKER,
     MASK_ID,
     PAD_ID,
     SPECIALS,
@@ -37,14 +37,14 @@ def _docs(*texts):
     return [Document(id=str(i), text=t) for i, t in enumerate(texts)]
 
 
-def brute_force_first_merge(texts, marker=DEFAULT_MARKER):
+def brute_force_first_merge(texts):
     """Count every adjacent symbol pair directly and pick the training winner."""
     words = Counter()
     for text in texts:
         words.update(unicodedata.normalize("NFKC", text).split())
     pair_counts = Counter()
     for word, freq in words.items():
-        symbols = (marker, *word)
+        symbols = (MARKER, *word)
         for a, b in zip(symbols, symbols[1:]):
             pair_counts[(a, b)] += freq
     candidates = {p: c for p, c in pair_counts.items() if p[0] + p[1] not in SPECIALS}
@@ -67,7 +67,7 @@ class TestTraining:
                     for _ in range(rng.randint(1, 12))
                 )
             ]
-            alphabet = {DEFAULT_MARKER} | set("".join(texts).replace(" ", ""))
+            alphabet = {MARKER} | set("".join(texts).replace(" ", ""))
             vocab = train_bpe(_docs(*texts), vocab_size=len(SPECIALS) + len(alphabet) + 1)
             assert vocab.merges[0] == brute_force_first_merge(texts)
 
@@ -75,7 +75,7 @@ class TestTraining:
         vocab = train_bpe(_docs("aaab aab aab"), vocab_size=9)
         # specials, then the sorted alphabet (marker included), then merge products
         assert vocab.pieces[:5] == SPECIALS
-        assert vocab.pieces[5:8] == ("a", "b", DEFAULT_MARKER)
+        assert vocab.pieces[5:8] == ("a", "b", MARKER)
         assert vocab.pieces[8] == "aa"
 
     def test_exact_vocab_size_reached(self):
@@ -87,7 +87,7 @@ class TestTraining:
         corpus = _docs("üks kaks kolm neli viis kuus seitse")
         vocab = train_bpe(corpus, vocab_size=40)
         assert len(vocab) == 40
-        alphabet = {DEFAULT_MARKER} | set("".join(d.text for d in corpus).replace(" ", ""))
+        alphabet = {MARKER} | set("".join(d.text for d in corpus).replace(" ", ""))
         products = {left + right for left, right in vocab.merges}
         # piece inventory = specials + alphabet + distinct merge products
         assert len(vocab) == len(SPECIALS) + len(alphabet) + len(products - alphabet)
@@ -107,7 +107,7 @@ class TestTraining:
         vocab = train_bpe(_docs("ab ab cd cd"), vocab_size=11)
         counts = Counter()
         for word in ["ab", "ab", "cd", "cd"]:
-            symbols = (DEFAULT_MARKER, *word)
+            symbols = (MARKER, *word)
             for p in zip(symbols, symbols[1:]):
                 counts[p] += 1
         tied = [p for p, c in counts.items() if c == max(counts.values())]
@@ -128,7 +128,7 @@ class TestTraining:
         # single 1-char word: only pair is (marker, a); after merging it nothing remains
         vocab = train_bpe(_docs("a a a"), vocab_size=100)
         assert len(vocab) < 100
-        assert vocab.merges == ((DEFAULT_MARKER, "a"),)
+        assert vocab.merges == ((MARKER, "a"),)
 
 
 class TestVocabInvariants:
@@ -178,7 +178,7 @@ class TestEncodeDecode:
         vocab = train_bpe(_docs("aaab aab aab"), vocab_size=9)
         # "aaab" -> ▁ aa a b after one learned merge
         ids = encode("aaab", vocab)
-        assert [vocab.pieces[i] for i in ids] == [DEFAULT_MARKER, "aa", "a", "b"]
+        assert [vocab.pieces[i] for i in ids] == [MARKER, "aa", "a", "b"]
 
     def test_unknown_character_maps_to_unk(self):
         vocab = train_bpe(_docs("abc abc"), vocab_size=10)
@@ -201,9 +201,9 @@ class TestEncodeDecode:
         # rank order must be replayed, not recomputed: (marker, a) occurs 4
         # times and (a, b) once, so (marker, a) is the first merge
         vocab = train_bpe(_docs("a a a ab"), vocab_size=12)
-        assert vocab.merges[0] == (DEFAULT_MARKER, "a")
+        assert vocab.merges[0] == (MARKER, "a")
         ids = encode("a", vocab)
-        assert [vocab.pieces[i] for i in ids] == [DEFAULT_MARKER + "a"]
+        assert [vocab.pieces[i] for i in ids] == [MARKER + "a"]
 
     def test_nfkc_applied_before_encoding(self):
         vocab = train_bpe(_docs("abc"), vocab_size=10)
@@ -224,10 +224,10 @@ class TestEncodeDecode:
             assert decode(encode(text, vocab), vocab) == text
 
 
-def _assert_matches_oracle(texts, vocab_size, marker=DEFAULT_MARKER, probes=()):
+def _assert_matches_oracle(texts, vocab_size, probes=()):
     """Full pieces and merges, then encode ids with the memo cold and warm."""
-    expected = oracle_train_bpe(_docs(*texts), vocab_size, marker)
-    actual = train_bpe(_docs(*texts), vocab_size, marker)
+    expected = oracle_train_bpe(_docs(*texts), vocab_size)
+    actual = train_bpe(_docs(*texts), vocab_size)
     assert actual.pieces == expected.pieces
     assert actual.merges == expected.merges
     lines = [*texts, *probes]
@@ -258,21 +258,22 @@ class TestMergeSequenceOracle:
     def test_tie_break_on_count_then_concatenation(self):
         # every pair occurs twice; concatenations order "ab" < "cd" < "▁ab" < "▁cd"
         vocab = _assert_matches_oracle(["ab ab cd cd"], 100)
-        m = DEFAULT_MARKER
+        m = MARKER
         assert list(vocab.merges) == [("a", "b"), ("c", "d"), (m, "ab"), (m, "cd")]
         products = ("ab", "cd", m + "ab", m + "cd")
         assert vocab.pieces[len(SPECIALS):] == ("a", "b", "c", "d", m) + products
 
-    def test_tie_on_concatenation_breaks_by_pair(self):
+    def test_tie_on_concatenation_breaks_by_pair(self, monkeypatch):
         # marker "ca", word "cac": after (a, c) the symbols are ca c ac, and
         # (c, ac) and (ca, c) both make "cac" once; ("c", "ac") < ("ca", "c")
-        vocab = _assert_matches_oracle(["cac"], 100, marker="ca")
+        monkeypatch.setattr(bpe, "MARKER", "ca")
+        vocab = _assert_matches_oracle(["cac"], 100)
         assert list(vocab.merges) == [("a", "c"), ("c", "ac"), ("ca", "cac")]
 
     def test_overlapping_pair_counted_twice_merged_once(self):
         # "aaa" holds (a, a) twice, so it ties (b, c) from "bc bc" at 2 and wins
         # on "aa" < "bc"; the merge rewrites "aaa" to aa a, not to one piece
-        m = DEFAULT_MARKER
+        m = MARKER
         vocab = _assert_matches_oracle(["aaa bc bc"], 100, probes=["aaaa aaaaa"])
         assert list(vocab.merges) == [
             ("a", "a"), ("b", "c"), (m, "bc"), ("aa", "a"), (m, "aaa"),
@@ -282,21 +283,22 @@ class TestMergeSequenceOracle:
         assert [first.pieces[i] for i in encode("aaa", first)] == [m, "aa", "a"]
 
     def test_even_run_merges_into_equal_halves(self):
-        m = DEFAULT_MARKER
+        m = MARKER
         vocab = _assert_matches_oracle(["aaaa"], 100)
         assert list(vocab.merges) == [("a", "a"), ("aa", "aa"), (m, "aaaa")]
 
-    def test_merge_reproducing_an_existing_piece_adds_none(self):
+    def test_merge_reproducing_an_existing_piece_adds_none(self, monkeypatch):
         # with marker "ab" the first merge (a, b) makes the marker piece again:
         # it is listed in merges but the inventory grows only with (ab, ab)
-        vocab = _assert_matches_oracle(["ab ab"], 9, marker="ab")
+        monkeypatch.setattr(bpe, "MARKER", "ab")
+        vocab = _assert_matches_oracle(["ab ab"], 9)
         assert list(vocab.merges) == [("a", "b"), ("ab", "ab")]
         assert vocab.pieces == SPECIALS + ("a", "ab", "b", "abab")
 
     def test_special_characters_never_merge_into_a_special(self):
         # after (A,D), (AD,]), (P,AD]) the best pair by concatenation would be
         # ([, PAD]) = "[PAD]"; it is skipped and (▁, [) merges instead
-        m = DEFAULT_MARKER
+        m = MARKER
         vocab = _assert_matches_oracle(["[PAD]"], 100, probes=["[PAD] [MASK]"])
         assert list(vocab.merges) == [
             ("A", "D"), ("AD", "]"), ("P", "AD]"), (m, "["), (m + "[", "PAD]"),
@@ -317,7 +319,7 @@ _oracle_words = st.lists(
 @given(_oracle_words, st.integers(min_value=1, max_value=40))
 def test_merge_sequence_matches_oracle_property(words, extra):
     text = " ".join(words)
-    floor = len(SPECIALS) + len(set(text.replace(" ", "")) | {DEFAULT_MARKER})
+    floor = len(SPECIALS) + len(set(text.replace(" ", "")) | {MARKER})
     _assert_matches_oracle([text], floor + extra, probes=[" ".join(reversed(words))])
 
 

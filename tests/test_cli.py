@@ -715,6 +715,135 @@ def test_run_refuses_an_input_that_is_one_of_its_artifacts(name, artifact, capsy
     assert os.listdir(out_dir) == [artifact]
 
 
+# case -> (argv, message): an output path that names an input or another output of the command
+SHARED_FILES = {
+    "stats-report-input": (["stats", "{t}/c.jsonl", "--report", "{t}/c.jsonl"],
+                           "report path {t}/c.jsonl is the input file"),
+    "score-tags-report-input": (["score-tags", "{t}/p.tsv", "--report", "{t}/p.tsv"],
+                                "report path {t}/p.tsv is the input file"),
+    "score-ner-report-input": (["score-ner", "{t}/p.tsv", "--report", "{t}/p.tsv"],
+                               "report path {t}/p.tsv is the input file"),
+    "score-cls-report-input": (["score-cls", "{t}/g.tsv", "--report", "{t}/g.tsv"],
+                               "report path {t}/g.tsv is the input file"),
+    "bpe-train-vocab-input": (
+        ["bpe-train", "{t}/c.jsonl", "--vocab-size", "90", "--vocab", "{t}/c.jsonl",
+         "--merges", "{t}/m.txt"],
+        "vocab path {t}/c.jsonl is the input file"),
+    "bpe-train-merges-vocab": (
+        ["bpe-train", "{t}/c.jsonl", "--vocab-size", "90", "--vocab", "{t}/v.txt",
+         "--merges", "{t}/v.txt"],
+        "merges path {t}/v.txt is the vocab file"),
+    "truecase-lexicon-input": (
+        ["truecase", "{t}/c.jsonl", "{t}/o.jsonl", "--save-lexicon", "{t}/c.jsonl"],
+        "saved lexicon path {t}/c.jsonl is the input file"),
+    "truecase-lexicon-output": (
+        ["truecase", "{t}/c.jsonl", "{t}/o.jsonl", "--save-lexicon", "{t}/o.jsonl"],
+        "saved lexicon path {t}/o.jsonl is the output file"),
+    "truecase-in-place-lexicon-input": (
+        ["truecase", "{t}/c.jsonl", "{t}/c.jsonl", "--save-lexicon", "{t}/c.jsonl"],
+        "saved lexicon path {t}/c.jsonl is the input file"),
+    "truecase-output-lexicon": (
+        ["truecase", "{t}/c.jsonl", "{t}/l.tsv", "--lexicon", "{t}/l.tsv"],
+        "output path {t}/l.tsv is the lexicon file"),
+    "filter-output-stopwords": (
+        ["filter", "{t}/c.jsonl", "{t}/s.txt", "--stopwords", "{t}/s.txt"],
+        "output path {t}/s.txt is the stopword list file"),
+    "filter-report-stopwords": (
+        ["filter", "{t}/c.jsonl", "{t}/o.jsonl", "--stopwords", "{t}/s.txt", "--report",
+         "{t}/s.txt"],
+        "drop log path {t}/s.txt is the stopword list file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_FILES))
+def test_command_refuses_an_output_that_is_another_of_its_files(case, capsys, tmp_path, data_dir,
+                                                                 fixture_corpus_path):
+    shutil.copyfile(fixture_corpus_path, tmp_path / "c.jsonl")
+    shutil.copyfile(os.path.join(data_dir, "ner_fixture.tsv"), tmp_path / "p.tsv")
+    (tmp_path / "g.tsv").write_text("pos\tpos\nneg\tpos\n", encoding="utf-8")
+    (tmp_path / "l.tsv").write_text("tallinn\tTallinn\t3\n", encoding="utf-8")
+    (tmp_path / "s.txt").write_text("ja\non\n", encoding="utf-8")
+    argv, message = SHARED_FILES[case]
+    before = _tree_bytes(tmp_path)
+    assert main([arg.format(t=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"invalid value: {message.format(t=tmp_path)}\n"
+    assert captured.out == ""
+    assert _tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("name, artifact", [
+    ("vocab", "vocab.txt"), ("drops", "drops.jsonl"), ("shard", "pretrain-1-of-2.tfrecord"),
+])
+def test_run_refuses_a_report_path_that_is_another_artifact(name, artifact, capsys, tmp_path,
+                                                            fixture_corpus_path):
+    out_dir = tmp_path / "out"
+    config = _write_config(tmp_path / "job.conf", fixture_corpus_path, out_dir)
+    assert main(["run", "--config", config]) == 0
+    before = _tree_bytes(out_dir)
+    report = out_dir / artifact
+    capsys.readouterr()
+    assert main(["run", "--config", config, "--report", str(report)]) == 1
+    assert capsys.readouterr().err == f"invalid value: report path {report} is the {name} file\n"
+    assert _tree_bytes(out_dir) == before
+
+
+@pytest.mark.parametrize("section, key, role, artifact", [
+    ("filter", "stopwords", "stopword list", "vocab.txt"),
+    ("truecase", "lexicon", "lexicon", "drops.jsonl"),
+])
+def test_run_refuses_an_artifact_that_is_a_file_it_reads(section, key, role, artifact, capsys,
+                                                         tmp_path, fixture_corpus_path):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    read = out_dir / artifact
+    read.write_text("tallinn\tTallinn\t3\n", encoding="utf-8")
+    config = _write_config(tmp_path / "job.conf", fixture_corpus_path, out_dir)
+    with open(config, "a", encoding="utf-8") as handle:
+        handle.write(f"[{section}]\n{key} = {read}\n")
+    assert main(["run", "--config", config]) == 1
+    name = artifact.split(".")[0]
+    assert capsys.readouterr().err == f"invalid value: {name} path {read} is the {role} file\n"
+    assert os.listdir(out_dir) == [artifact]
+    assert read.read_text(encoding="utf-8") == "tallinn\tTallinn\t3\n"
+
+
+@pytest.mark.parametrize("command", ["run", "filter"])
+def test_disabled_heuristics_stage_loads_no_stopword_list(command, capsys, tmp_path,
+                                                          fixture_corpus_path):
+    missing, out = tmp_path / "missing.txt", tmp_path / "out"
+    outputs = []
+    for stopwords in (None, missing):  # the same bytes with the list as without it
+        if command == "run":
+            config = _write_config(tmp_path / "job.conf", fixture_corpus_path, out)
+            with open(config, "a", encoding="utf-8") as handle:
+                handle.write("[stages]\nheuristics = false\n")
+                if stopwords is not None:
+                    handle.write(f"[filter]\nstopwords = {stopwords}\n")
+            argv = ["run", "--config", config]
+        else:
+            argv = ["filter", fixture_corpus_path, str(out), "--no-heuristics"]
+            if stopwords is not None:
+                argv += ["--stopwords", str(stopwords)]
+        assert main(argv) == 0
+        outputs.append(_tree_bytes(out) if command == "run" else out.read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+
+
+def test_make_examples_out_dir_that_is_a_file_names_it(capsys, tmp_path, fixture_corpus_path):
+    vocab, merges = str(tmp_path / "vocab.txt"), str(tmp_path / "merges.txt")
+    assert main(["bpe-train", fixture_corpus_path, "--vocab-size", "60",
+                 "--vocab", vocab, "--merges", merges]) == 0
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["make-examples", fixture_corpus_path, "--vocab", vocab, "--merges", merges,
+                 "--out-dir", str(afile)]) == 2
+    assert capsys.readouterr().err == f"error: IoError: cannot write {afile}: File exists\n"
+    assert afile.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_failed_rerun_leaves_no_report_or_empty_shard(capsys, tmp_path, fixture_corpus_path):
     out_dir = tmp_path / "out"
     config = _write_config(tmp_path / "job.conf", fixture_corpus_path, out_dir)

@@ -19,6 +19,7 @@ from corpusprep.ingest import (
     compute_stats,
     open_output,
     read_documents,
+    refuse_shared_files,
     write_documents,
 )
 
@@ -270,6 +271,50 @@ class TestOpenOutput:
         write_documents(docs, path, "json-lines")
         assert write_documents(read_documents(path, "json-lines"), path, "vert-xml") == 2
         assert list(read_documents(path, "vert-xml")) == docs
+
+
+class TestRefuseSharedFiles:
+    @pytest.mark.parametrize("case", ["same", "relative", "symlink", "hard-link", "dangling"])
+    def test_output_naming_an_input_is_refused(self, case, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        src = tmp_path / "c.jsonl"
+        if case != "dangling":
+            src.write_text("tere\n", encoding="utf-8")
+        out = {"same": str(src), "relative": "c.jsonl"}.get(case, str(tmp_path / "o.jsonl"))
+        if case in ("symlink", "dangling"):
+            os.symlink(src, out)
+        elif case == "hard-link":
+            os.link(src, out)
+        with pytest.raises(ValueError, match=re.escape(f"report path {out} is the input file")):
+            refuse_shared_files([("input", str(src))], [("report", out)])
+
+    def test_output_naming_an_earlier_output_is_refused(self, tmp_path):
+        vocab = str(tmp_path / "v.txt")
+        with pytest.raises(ValueError, match=re.escape(f"merges path {vocab} is the vocab file")):
+            refuse_shared_files([("input", str(tmp_path / "c.jsonl"))],
+                                [("vocab", vocab), ("merges", vocab)])
+
+    def test_first_input_names_a_file_before_any_output(self, tmp_path):
+        path = str(tmp_path / "c.jsonl")
+        with pytest.raises(ValueError, match=re.escape(f"lexicon path {path} is the input file")):
+            refuse_shared_files([("input", path), ("output", path)], [("lexicon", path)])
+
+    def test_no_path_and_devices_name_no_file(self, tmp_path):
+        path = str(tmp_path / "c.jsonl")
+        refuse_shared_files([("input", path), ("output", os.devnull)],
+                            [("report", None), ("vocab", os.devnull), ("merges", os.devnull)])
+        refuse_shared_files([("input", path)], [("report", str(tmp_path / "r.jsonl"))])
+
+    def test_each_path_is_keyed_once(self, tmp_path, monkeypatch):
+        # 512 shards and five more artifacts: a check of every pair would key each path 517 times
+        import corpusprep.ingest as ingest
+
+        keyed = []
+        file_key = ingest._file_key
+        monkeypatch.setattr(ingest, "_file_key", lambda path: keyed.append(path) or file_key(path))
+        outputs = [("shard", str(tmp_path / f"pretrain-{i}-of-512.tfrecord")) for i in range(512)]
+        refuse_shared_files([("input", str(tmp_path / "c.jsonl"))], outputs)
+        assert len(keyed) == 513
 
 
 _texts = st.text(

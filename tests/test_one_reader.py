@@ -1,5 +1,6 @@
 """Text inputs are read in one place, ``ingest.read_lines``; outputs are
-written in one place, ``ingest.open_output``.
+written in one place, ``ingest.open_output``, and only ``ingest`` makes
+output directories and tells whether two paths name one file.
 
 ``read_lines`` turns an unopenable or non-UTF-8 file into UnreadableFile
 naming the path, so every subcommand exits 2 and names the file; a config
@@ -60,13 +61,40 @@ def opens(source: str, kind) -> list:
     return found
 
 
-def _package_opens(kind) -> list:
+def _dotted(node: ast.AST) -> str:
+    """The dotted name a call's function is written as: "os.path.samefile"; "" if not a name."""
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def calls(source: str, names) -> list:
+    """(qualified name of the enclosing function, dotted name) of each call of one of names."""
     found = []
+
+    def visit(node: ast.AST, scope: tuple) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope += (node.name,)
+        if isinstance(node, ast.Call) and _dotted(node.func) in names:
+            found.append((".".join(scope), _dotted(node.func)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def _package_sources():
     for module in sorted(os.listdir(PACKAGE_DIR)):
         if module.endswith(".py"):
             with open(os.path.join(PACKAGE_DIR, module), encoding="utf-8") as handle:
-                found += [(module, where) for where in opens(handle.read(), kind)]
-    return found
+                yield module, handle.read()
+
+
+def _package_opens(kind) -> list:
+    return [(module, where) for module, source in _package_sources()
+            for where in opens(source, kind)]
 
 
 def test_text_inputs_read_only_through_read_lines():
@@ -75,6 +103,25 @@ def test_text_inputs_read_only_through_read_lines():
 
 def test_outputs_written_only_through_open_output():
     assert set(_package_opens(_writes)) == {("ingest.py", "open_output")}
+
+
+def test_output_paths_decided_only_in_ingest():
+    found = [(module, *call) for module, source in _package_sources()
+             for call in calls(source, ("os.makedirs", "os.path.samefile"))]
+    assert found == [("ingest.py", "make_output_dir", "os.makedirs")]
+
+
+def test_check_sees_every_path_call():
+    source = (
+        "import os\nos.makedirs('d')\n"
+        "def a(p):\n    os.makedirs(p, exist_ok=True); os.path.exists(p); makedirs(p)\n"
+        "class B:\n    def same(self, p, q):\n        return os.path.samefile(p, q)\n"
+        "def c(p):\n    return [os.path.samefile(p, q) for q in p.split()], path.samefile(p, p)\n"
+    )
+    assert calls(source, ("os.makedirs", "os.path.samefile")) == [
+        ("", "os.makedirs"), ("a", "os.makedirs"), ("B.same", "os.path.samefile"),
+        ("c", "os.path.samefile"),
+    ]
 
 
 def test_check_sees_every_text_read():

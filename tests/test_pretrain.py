@@ -225,7 +225,7 @@ def _spelled(instances, vocab):
 
 @pytest.fixture(scope="module")
 def golden_setup(golden):
-    vocab = Vocab(pieces=tuple(golden["pieces"]), merges=(), marker="▁")
+    vocab = Vocab(pieces=tuple(golden["pieces"]), merges=())
     docs = [
         TokenizedDoc(
             id=d["id"],
