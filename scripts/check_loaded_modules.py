@@ -6,8 +6,11 @@ The arguments are corpusprep's own.  A run takes blake2b from the
 ``_blake2`` C module, so it never loads ``hashlib`` or OpenSSL's
 ``_hashlib``; ``difflib`` serves only a config error's "did you mean" hint,
 and ``multiprocessing`` only a ``--workers`` above 1.  Prints one JSON line
-last: the command's exit code, which of those modules are loaded, and this
-process's peak RSS in MB (``VmHWM`` on Linux; pool workers not included).
+last: the command's exit code, which of those modules are loaded, this
+process's peak RSS in MB (``VmHWM`` on Linux) and the largest peak RSS of
+the children it reaped (``RUSAGE_CHILDREN``): the pool workers when there is
+a pool.  Linux keeps that figure across ``exec``, so without a pool it shows
+what the launching process had reaped before.
 Exits 0 when the command succeeded and loaded none it should not have,
 else 1.
 """
@@ -33,8 +36,12 @@ def main(argv=None) -> int:
     allowed = {"multiprocessing"} if workers > 1 else set()
     code = corpusprep(argv)
     loaded = [name for name in WATCHED if name in sys.modules]
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({"exit": code, "loaded": loaded, "peak_rss_mb": round(peak_mb, 2)}))
+    peak_mb, workers_mb = (
+        resource.getrusage(who).ru_maxrss / 1024.0
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    )
+    print(json.dumps({"exit": code, "loaded": loaded, "peak_rss_mb": round(peak_mb, 2),
+                      "workers_peak_rss_mb": round(workers_mb, 2)}))
     return 0 if code == 0 and set(loaded) <= allowed else 1
 
 

@@ -14,8 +14,10 @@ serialize_example frames them.  read_tfrecords returns SerializedExamples,
 each decoded by the schema's layout reader or, for any other layout and to
 name a fault, by parse_example.
 Random-next sampling may draw from any document, so the whole tokenized
-corpus is held in memory, as ids, while instances are generated; with more
-than one worker, so is at most one _POOL_WINDOW of finished instances.
+corpus is held in memory while instances are generated, as one TokenStore:
+three flat arrays, about 4 bytes per piece, which forked workers share with
+the parent.  With more than one worker, at most one _POOL_WINDOW of finished
+instances is held as well.
 
 Two deliberate departures from that tool, both needed for reproducibility
 guarantees:
@@ -35,11 +37,13 @@ import math
 import os
 import random
 import re
+from array import array
+from bisect import bisect_left
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from itertools import islice
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, get_type_hints
+from typing import Callable, Iterable, Iterator, List, Tuple, get_type_hints
 
 from .bpe import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, encode
 from .config import GenerationConfig
@@ -64,31 +68,36 @@ def round_half_up(x: float) -> int:
     return math.floor(round(x + 0.5, 9))
 
 
-@dataclass(frozen=True)
-class TokenizedDoc:
-    """A document as a sequence of non-empty sentences of piece ids."""
+class TokenStore:
+    """The tokenized corpus as three arrays and the document ids.
 
-    id: str
-    sentences: Tuple[Tuple[int, ...], ...]
+    Sentence k is ids[bounds[k]:bounds[k + 1]] and document d is sentences
+    docs[d] to docs[d + 1]; no sentence and no document is empty.
+    """
 
-    def __post_init__(self) -> None:
-        if any(len(s) == 0 for s in self.sentences):
-            raise ValueError("sentences must be non-empty")
+    def __init__(self, documents: Iterable[Tuple[str, Iterable[List[int]]]]) -> None:
+        """Store each (id, sentences) pair, a sentence a list of piece ids; drop empty
+        sentences and documents."""
+        self.ids, self.bounds, self.docs = array("I"), array("Q", [0]), array("Q", [0])
+        self.doc_ids: List[str] = []
+        for doc_id, sentences in documents:
+            for sentence in sentences:
+                if sentence:
+                    self.ids.fromlist(sentence)
+                    self.bounds.append(len(self.ids))
+            if len(self.bounds) - 1 > self.docs[-1]:
+                self.docs.append(len(self.bounds) - 1)
+                self.doc_ids.append(doc_id)
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
 
 
-def tokenize_documents(docs: Iterable[Document], vocab: Vocab) -> List[TokenizedDoc]:
-    """Encode each of a document's sentences; drop empty documents."""
-    out = []
-    for doc in docs:
-        sentences = []
-        for line in doc.sentences():
-            ids = encode(line, vocab)
-            if ids:
-                sentences.append(tuple(ids))
-        if sentences:
-            out.append(TokenizedDoc(id=doc.id, sentences=tuple(sentences)))
+def tokenize_documents(docs: Iterable[Document], vocab: Vocab) -> TokenStore:
+    """Encode each of a document's sentences into one store."""
+    store = TokenStore((doc.id, (encode(line, vocab) for line in doc.sentences())) for doc in docs)
     vocab.word_ids.clear()  # the encode memo is not needed after this pass
-    return out
+    return store
 
 
 @dataclass(frozen=True)
@@ -147,46 +156,38 @@ def _truncate_pair(
 
 
 def _instances_for_doc(
-    docs: Sequence[TokenizedDoc], vocab: Vocab, config: GenerationConfig, dupe: int, doc_index: int
+    store: TokenStore, vocab: Vocab, config: GenerationConfig, dupe: int, doc_index: int
 ) -> List[PretrainingInstance]:
-    rng = _doc_rng(config.seed, docs[doc_index].id, dupe)
-    document = docs[doc_index].sentences
+    rng = _doc_rng(config.seed, store.doc_ids[doc_index], dupe)
+    ids, bounds, docs = store.ids, store.bounds, store.docs
+    end = docs[doc_index + 1]
     max_num_tokens = config.max_seq_length - 3
     target_seq_length = max_num_tokens
     if rng.random() < config.short_seq_prob:
         target_seq_length = rng.randint(2, max_num_tokens)
 
     instances: List[PretrainingInstance] = []
-    current_chunk: List[Tuple[int, ...]] = []
-    current_length = 0
-    i = 0
-    while i < len(document):
-        segment = document[i]
-        current_chunk.append(segment)
-        current_length += len(segment)
-        if i == len(document) - 1 or current_length >= target_seq_length:
-            a_end = 1
-            if len(current_chunk) >= 2:
-                a_end = rng.randint(1, len(current_chunk) - 1)
-            tokens_a: List[int] = []
-            for j in range(a_end):
-                tokens_a.extend(current_chunk[j])
+    first = i = docs[doc_index]  # the current chunk is sentences first to i
+    while i < end:
+        if i == end - 1 or bounds[i + 1] - bounds[first] >= target_seq_length:
+            a_end = first + 1
+            if i > first:
+                a_end = first + rng.randint(1, i - first)
+            tokens_a = ids[bounds[first]:bounds[a_end]].tolist()
 
             is_random_next = rng.random() < config.random_next_prob
             tokens_b: List[int] = []
             if is_random_next:
                 target_b_length = target_seq_length - len(tokens_a)
-                foreign = docs[_pick_foreign_doc(rng, len(docs), doc_index)]
-                start = rng.randint(0, len(foreign.sentences) - 1)
-                for j in range(start, len(foreign.sentences)):
-                    tokens_b.extend(foreign.sentences[j])
-                    if len(tokens_b) >= target_b_length:
-                        break
-                # segments beyond a_end were not consumed; rewind them
-                i -= len(current_chunk) - a_end
-            elif len(current_chunk) >= 2:
-                for j in range(a_end, len(current_chunk)):
-                    tokens_b.extend(current_chunk[j])
+                foreign = _pick_foreign_doc(rng, len(store), doc_index)
+                foreign_first, foreign_end = docs[foreign], docs[foreign + 1]
+                start = foreign_first + rng.randint(0, foreign_end - foreign_first - 1)
+                # whole sentences from start on, until target_b_length is reached
+                stop = bisect_left(bounds, bounds[start] + target_b_length, start + 1, foreign_end)
+                tokens_b = ids[bounds[start]:bounds[stop]].tolist()
+                i = a_end - 1  # sentences from a_end on were not consumed; rewind them
+            elif i > first:
+                tokens_b = ids[bounds[a_end]:bounds[i + 1]].tolist()
             if tokens_b:
                 _truncate_pair(tokens_a, tokens_b, max_num_tokens, rng)
                 tokens = [CLS_ID, *tokens_a, SEP_ID, *tokens_b, SEP_ID]
@@ -200,8 +201,7 @@ def _instances_for_doc(
                         is_random_next=is_random_next,
                     )
                 )
-            current_chunk = []
-            current_length = 0
+            first = i + 1
         i += 1
     return instances
 
@@ -232,7 +232,7 @@ def apply_masking(
 
 # --- parallel generation ---------------------------------------------------
 
-# (docs, vocab, config, finish), filled by the pool's initializer in workers only;
+# (store, vocab, config, finish), filled by the pool's initializer in workers only;
 # the parent keeps no generation state
 _WORKER_ARGS: list = []
 
@@ -243,13 +243,13 @@ _POOL_WINDOW = 64
 
 
 def _run_tasks(chunk: List[Tuple[int, int]]) -> list:
-    docs, vocab, config, finish = _WORKER_ARGS
+    store, vocab, config, finish = _WORKER_ARGS
     return [finish(instance) for task in chunk
-            for instance in _instances_for_doc(docs, vocab, config, *task)]
+            for instance in _instances_for_doc(store, vocab, config, *task)]
 
 
 def build_instances(
-    docs: Sequence[TokenizedDoc],
+    store: TokenStore,
     vocab: Vocab,
     config: GenerationConfig,
     workers: int = 1,
@@ -259,24 +259,24 @@ def build_instances(
 
     Randomness comes only from config.seed and the pair identity, so the
     stream is identical for any worker count.  finish runs in the process that
-    built the instance; forked workers inherit it, and pickle its results and errors.
+    built the instance; forked workers inherit it and the store's arrays, and
+    pickle finish's results and errors.
     """
-    docs = [doc for doc in docs if doc.sentences]
-    if len(docs) < 2:
+    if len(store) < 2:
         raise CorpusTooSmall("need at least 2 documents for random-next sampling")
     # made as they are taken: itertools.product would first store its ranges as tuples
-    tasks = ((dupe, idx) for dupe in range(config.dupe_factor) for idx in range(len(docs)))
+    tasks = ((dupe, idx) for dupe in range(config.dupe_factor) for idx in range(len(store)))
 
     if workers <= 1:
         for dupe, doc_index in tasks:
-            yield from map(finish, _instances_for_doc(docs, vocab, config, dupe, doc_index))
+            yield from map(finish, _instances_for_doc(store, vocab, config, dupe, doc_index))
         return
 
     import multiprocessing  # only a pool needs it, and it loads pickle and socket
 
     context = multiprocessing.get_context("fork")
     with context.Pool(
-        workers, initializer=_WORKER_ARGS.extend, initargs=((docs, vocab, config, finish),)
+        workers, initializer=_WORKER_ARGS.extend, initargs=((store, vocab, config, finish),)
     ) as pool:
         pending = deque()  # a sliding window of chunks, oldest first
         for chunk in iter(lambda: list(islice(tasks, 8)), []):

@@ -15,7 +15,7 @@ import pytest
 
 from corpusprep.bpe import SPECIALS, Vocab
 from corpusprep.ingest import Document, read_documents
-from corpusprep.pretrain import GenerationConfig, TokenizedDoc, build_instances
+from corpusprep.pretrain import GenerationConfig, TokenStore, build_instances
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -50,15 +50,16 @@ def make_synthetic_vocab(size: int = 505) -> Vocab:
 def make_synthetic_docs(
     n_docs: int = 120, sentences_per_doc: int = 100, rng_seed: int = 99
 ) -> list:
-    """Documents of short sentences of ids drawn from the synthetic vocabulary."""
+    """(id, sentences) pairs, sentences short lists of ids from the synthetic vocabulary,
+    the input of pretrain.TokenStore."""
     rng = random.Random(rng_seed)
     docs = []
     for d in range(n_docs):
-        sentences = tuple(
-            tuple(len(SPECIALS) + rng.randint(0, 499) for _ in range(rng.randint(4, 6)))
+        sentences = [
+            [len(SPECIALS) + rng.randint(0, 499) for _ in range(rng.randint(4, 6))]
             for _ in range(sentences_per_doc)
-        )
-        docs.append(TokenizedDoc(id=f"syn-{d:04d}", sentences=sentences))
+        ]
+        docs.append((f"syn-{d:04d}", sentences))
     return docs
 
 
@@ -84,7 +85,7 @@ def mlm_stream(synthetic_docs, synthetic_vocab):
         shards=4,
         seed=2024,
     )
-    instances = list(build_instances(synthetic_docs, synthetic_vocab, config))
+    instances = list(build_instances(TokenStore(synthetic_docs), synthetic_vocab, config))
     return {"config": config, "vocab": synthetic_vocab, "instances": instances}
 
 

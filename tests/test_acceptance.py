@@ -35,6 +35,7 @@ from corpusprep.pipeline import run_pipeline
 from corpusprep.pretrain import (
     GenerationConfig,
     PretrainingInstance,
+    TokenStore,
     build_instances,
     masked_budget,
     round_half_up,
@@ -120,7 +121,7 @@ def test_criterion_3_next_sentence_balance(mlm_stream, synthetic_docs, synthetic
         config = replace(mlm_stream["config"], random_next_prob=prob, dupe_factor=2)
         labels = {
             inst.is_random_next
-            for inst in build_instances(synthetic_docs[:12], synthetic_vocab, config)
+            for inst in build_instances(TokenStore(synthetic_docs[:12]), synthetic_vocab, config)
         }
         assert labels == {expected_label}, prob
     _report(3, f"actual-next fraction {actual_fraction:.4f} in [0.48, 0.52]; 0/1 degenerate")

@@ -5,16 +5,15 @@ from __future__ import annotations
 import dataclasses
 import functools
 import glob
-import hashlib
 import json
 import multiprocessing
 import os
 import random
 import struct
 import tracemalloc
-from types import SimpleNamespace
 
 import codec_oracle
+import instance_oracle
 import pytest
 import record_oracle
 from hypothesis import example, given, settings
@@ -33,7 +32,7 @@ from corpusprep.pretrain import (
     GenerationConfig,
     PretrainingInstance,
     SerializedExample,
-    TokenizedDoc,
+    TokenStore,
     apply_masking,
     build_instances,
     example_payload,
@@ -112,100 +111,17 @@ class TestGenerationConfig:
             GenerationConfig(**kwargs)
 
 
-# --- reference replay of the documented generation procedure ----------------
-
-
-def _reference_doc_rng(seed: int, doc_id: str, dupe: int) -> random.Random:
-    digest = hashlib.blake2b(f"{doc_id}\x00{dupe}".encode("utf-8"), digest_size=8).digest()
-    return random.Random(seed ^ int.from_bytes(digest, "little"))
-
-
-def _reference_instances(docs, config, vocab):
-    """Transcription of the documented procedure, kept free of package code.
-
-    One generator per (document, dupe): draw the target length, accumulate
-    sentences into chunks, split at a_end, flip the next-sentence coin,
-    either continue with the document or splice in a foreign document and
-    rewind, truncate, then mask.
-    """
-    out = []
-    for dupe in range(config.dupe_factor):
-        for doc_index, doc in enumerate(docs):
-            rng = _reference_doc_rng(config.seed, doc.id, dupe)
-            document = doc.sentences
-            max_num_tokens = config.max_seq_length - 3
-            target = max_num_tokens
-            if rng.random() < config.short_seq_prob:
-                target = rng.randint(2, max_num_tokens)
-
-            chunk, length, i = [], 0, 0
-            while i < len(document):
-                chunk.append(document[i])
-                length += len(document[i])
-                if i == len(document) - 1 or length >= target:
-                    a_end = 1
-                    if len(chunk) >= 2:
-                        a_end = rng.randint(1, len(chunk) - 1)
-                    tokens_a = [t for seg in chunk[:a_end] for t in seg]
-                    is_random = rng.random() < config.random_next_prob
-                    tokens_b = []
-                    if is_random:
-                        want = target - len(tokens_a)
-                        while True:
-                            other = rng.randint(0, len(docs) - 1)
-                            if other != doc_index:
-                                break
-                        foreign = docs[other].sentences
-                        start = rng.randint(0, len(foreign) - 1)
-                        for seg in foreign[start:]:
-                            tokens_b.extend(seg)
-                            if len(tokens_b) >= want:
-                                break
-                        i -= len(chunk) - a_end
-                    elif len(chunk) >= 2:
-                        tokens_b = [t for seg in chunk[a_end:] for t in seg]
-                    if tokens_b:
-                        while len(tokens_a) + len(tokens_b) > max_num_tokens:
-                            side = tokens_a if len(tokens_a) > len(tokens_b) else tokens_b
-                            if rng.random() < 0.5:
-                                del side[0]
-                            else:
-                                side.pop()
-                        tokens = ["[CLS]", *tokens_a, "[SEP]", *tokens_b, "[SEP]"]
-                        seg_ids = [0] * (len(tokens_a) + 2) + [1] * (len(tokens_b) + 1)
-                        cands = [k for k, t in enumerate(tokens) if t not in SPECIALS]
-                        budget = masked_budget(config.max_seq_length, config.masked_lm_prob)
-                        num = min(budget, max(1, round_half_up(config.masked_lm_prob * len(cands))))
-                        positions = sorted(rng.sample(cands, num))
-                        labels = []
-                        for pos in positions:
-                            labels.append(tokens[pos])
-                            roll = rng.random()
-                            if roll < 0.8:
-                                tokens[pos] = "[MASK]"
-                            elif roll < 0.9:
-                                tokens[pos] = vocab.pieces[rng.randint(5, len(vocab.pieces) - 1)]
-                        out.append(
-                            (tuple(tokens), tuple(seg_ids), tuple(positions), tuple(labels), is_random)
-                        )
-                    chunk, length = [], 0
-                i += 1
-    return out
-
-
 @pytest.fixture(scope="module")
 def golden():
     with open(os.path.join(DATA, "pretrain_golden.json"), encoding="utf-8") as f:
         return json.load(f)
 
 
-def _spelled_docs(docs, vocab):
-    """The documents with their piece ids spelled as pieces, the reference's input."""
+def _spelled_docs(store, vocab):
+    """The store's documents with their piece ids spelled as pieces, the oracle's input."""
     return [
-        SimpleNamespace(
-            id=d.id, sentences=tuple(tuple(vocab.pieces[t] for t in s) for s in d.sentences)
-        )
-        for d in docs
+        (doc_id, [[vocab.pieces[t] for t in s] for s in sentences])
+        for doc_id, sentences in instance_oracle.unpack(store)
     ]
 
 
@@ -226,13 +142,10 @@ def _spelled(instances, vocab):
 @pytest.fixture(scope="module")
 def golden_setup(golden):
     vocab = Vocab(pieces=tuple(golden["pieces"]), merges=())
-    docs = [
-        TokenizedDoc(
-            id=d["id"],
-            sentences=tuple(tuple(vocab.piece_to_id[p] for p in s) for s in d["sentences"]),
-        )
+    docs = TokenStore(
+        (d["id"], [[vocab.piece_to_id[p] for p in s] for s in d["sentences"]])
         for d in golden["documents"]
-    ]
+    )
     config = GenerationConfig(**golden["config"])
     return vocab, docs, config
 
@@ -241,7 +154,7 @@ class TestGoldenTrace:
     def test_generation_matches_reference_replay(self, golden_setup):
         vocab, docs, config = golden_setup
         got = _spelled(build_instances(docs, vocab, config), vocab)
-        assert got == _reference_instances(_spelled_docs(docs, vocab), config, vocab)
+        assert got == instance_oracle.instances(_spelled_docs(docs, vocab), config, vocab.pieces)
 
     def test_serialized_examples_match_frozen_golden(self, golden, golden_setup):
         vocab, docs, config = golden_setup
@@ -261,22 +174,19 @@ class TestGoldenTrace:
 
     def test_reference_replay_on_synthetic_stream(self, synthetic_vocab):
         # cross-check beyond the tiny fixture: a few larger documents
-        docs = [
-            TokenizedDoc(
-                id=f"r{d}",
-                sentences=tuple(
-                    tuple(len(SPECIALS) + (d * 31 + s * 7 + k) % 500 for k in range(4))
-                    for s in range(12)
-                ),
+        docs = TokenStore(
+            (
+                f"r{d}",
+                [[len(SPECIALS) + (d * 31 + s * 7 + k) % 500 for k in range(4)] for s in range(12)],
             )
             for d in range(6)
-        ]
+        )
         config = GenerationConfig(
             max_seq_length=24, dupe_factor=3, seed=77, shards=1
         )
         got = _spelled(build_instances(docs, synthetic_vocab, config), synthetic_vocab)
-        assert got == _reference_instances(
-            _spelled_docs(docs, synthetic_vocab), config, synthetic_vocab
+        assert got == instance_oracle.instances(
+            _spelled_docs(docs, synthetic_vocab), config, synthetic_vocab.pieces
         )
 
 
@@ -406,7 +316,7 @@ class TestNextSentence:
         )
         labels = {
             i.is_random_next
-            for i in build_instances(synthetic_docs[:10], synthetic_vocab, config)
+            for i in build_instances(TokenStore(synthetic_docs[:10]), synthetic_vocab, config)
         }
         assert labels == {True}
 
@@ -416,13 +326,16 @@ class TestNextSentence:
         )
         labels = {
             i.is_random_next
-            for i in build_instances(synthetic_docs[:10], synthetic_vocab, config)
+            for i in build_instances(TokenStore(synthetic_docs[:10]), synthetic_vocab, config)
         }
         assert labels == {False}
 
     def test_random_segment_comes_from_other_document(self, golden_setup):
         vocab, docs, config = golden_setup
-        doc_pieces = {doc.id: {t for s in doc.sentences for t in s} for doc in docs}
+        doc_pieces = {
+            doc_id: {t for s in sentences for t in s}
+            for doc_id, sentences in instance_oracle.unpack(docs)
+        }
         for inst in build_instances(docs, vocab, config):
             if not inst.is_random_next:
                 continue
@@ -439,13 +352,13 @@ class TestNextSentence:
 
 class TestBuildInstances:
     def test_needs_two_documents(self, synthetic_vocab):
-        doc = TokenizedDoc(id="only", sentences=((6,),))  # ▁p001
+        docs = TokenStore([("only", [[6]])])  # ▁p001
         with pytest.raises(CorpusTooSmall):
-            list(build_instances([doc], synthetic_vocab, GenerationConfig()))
+            list(build_instances(docs, synthetic_vocab, GenerationConfig()))
 
     def test_worker_counts_agree(self, synthetic_docs, synthetic_vocab):
         config = GenerationConfig(max_seq_length=32, dupe_factor=2, seed=13)
-        docs = synthetic_docs[:12]
+        docs = TokenStore(synthetic_docs[:12])
         serial = list(build_instances(docs, synthetic_vocab, config, workers=1))
         two = list(build_instances(docs, synthetic_vocab, config, workers=2))
         four = list(build_instances(docs, synthetic_vocab, config, workers=4))
@@ -453,7 +366,7 @@ class TestBuildInstances:
 
     def test_worker_counts_agree_across_pool_windows(self, synthetic_docs, synthetic_vocab):
         # 40 documents x dupe 3 = 120 tasks, more than one pool window
-        docs = synthetic_docs[:40]
+        docs = TokenStore(synthetic_docs[:40])
         config = GenerationConfig(max_seq_length=32, dupe_factor=3, seed=21)
         assert config.dupe_factor * len(docs) > _POOL_WINDOW
         serial = list(build_instances(docs, synthetic_vocab, config, workers=1))
@@ -469,6 +382,7 @@ class TestBuildInstances:
             (synthetic_docs[:6], GenerationConfig(max_seq_length=32, dupe_factor=2, seed=1)),
             (synthetic_docs[6:9], GenerationConfig(max_seq_length=48, dupe_factor=3, seed=2)),
         ]
+        runs = [(TokenStore(docs), config) for docs, config in runs]
         alone = [list(build_instances(docs, synthetic_vocab, config)) for docs, config in runs]
         streams = [build_instances(docs, synthetic_vocab, config) for docs, config in runs]
         pulled = [[], []]
@@ -490,7 +404,7 @@ class TestBuildInstances:
         assert a == b
 
     def test_finished_streams_agree_across_pool_windows(self, synthetic_docs, synthetic_vocab):
-        docs = synthetic_docs[:40]
+        docs = TokenStore(synthetic_docs[:40])
         config = GenerationConfig(max_seq_length=32, dupe_factor=3, seed=21)
         assert config.dupe_factor * len(docs) > _POOL_WINDOW
 
@@ -505,7 +419,7 @@ class TestBuildInstances:
     def test_finish_error_past_first_window_reaches_parent(
         self, workers, synthetic_docs, synthetic_vocab
     ):
-        docs = synthetic_docs[:40]
+        docs = TokenStore(synthetic_docs[:40])
         config = GenerationConfig(max_seq_length=32, dupe_factor=2, seed=21)
         serial = list(build_instances(docs, synthetic_vocab, config))
         tasks = [(dupe, index) for dupe in range(2) for index in range(len(docs))]
@@ -532,7 +446,7 @@ class TestBuildInstances:
     def test_pairs_are_made_as_they_are_taken(self, synthetic_docs, synthetic_vocab):
         # 400,000 (dupe, document) pairs: about 30 MB if listed before the first instance
         config = GenerationConfig(max_seq_length=32, dupe_factor=200_000, seed=3)
-        stream = build_instances(synthetic_docs[:2], synthetic_vocab, config)
+        stream = build_instances(TokenStore(synthetic_docs[:2]), synthetic_vocab, config)
         tracemalloc.start()
         try:
             assert next(stream)
@@ -559,6 +473,105 @@ class TestBuildInstances:
         assert written[2] == written[1]
 
 
+_SENTENCE = st.lists(st.integers(len(SPECIALS), 504), min_size=1, max_size=10)
+_PROBABILITY = st.sampled_from([0.0, 0.5, 1.0])
+
+
+def _token_corpus(documents: int, seed: int) -> list:
+    """Documents of 2-6 lines of 8-16 words drawn from 3,000 random word forms."""
+    rng = random.Random(seed)
+    words = ["".join(rng.choices("aeiouklmnprstv", k=rng.randint(2, 9))) for _ in range(3000)]
+    return [
+        Document(
+            id=f"m{d}",
+            text="\n".join(
+                " ".join(rng.choices(words, k=rng.randint(8, 16)))
+                for _ in range(rng.randint(2, 6))
+            ),
+        )
+        for d in range(documents)
+    ]
+
+
+class TestTokenStore:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        documents=st.lists(st.lists(_SENTENCE, min_size=1, max_size=5), min_size=2, max_size=6),
+        max_seq_length=st.integers(5, 40),
+        short_seq_prob=_PROBABILITY,
+        random_next_prob=_PROBABILITY,
+        dupe_factor=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        workers=st.just(1),
+    )
+    @example(
+        documents=[[[5, 300], [256, 7, 504]], [[400]], [[6] * 10, [260, 261], [9]]],
+        max_seq_length=12, short_seq_prob=0.5, random_next_prob=0.5, dupe_factor=3, seed=9,
+        workers=2,
+    )
+    def test_build_instances_matches_oracle(
+        self, synthetic_vocab, documents, max_seq_length, short_seq_prob, random_next_prob,
+        dupe_factor, seed, workers
+    ):
+        config = GenerationConfig(
+            max_seq_length=max_seq_length, short_seq_prob=short_seq_prob,
+            random_next_prob=random_next_prob, dupe_factor=dupe_factor, seed=seed,
+        )
+        docs = [(f"d{k}", sentences) for k, sentences in enumerate(documents)]
+        store = TokenStore(docs)
+        got = _spelled(build_instances(store, synthetic_vocab, config, workers), synthetic_vocab)
+        pieces = synthetic_vocab.pieces
+        spelled = [(i, [[pieces[t] for t in s] for s in sentences]) for i, sentences in docs]
+        assert got == instance_oracle.instances(spelled, config, pieces)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.lists(st.integers(0, 2**32 - 1), max_size=4), max_size=4)))
+    def test_holds_no_empty_sentence_or_document(self, documents):
+        store = TokenStore((f"d{k}", sentences) for k, sentences in enumerate(documents))
+        kept = [
+            (f"d{k}", [s for s in sentences if s])
+            for k, sentences in enumerate(documents)
+            if any(sentences)
+        ]
+        assert instance_oracle.unpack(store) == kept
+        assert len(store) == len(store.docs) - 1 == len(kept)
+        assert store.bounds[0] == 0 and store.bounds[-1] == len(store.ids)
+        assert all(a < b for a, b in zip(store.bounds, store.bounds[1:]))
+        assert store.docs[0] == 0 and store.docs[-1] == len(store.bounds) - 1
+        assert all(a < b for a, b in zip(store.docs, store.docs[1:]))
+
+    def test_documents_that_encode_to_nothing_do_not_count(self, synthetic_vocab):
+        vocab = train_bpe([Document(id="t", text="aa ab")], vocab_size=12)
+        docs = [Document(id="a", text="aa ab"), Document(id="b", text=""),
+                Document(id="c", text=" \n\t\n")]
+        store = tokenize_documents(docs, vocab)
+        assert store.doc_ids == ["a"]
+        with pytest.raises(CorpusTooSmall):
+            list(build_instances(store, vocab, GenerationConfig()))
+        store = TokenStore([("a", [[5]]), ("b", []), ("c", [[], []])])
+        assert store.doc_ids == ["a"] and list(store.bounds) == [0, 1]
+        with pytest.raises(CorpusTooSmall):
+            list(build_instances(store, synthetic_vocab, GenerationConfig()))
+
+    def test_holds_about_four_bytes_per_piece(self):
+        docs = _token_corpus(1200, seed=7)
+        vocab = train_bpe(docs[:100], vocab_size=200)
+        # the first pass leaves the encode memo's per-word tuples on the interpreter's
+        # tuple free lists, a fixed cost the second pass reuses
+        tokenize_documents(docs, vocab)
+        tracemalloc.start()
+        try:
+            store = tokenize_documents(docs, vocab)
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        pieces = len(store.ids)
+        assert pieces >= 100_000
+        buffers = sum(memoryview(a).nbytes for a in (store.ids, store.bounds, store.docs))
+        assert buffers <= 4.5 * pieces
+        assert grown < 6 * pieces  # a list of id tuples held about 12.9
+
+
 class TestTokenizeDocuments:
     def test_lines_become_sentences(self):
         from corpusprep.bpe import train_bpe
@@ -568,9 +581,10 @@ class TestTokenizeDocuments:
             [Document(id="d", text="aa ab\nba"), Document(id="e", text="")], vocab
         )
         assert len(docs) == 1
-        assert docs[0].id == "d"
-        assert len(docs[0].sentences) == 2
-        joined = [p for s in docs[0].sentences for p in s]
+        assert docs.doc_ids == ["d"]
+        [(_, sentences)] = instance_oracle.unpack(docs)
+        assert len(sentences) == 2
+        joined = [p for s in sentences for p in s]
         assert all(isinstance(p, int) for p in joined)
         assert not vocab.word_ids  # the encode memo is freed after the pass
 
@@ -578,8 +592,10 @@ class TestTokenizeDocuments:
         from corpusprep.bpe import train_bpe
 
         vocab = train_bpe([Document(id="t", text="aa bb")], vocab_size=12)
-        [doc] = tokenize_documents([Document(id="d", text="aa\n\n\nbb")], vocab)
-        assert len(doc.sentences) == 2
+        [(_, sentences)] = instance_oracle.unpack(
+            tokenize_documents([Document(id="d", text="aa\n\n\nbb")], vocab)
+        )
+        assert len(sentences) == 2
 
     @pytest.mark.parametrize(
         "brk", ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -592,8 +608,8 @@ class TestTokenizeDocuments:
 
         doc = Document(id="d", text=f"aa ab{brk}ba bb\n{brk}\nbb")
         vocab = train_bpe([doc], vocab_size=12)
-        [tokenized] = tokenize_documents([doc], vocab)
-        assert len(tokenized.sentences) == compute_stats([doc]).sentences == 3
+        [(_, sentences)] = instance_oracle.unpack(tokenize_documents([doc], vocab))
+        assert len(sentences) == compute_stats([doc]).sentences == 3
         assert doc.sentences() == ["aa ab", "ba bb", "bb"]
 
 
