@@ -5,7 +5,7 @@
 Trains a vocabulary of that size on the corpus (``bpe-train``), so that piece
 ids pass 127 and 255.  Every sentence ``tokenize_documents`` stores must equal
 ``encode`` of its line, document by document, with blank lines and documents
-left out.  Then ``make-examples`` writes shards at ``--workers 1`` and ``2``;
+left out.  Then ``make-examples`` writes shards at ``--workers`` 1, 2 and 3;
 each shard must hold, byte for byte, the records of the instances that
 ``tests/instance_oracle.py`` replays from those sentences, framed by
 ``tests/record_oracle.py`` and dealt round-robin.  Prints one line with the
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
             in instance_oracle.instances(spelled, config, vocab.pieces)
         ]
         shards_agree = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             out = os.path.join(tmp, f"workers-{workers}")
             code = cli.main(["make-examples", args.corpus, "--vocab", vocab_path,
                              "--merges", merges_path, "--out-dir", out,

@@ -132,7 +132,11 @@ def write_examples(
         tokenized, vocab, generation, workers,
         lambda instance: serialize_example(instance, vocab, generation),
     )
-    return write_tfrecords(records, out_dir, generation.shards)
+    try:
+        return write_tfrecords(records, out_dir, generation.shards)
+    finally:  # a failed write's traceback keeps records alive: stop its workers now
+        if hasattr(records, "close"):  # perfbench's tracer wraps it in an iterator without one
+            records.close()
 
 
 def truecase_file(

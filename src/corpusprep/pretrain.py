@@ -16,8 +16,8 @@ name a fault, by parse_example.
 Random-next sampling may draw from any document, so the whole tokenized
 corpus is held in memory while instances are generated, as one TokenStore:
 three flat arrays, about 4 bytes per piece, which forked workers share with
-the parent.  With more than one worker, at most one _POOL_WINDOW of finished
-instances is held as well.
+the parent.  With more than one worker, the parent also holds one block of
+finished instances, as read from a worker's pipe (see forked.py).
 
 Two deliberate departures from that tool, both needed for reproducibility
 guarantees:
@@ -39,10 +39,8 @@ import random
 import re
 from array import array
 from bisect import bisect_left
-from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
-from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Tuple, get_type_hints
 
 from .bpe import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIALS, Vocab, encode
@@ -232,21 +230,6 @@ def apply_masking(
 
 # --- parallel generation ---------------------------------------------------
 
-# (store, vocab, config, finish), filled by the pool's initializer in workers only;
-# the parent keeps no generation state
-_WORKER_ARGS: list = []
-
-# (dupe, document) tasks handed to the pool, 8 to a chunk, and not yet taken by the
-# writer: the parent buffers each finished result until the writer takes it, so
-# unbounded, the parent's peak memory grows with how far the workers run ahead
-_POOL_WINDOW = 64
-
-
-def _run_tasks(chunk: List[Tuple[int, int]]) -> list:
-    store, vocab, config, finish = _WORKER_ARGS
-    return [finish(instance) for task in chunk
-            for instance in _instances_for_doc(store, vocab, config, *task)]
-
 
 def build_instances(
     store: TokenStore,
@@ -260,7 +243,7 @@ def build_instances(
     Randomness comes only from config.seed and the pair identity, so the
     stream is identical for any worker count.  finish runs in the process that
     built the instance; forked workers inherit it and the store's arrays, and
-    pickle finish's results and errors.
+    send back its results, or the error it raised, a pickled block at a time.
     """
     if len(store) < 2:
         raise CorpusTooSmall("need at least 2 documents for random-next sampling")
@@ -272,19 +255,12 @@ def build_instances(
             yield from map(finish, _instances_for_doc(store, vocab, config, dupe, doc_index))
         return
 
-    import multiprocessing  # only a pool needs it, and it loads pickle and socket
+    from .forked import ordered_map  # it loads pickle, which only forked workers need
 
-    context = multiprocessing.get_context("fork")
-    with context.Pool(
-        workers, initializer=_WORKER_ARGS.extend, initargs=((store, vocab, config, finish),)
-    ) as pool:
-        pending = deque()  # a sliding window of chunks, oldest first
-        for chunk in iter(lambda: list(islice(tasks, 8)), []):
-            pending.append(pool.apply_async(_run_tasks, (chunk,)))
-            if len(pending) == _POOL_WINDOW // 8:
-                yield from pending.popleft().get()
-        for result in pending:
-            yield from result.get()
+    def instances(task: Tuple[int, int]) -> Iterator:
+        return map(finish, _instances_for_doc(store, vocab, config, *task))
+
+    yield from ordered_map(instances, tasks, workers)
 
 
 # --- serialization ----------------------------------------------------------

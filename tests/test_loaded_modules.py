@@ -1,9 +1,10 @@
 """Which optional modules a run loads, checked in a fresh interpreter.
 
 blake2b comes from the ``_blake2`` C module, so no run loads ``hashlib`` or
-OpenSSL's ``_hashlib``; ``multiprocessing`` loads only for a pool and
-``difflib`` only for a config error's hint.  The checks run in a subprocess
-because the test process has loaded all of them long before.
+OpenSSL's ``_hashlib``; no run loads ``multiprocessing``, ``pickle`` loads
+only for forked workers and ``difflib`` only for a config error's hint.  The
+checks run in a subprocess because the test process has loaded all of them
+long before.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def _run_argv(corpus, workers):
             "--workers", str(workers)]
 
 
-@pytest.mark.parametrize("workers, loaded", [(1, []), (2, ["multiprocessing"])])
+@pytest.mark.parametrize("workers, loaded", [(1, []), (2, ["pickle"])])
 def test_a_run_loads_no_openssl_and_a_pool_only_with_workers(workers, loaded, tmp_path,
                                                              fixture_corpus_path):
     (tmp_path / "job.conf").write_text(CONFIG, encoding="utf-8")

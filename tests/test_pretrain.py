@@ -6,11 +6,16 @@ import dataclasses
 import functools
 import glob
 import json
-import multiprocessing
 import os
 import random
+import re
+import signal
 import struct
+import subprocess
+import sys
 import tracemalloc
+from contextlib import contextmanager
+from unittest import mock
 
 import codec_oracle
 import instance_oracle
@@ -20,11 +25,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusprep.bpe import CLS_ID, MASK_ID, SEP_ID, SPECIALS, Vocab, train_bpe
-from corpusprep.errors import CorpusTooSmall, CorruptRecord, IdOutOfRange, NoMaskableTokens
+from corpusprep import forked, pretrain
+from corpusprep.errors import (
+    CorpusTooSmall, CorruptRecord, IdOutOfRange, NoMaskableTokens, PipelineError,
+)
+from corpusprep.forked import _BLOCK
 from corpusprep.ingest import Document
 from corpusprep.pipeline import write_examples
 from corpusprep.pretrain import (
-    _POOL_WINDOW,
     _READ_EXAMPLE,
     _decode_payload,
     _instances_for_doc,
@@ -54,6 +62,35 @@ def _read_back(record: bytes) -> SerializedExample:
     payload = record[12:-4]
     assert frame_record(payload) == record
     return _decode_payload(payload, "record", 0)
+
+
+@contextmanager
+def _within(seconds: int):
+    """Fail with TimeoutError, rather than hang, if the block runs longer than seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _ShortWrite(Exception):
+    """Pickles, but its __init__ cannot take the message it is unpickled with."""
+
+    def __init__(self, path, offset):
+        super().__init__(f"{path} at {offset}")
 
 
 class TestMaskedBudget:
@@ -365,10 +402,10 @@ class TestBuildInstances:
         assert serial == two == four
 
     def test_worker_counts_agree_across_pool_windows(self, synthetic_docs, synthetic_vocab):
-        # 40 documents x dupe 3 = 120 tasks, more than one pool window
+        # 40 documents x dupe 3 = 120 tasks, more than one block for each of two workers
         docs = TokenStore(synthetic_docs[:40])
         config = GenerationConfig(max_seq_length=32, dupe_factor=3, seed=21)
-        assert config.dupe_factor * len(docs) > _POOL_WINDOW
+        assert config.dupe_factor * len(docs) > _BLOCK * 2
         serial = list(build_instances(docs, synthetic_vocab, config, workers=1))
         two = list(build_instances(docs, synthetic_vocab, config, workers=2))
         four = list(build_instances(docs, synthetic_vocab, config, workers=4))
@@ -406,7 +443,7 @@ class TestBuildInstances:
     def test_finished_streams_agree_across_pool_windows(self, synthetic_docs, synthetic_vocab):
         docs = TokenStore(synthetic_docs[:40])
         config = GenerationConfig(max_seq_length=32, dupe_factor=3, seed=21)
-        assert config.dupe_factor * len(docs) > _POOL_WINDOW
+        assert config.dupe_factor * len(docs) > _BLOCK * 2
 
         def finish(instance):
             return serialize_example(instance, synthetic_vocab, config)
@@ -424,8 +461,8 @@ class TestBuildInstances:
         serial = list(build_instances(docs, synthetic_vocab, config))
         tasks = [(dupe, index) for dupe in range(2) for index in range(len(docs))]
         per_task = [len(_instances_for_doc(docs, synthetic_vocab, config, *t)) for t in tasks]
-        # the last instance comes from the last task, task 79, in the second pool window
-        assert len(tasks) > _POOL_WINDOW and per_task[-1] > 0 and sum(per_task) == len(serial)
+        # the last instance comes from the last task, task 79, past the first block of each worker
+        assert len(tasks) > _BLOCK * workers and per_task[-1] > 0 and sum(per_task) == len(serial)
         assert serial.count(serial[-1]) == 1
 
         def finish(instance):
@@ -434,14 +471,14 @@ class TestBuildInstances:
             return instance
 
         got = []
-        with pytest.raises(IdOutOfRange) as exc:
+        with _within(60), pytest.raises(IdOutOfRange) as exc:
             for instance in build_instances(docs, synthetic_vocab, config, workers, finish):
                 got.append(instance)
         assert exc.type is IdOutOfRange
         assert str(exc.value) == "id 999 outside vocabulary of 505 pieces"
-        # every instance of the first window reached the parent before the error
-        assert got == serial[: len(got)] and len(got) >= sum(per_task[:_POOL_WINDOW])
-        assert multiprocessing.active_children() == []
+        # every instance of the first _BLOCK x workers tasks reached the parent before the error
+        assert got == serial[: len(got)] and len(got) >= sum(per_task[: _BLOCK * workers])
+        _assert_no_child_left()
 
     def test_pairs_are_made_as_they_are_taken(self, synthetic_docs, synthetic_vocab):
         # 400,000 (dupe, document) pairs: about 30 MB if listed before the first instance
@@ -459,7 +496,7 @@ class TestBuildInstances:
     def test_write_examples_shards_agree_across_worker_counts(self, tmp_path, fixture_docs):
         vocab = train_bpe(fixture_docs, 300)
         config = GenerationConfig(max_seq_length=32, dupe_factor=8, shards=3, seed=5)
-        assert config.dupe_factor * len(fixture_docs) > _POOL_WINDOW
+        assert config.dupe_factor * len(fixture_docs) > _BLOCK * 2
         written = {}
         for workers in (1, 2):
             out_dir = str(tmp_path / f"workers-{workers}")
@@ -471,6 +508,112 @@ class TestBuildInstances:
             written[workers] = (count, shards)
         assert written[1][0] > 0
         assert written[2] == written[1]
+
+    def test_dead_worker_raises_naming_it(self, synthetic_docs, synthetic_vocab):
+        docs = TokenStore(synthetic_docs[:40])
+        config = GenerationConfig(max_seq_length=32, dupe_factor=2, seed=21)
+        serial = list(build_instances(docs, synthetic_vocab, config))
+        victim, parent = serial[len(serial) // 2], os.getpid()
+
+        def finish(instance):
+            if instance == victim and os.getpid() != parent:
+                os._exit(3)
+            return instance
+
+        got = []
+        message = r"^worker pid (\d+) ended before block \d+, exit code 3$"
+        with _within(60), pytest.raises(PipelineError, match=message) as exc:
+            for instance in build_instances(docs, synthetic_vocab, config, 2, finish):
+                got.append(instance)
+        assert int(re.match(message, str(exc.value)).group(1)) != parent
+        assert serial.count(victim) == 1
+        assert got == serial[: len(got)] and len(got) <= serial.index(victim)
+        _assert_no_child_left()
+
+    def test_closing_the_stream_early_leaves_no_child(self, synthetic_docs, synthetic_vocab):
+        docs = TokenStore(synthetic_docs[:40])
+        config = GenerationConfig(max_seq_length=32, dupe_factor=3, seed=21)
+        with _within(60):
+            stream = build_instances(docs, synthetic_vocab, config, workers=2)
+            assert next(stream) == next(build_instances(docs, synthetic_vocab, config))
+            stream.close()
+        _assert_no_child_left()
+
+    def test_failed_shard_write_leaves_no_child(self, tmp_path, fixture_docs, monkeypatch):
+        vocab = train_bpe(fixture_docs, 300)
+        config = GenerationConfig(max_seq_length=32, dupe_factor=8, shards=3, seed=5)
+        real_open_output, written = pretrain.open_output, []
+
+        @contextmanager
+        def failing_output(path, binary=False):
+            with real_open_output(path, binary) as handle:
+                yield mock.Mock(write=failing_write)
+
+        def failing_write(record):
+            written.append(record)
+            if len(written) == 10:
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pretrain, "open_output", failing_output)
+        with _within(60), pytest.raises(PipelineError, match="No space left on device"):
+            write_examples(fixture_docs, vocab, config, str(tmp_path / "out"), 2)
+        assert len(written) == 10
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("local", [False, True])
+    def test_error_that_does_not_pickle_reaches_parent(
+        self, local, synthetic_docs, synthetic_vocab
+    ):
+        class LocalError(Exception):  # defined here, so pickle cannot find it by name
+            pass
+
+        docs = TokenStore(synthetic_docs[:12])
+        config = GenerationConfig(max_seq_length=32, dupe_factor=2, seed=13)
+
+        def finish(instance):
+            raise LocalError("shard-3 at 17") if local else _ShortWrite("shard-3", 17)
+
+        name = "LocalError" if local else "_ShortWrite"
+        with _within(60), pytest.raises(PipelineError) as exc:
+            list(build_instances(docs, synthetic_vocab, config, 2, finish))
+        assert str(exc.value) == f"{name}: shard-3 at 17"
+        _assert_no_child_left()
+
+    def test_workers_are_reaped_where_sigchld_is_ignored(self, synthetic_docs, synthetic_vocab):
+        # the kernel reaps such children itself, so waitpid finds none to wait for
+        docs = TokenStore(synthetic_docs[:40])
+        config = GenerationConfig(max_seq_length=32, dupe_factor=3, seed=21)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            with _within(60):
+                two = list(build_instances(docs, synthetic_vocab, config, workers=2))
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert two == list(build_instances(docs, synthetic_vocab, config))
+        _assert_no_child_left()
+
+    def test_forked_workers_do_not_repeat_buffered_stdout(self):
+        # stdout is a pipe, so the line waits in its buffer when the workers fork
+        script = """
+from corpusprep.bpe import SPECIALS, Vocab
+from corpusprep.config import GenerationConfig
+from corpusprep.pretrain import TokenStore, build_instances
+
+vocab = Vocab(pieces=SPECIALS + tuple(f"w{k}" for k in range(40)), merges=())
+store = TokenStore((f"d{k}", [[5 + k % 30, 6, 7]] * 4) for k in range(100))
+print("before the workers")
+count = sum(1 for _ in build_instances(store, vocab, GenerationConfig(dupe_factor=2), 2))
+print("instances", count)
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pretrain.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "before the workers" and lines.count("before the workers") == 1
+        assert len(lines) == 2 and int(lines[1].split()[1]) > 2 * _BLOCK
 
 
 _SENTENCE = st.lists(st.integers(len(SPECIALS), 504), min_size=1, max_size=10)
@@ -502,16 +645,17 @@ class TestTokenStore:
         random_next_prob=_PROBABILITY,
         dupe_factor=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
-        workers=st.just(1),
+        workers=st.sampled_from([1, 2, 3]),
+        block=st.sampled_from([1, _BLOCK]),  # _BLOCK may hold every task of the stream
     )
     @example(
         documents=[[[5, 300], [256, 7, 504]], [[400]], [[6] * 10, [260, 261], [9]]],
         max_seq_length=12, short_seq_prob=0.5, random_next_prob=0.5, dupe_factor=3, seed=9,
-        workers=2,
+        workers=2, block=1,
     )
     def test_build_instances_matches_oracle(
         self, synthetic_vocab, documents, max_seq_length, short_seq_prob, random_next_prob,
-        dupe_factor, seed, workers
+        dupe_factor, seed, workers, block
     ):
         config = GenerationConfig(
             max_seq_length=max_seq_length, short_seq_prob=short_seq_prob,
@@ -519,10 +663,28 @@ class TestTokenStore:
         )
         docs = [(f"d{k}", sentences) for k, sentences in enumerate(documents)]
         store = TokenStore(docs)
-        got = _spelled(build_instances(store, synthetic_vocab, config, workers), synthetic_vocab)
+        with mock.patch.object(forked, "_BLOCK", block):
+            stream = build_instances(store, synthetic_vocab, config, workers)
+            got = _spelled(stream, synthetic_vocab)
         pieces = synthetic_vocab.pieces
         spelled = [(i, [[pieces[t] for t in s] for s in sentences]) for i, sentences in docs]
         assert got == instance_oracle.instances(spelled, config, pieces)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, _BLOCK])
+    def test_every_worker_count_and_block_matches_oracle(
+        self, workers, block, synthetic_docs, synthetic_vocab
+    ):
+        # 40 documents x dupe 3 = 120 tasks: at _BLOCK, four blocks, the last one short
+        docs = TokenStore(synthetic_docs[:40])
+        config = GenerationConfig(max_seq_length=32, dupe_factor=3, seed=21)
+        expected = instance_oracle.instances(
+            _spelled_docs(docs, synthetic_vocab), config, synthetic_vocab.pieces
+        )
+        with _within(60), mock.patch.object(forked, "_BLOCK", block):
+            stream = build_instances(docs, synthetic_vocab, config, workers)
+            got = _spelled(stream, synthetic_vocab)
+        assert got == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.lists(st.integers(0, 2**32 - 1), max_size=4), max_size=4)))
