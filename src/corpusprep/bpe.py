@@ -9,6 +9,7 @@ Unknown characters encode to [UNK]; there is no byte fallback.
 Training is incremental (Sennrich et al. 2016): pair counts and a
 pair-to-word index persist across merges, each merge rewrites only the word
 types that hold the merged pair, and a lazy max-heap yields the next pair.
+Training spells each word type as one str of piece-id code points.
 Encoding replays merges by rank from a table built once per Vocab and
 memoizes piece ids per word in the Vocab's ``word_ids``, an ``ingest.Memo``,
 so encoder memory stays bounded.
@@ -22,6 +23,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import partial
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EmptyCorpus, IdOutOfRange, MalformedRecord, VocabSizeTooSmall
@@ -100,10 +102,14 @@ def train_bpe(docs: Iterable[Document], vocab_size: int) -> Vocab:
     piece, then of the pair itself, so training is deterministic for a given
     corpus.  Stops early only when the corpus has no pairs left to merge.
 
-    The max-heap of (-count, concat, pair) is lazy: an entry whose pair has
-    lost count since it was pushed goes back in at its current count, and
-    one whose pair has gained count is dropped, since every net gain pushes
-    a fresh entry.
+    Word types are strs of piece-id code points, chr(i) for piece i and the
+    marker's first, so a merge is ``str.replace``: non-overlapping, left to right.
+
+    The max-heap holds (-count, concat, left piece, pair): a concatenation
+    and its left piece fix the right one, so this orders as (-count, concat,
+    pair).  It is lazy: an entry whose pair has lost count since it was
+    pushed goes back in at its current count, and one whose pair has gained
+    count is dropped, since every net gain pushes a fresh entry.
     """
     words = _word_counts(docs)
     if not words:
@@ -119,43 +125,49 @@ def train_bpe(docs: Iterable[Document], vocab_size: int) -> Vocab:
         )
 
     pieces: List[str] = list(SPECIALS) + sorted(alphabet)
-    known = set(pieces)
+    piece_ids = {piece: idx for idx, piece in enumerate(pieces)}
     merges: List[Tuple[str, str]] = []
-    symbolized: List[Tuple[str, ...]] = [(MARKER, *word) for word in words]
+    spelling = {ord(piece): idx for piece, idx in piece_ids.items() if len(piece) == 1}
+    spelled: List[str] = [chr(piece_ids[MARKER]) + word.translate(spelling) for word in words]
     freqs: List[int] = list(words.values())
+    del words
 
     # counts: live pair frequencies; where: word indices that contained each
     # pair at some point (duplicates and stale entries are checked on use)
-    counts: Dict[Tuple[str, str], int] = defaultdict(int)
-    where: Dict[Tuple[str, str], array] = defaultdict(lambda: array("I"))
-    for index, symbols in enumerate(symbolized):
-        for pair in zip(symbols, symbols[1:]):
+    counts: Dict[str, int] = defaultdict(int)
+    where: Dict[str, array] = defaultdict(lambda: array("I"))
+    for index, word in enumerate(spelled):
+        for pair in map(add, word, word[1:]):
             counts[pair] += freqs[index]
             where[pair].append(index)
-    heap = [
-        (-count, pair[0] + pair[1], pair)
-        for pair, count in counts.items()
-        if pair[0] + pair[1] not in SPECIALS
-    ]
+
+    def entry(pair: str, count: int) -> Optional[Tuple[int, str, str, str]]:
+        left = pieces[ord(pair[0])]
+        concat = left + pieces[ord(pair[1])]
+        return None if concat in SPECIALS else (-count, concat, left, pair)
+
+    heap = [item for item in map(entry, counts, counts.values()) if item]
     heapq.heapify(heap)
 
     while len(pieces) < vocab_size:
         best = _pop_best(heap, counts)
         if best is None:
             break
-        merges.append(best)
-        merged = best[0] + best[1]
-        if merged not in known:
-            known.add(merged)
-            pieces.append(merged)
-        deltas: Dict[Tuple[str, str], int] = defaultdict(int)
+        left, right = pieces[ord(best[0])], pieces[ord(best[1])]
+        merges.append((left, right))
+        symbol = chr(piece_ids.setdefault(left + right, len(pieces)))  # or an existing piece's id
+        if ord(symbol) == len(pieces):
+            pieces.append(left + right)
+        deltas: Dict[str, int] = defaultdict(int)
         for index in sorted(set(where.pop(best))):
-            symbols = symbolized[index]
-            old = list(zip(symbols, symbols[1:]))
-            if best not in old:
+            word = spelled[index]
+            if best not in word:
                 continue
-            symbols = symbolized[index] = _apply_merge(symbols, best)
-            new = list(zip(symbols, symbols[1:]))
+            merged = spelled[index] = word.replace(best, symbol)
+            # pairs change only from the symbol before the first match to the one after the last
+            start, stop = max(word.find(best) - 1, 0), word.rfind(best) + 3
+            old, new = word[start:stop], merged[start : stop - len(word) + len(merged)]
+            old, new = list(map(add, old, old[1:])), list(map(add, new, new[1:]))
             freq = freqs[index]
             for pair in old:
                 deltas[pair] -= freq
@@ -163,28 +175,26 @@ def train_bpe(docs: Iterable[Document], vocab_size: int) -> Vocab:
                 deltas[pair] += freq
             for pair in set(new).difference(old):
                 where[pair].append(index)
-        for pair, delta in deltas.items():
-            if not delta:
-                continue
+        for pair, delta in deltas.items():  # a pair with a zero delta is live and stays
             count = counts[pair] = counts[pair] + delta
             if not count:
                 del counts[pair]
                 where.pop(pair, None)
-            elif delta > 0 and pair[0] + pair[1] not in SPECIALS:
-                heapq.heappush(heap, (-count, pair[0] + pair[1], pair))
+            elif delta > 0 and (item := entry(pair, count)):
+                heapq.heappush(heap, item)
 
     return Vocab(pieces=tuple(pieces), merges=tuple(merges))
 
 
-def _pop_best(heap: list, counts: Dict[Tuple[str, str], int]) -> Optional[Tuple[str, str]]:
+def _pop_best(heap: list, counts: Dict[str, int]) -> Optional[str]:
     """Pop heap entries until one carries its pair's current count."""
     while heap:
-        neg_count, concat, pair = heapq.heappop(heap)
+        neg_count, concat, left, pair = heapq.heappop(heap)
         count = counts.get(pair, 0)
         if count == -neg_count:
             return pair
         if 0 < count < -neg_count:
-            heapq.heappush(heap, (-count, concat, pair))
+            heapq.heappush(heap, (-count, concat, left, pair))
     return None
 
 

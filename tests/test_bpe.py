@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import tracemalloc
 import unicodedata
 from collections import Counter
 
@@ -308,6 +309,37 @@ class TestMergeSequenceOracle:
         ids = encode("[PAD]", three)
         assert [three.pieces[i] for i in ids] == [m, "[", "PAD]"]
         assert min(ids) >= len(SPECIALS)
+
+    def test_alphabet_past_latin1_matches_oracle(self):
+        # 300 CJK ideographs: the words use the last 40, whose piece ids pass
+        # 255, so each word type is spelled in two bytes per code point
+        rng = random.Random(300)
+        alphabet = [chr(0x4E00 + i) for i in range(300)]
+        words = ["".join(rng.choices(alphabet[-40:], k=rng.randint(1, 6))) for _ in range(400)]
+        texts = [" ".join(alphabet), " ".join(words)]
+        assert len(set("".join(texts).replace(" ", ""))) > 256
+        vocab = _assert_matches_oracle(texts, 420, probes=[" ".join(reversed(words[:50]))])
+        assert len(vocab) == 420
+
+
+class TestTrainingMemory:
+    def test_peak_per_word_type_is_bounded(self):
+        # 11,000 random words of Estonian letters with Zipf frequencies give
+        # 10,204 types.  Word types spelled as strs of piece ids peak at about
+        # 413 B per type here; as tuples of one-character strings, at 630.
+        rng = random.Random(2017)
+        letters = "abdeghijklmnoprstuvõäöü"
+        forms = ["".join(rng.choices(letters, k=rng.randint(2, 10))) for _ in range(11_000)]
+        docs = _docs(*(" ".join([form] * (1 + 600 // rank)) for rank, form in enumerate(forms, 1)))
+        types = len(set(forms))
+        assert types >= 10_000
+        tracemalloc.start()
+        try:
+            train_bpe(docs, vocab_size=200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / types <= 450
 
 
 _oracle_words = st.lists(
