@@ -9,10 +9,11 @@ Unknown characters encode to [UNK]; there is no byte fallback.
 Training is incremental (Sennrich et al. 2016): pair counts and a
 pair-to-word index persist across merges, each merge rewrites only the word
 types that hold the merged pair, and a lazy max-heap yields the next pair.
-Training spells each word type as one str of piece-id code points.
-Encoding replays merges by rank from a table built once per Vocab and
-memoizes piece ids per word in the Vocab's ``word_ids``, an ``ingest.Memo``,
-so encoder memory stays bounded.
+Training and encoding share one spelling, ``_spell``: a word is one str of
+piece-id code points, the marker's first, and a merge is ``str.replace`` of
+a two-code-point pair.  Encoding replays merges by rank from a table built
+once per Vocab and memoizes piece ids per word in the Vocab's ``word_ids``,
+an ``ingest.Memo``, so encoder memory stays bounded.
 """
 
 from __future__ import annotations
@@ -51,12 +52,17 @@ class Vocab:
             if piece in mapping:
                 raise ValueError(f"duplicate piece {piece!r}")
             mapping[piece] = idx
-        for left, right in self.merges:
+        ranks = {}  # spelled pair -> (rank, pair, merged piece's code point); a later listing wins
+        for rank, (left, right) in enumerate(self.merges):
             if left in SPECIALS or right in SPECIALS:
                 raise ValueError("special tokens cannot appear in merges")
+            if not all(piece in mapping for piece in (left, right, left + right)):
+                raise ValueError(f"merge {left!r} {right!r} names a piece not in the vocabulary")
+            pair = chr(mapping[left]) + chr(mapping[right])
+            ranks[pair] = rank, pair, chr(mapping[left + right])
         object.__setattr__(self, "piece_to_id", mapping)
-        ranks = {pair: rank for rank, pair in enumerate(self.merges)}  # a later listing wins
-        encode_word = partial(_encode_word, ranks=ranks, piece_to_id=mapping)
+        ids = tuple(mapping.values())  # the ids' own int objects, shared by every memo value
+        encode_word = partial(_encode_word, ranks=ranks, piece_ids=mapping, ids=ids)
         object.__setattr__(self, "word_ids", Memo(encode_word))
 
     def __reduce__(self):
@@ -76,7 +82,11 @@ class Vocab:
 
     @classmethod
     def load(cls, vocab_path: str, merges_path: str) -> "Vocab":
-        pieces = tuple(line for _, line in read_lines(vocab_path) if line)
+        pieces = [line for _, line in read_lines(vocab_path)]
+        while pieces and not pieces[-1]:
+            pieces.pop()
+        if "" in pieces:  # a blank line would shift every later id off its line number
+            raise MalformedRecord(pieces.index("") + 1, "blank line in the vocabulary")
         merges: List[Tuple[str, str]] = []
         for line_no, line in read_lines(merges_path):
             if not line:
@@ -85,7 +95,7 @@ class Vocab:
             if len(parts) != 2:
                 raise MalformedRecord(line_no, 'merge line must be "left right"')
             merges.append((parts[0], parts[1]))
-        return cls(pieces=pieces, merges=tuple(merges))
+        return cls(pieces=tuple(pieces), merges=tuple(merges))
 
 
 def _word_counts(docs: Iterable[Document]) -> Counter:
@@ -102,8 +112,7 @@ def train_bpe(docs: Iterable[Document], vocab_size: int) -> Vocab:
     piece, then of the pair itself, so training is deterministic for a given
     corpus.  Stops early only when the corpus has no pairs left to merge.
 
-    Word types are strs of piece-id code points, chr(i) for piece i and the
-    marker's first, so a merge is ``str.replace``: non-overlapping, left to right.
+    A merge is ``str.replace`` on ``_spell``'s code points: non-overlapping, left to right.
 
     The max-heap holds (-count, concat, left piece, pair): a concatenation
     and its left piece fix the right one, so this orders as (-count, concat,
@@ -127,8 +136,7 @@ def train_bpe(docs: Iterable[Document], vocab_size: int) -> Vocab:
     pieces: List[str] = list(SPECIALS) + sorted(alphabet)
     piece_ids = {piece: idx for idx, piece in enumerate(pieces)}
     merges: List[Tuple[str, str]] = []
-    spelling = {ord(piece): idx for piece, idx in piece_ids.items() if len(piece) == 1}
-    spelled: List[str] = [chr(piece_ids[MARKER]) + word.translate(spelling) for word in words]
+    spelled: List[str] = [_spell(word, piece_ids) for word in words]
     freqs: List[int] = list(words.values())
     del words
 
@@ -198,18 +206,10 @@ def _pop_best(heap: list, counts: Dict[str, int]) -> Optional[str]:
     return None
 
 
-def _apply_merge(symbols: Sequence[str], pair: Tuple[str, str]) -> Tuple[str, ...]:
-    """Replace non-overlapping occurrences of pair, scanning left to right."""
-    out: List[str] = []
-    i = 0
-    while i < len(symbols):
-        if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == pair:
-            out.append(symbols[i] + symbols[i + 1])
-            i += 2
-        else:
-            out.append(symbols[i])
-            i += 1
-    return tuple(out)
+def _spell(word: str, piece_ids: Dict[str, int]) -> str:
+    """chr(id) of the marker's piece, then of each character's one-character piece or [UNK]."""
+    spelled = [chr(piece_ids.get(char, UNK_ID)) for char in word]
+    return chr(piece_ids.get(MARKER, UNK_ID)) + "".join(spelled)
 
 
 def encode(text: str, vocab: Vocab) -> List[int]:
@@ -225,20 +225,18 @@ def encode(text: str, vocab: Vocab) -> List[int]:
 
 
 def _encode_word(
-    word: str, ranks: Dict[Tuple[str, str], int], piece_to_id: Dict[str, int]
+    word: str, ranks: Dict[str, tuple], piece_ids: Dict[str, int], ids: Tuple[int, ...]
 ) -> Tuple[int, ...]:
-    symbols: Tuple[str, ...] = (MARKER, *word)
-    while len(symbols) > 1:
-        best_rank = None
-        best_pair = None
-        for pair in zip(symbols, symbols[1:]):
-            rank = ranks.get(pair)
-            if rank is not None and (best_rank is None or rank < best_rank):
-                best_rank, best_pair = rank, pair
-        if best_pair is None:
-            break
-        symbols = _apply_merge(symbols, best_pair)
-    return tuple(piece_to_id.get(symbol, UNK_ID) for symbol in symbols)
+    spelled = _spell(word, piece_ids)
+    while True:
+        best = None  # the lowest-ranked (rank, pair, merged) among the word's pairs
+        for pair in map(add, spelled, spelled[1:]):
+            merge = ranks.get(pair)
+            if merge is not None and (best is None or merge < best):
+                best = merge
+        if best is None:
+            return tuple(map(ids.__getitem__, map(ord, spelled)))
+        spelled = spelled.replace(best[1], best[2])
 
 
 def decode(ids: Sequence[int], vocab: Vocab) -> str:

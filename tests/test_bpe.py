@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 from bpe_oracle import oracle_encode, oracle_train_bpe
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusprep import bpe, ingest
@@ -172,6 +172,30 @@ class TestVocabInvariants:
         mp.write_text("a b c\n", encoding="utf-8")
         with pytest.raises(MalformedRecord):
             Vocab.load(str(vp), str(mp))
+
+    def test_load_rejects_blank_line_before_a_piece(self, tmp_path):
+        # "b" sits on line 8, so its id is 7; skipping the blank line made it 6
+        vp, mp = tmp_path / "v.txt", tmp_path / "m.txt"
+        vp.write_text("".join(p + "\n" for p in SPECIALS + ("a", "", "b")), encoding="utf-8")
+        mp.write_text("", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as info:
+            Vocab.load(str(vp), str(mp))
+        assert info.value.line_no == 7
+
+    def test_load_accepts_trailing_blank_lines(self, tmp_path):
+        vp, mp = tmp_path / "v.txt", tmp_path / "m.txt"
+        lines = SPECIALS + ("a", "b", "ab", "", "")
+        vp.write_text("".join(p + "\n" for p in lines), encoding="utf-8")
+        mp.write_text("a b\n\n", encoding="utf-8")
+        vocab = Vocab.load(str(vp), str(mp))
+        assert vocab.pieces == SPECIALS + ("a", "b", "ab")
+        assert vocab.merges == (("a", "b"),)
+
+    @pytest.mark.parametrize("merge", [("x", "a"), ("a", "x"), ("b", "a")])
+    def test_merge_of_a_non_piece_rejected(self, merge):
+        # left piece, right piece, then the concatenation "ba" missing
+        with pytest.raises(ValueError, match="not in the vocabulary"):
+            Vocab(pieces=SPECIALS + ("a", "b", "ab"), merges=(("a", "b"), merge))
 
 
 class TestEncodeDecode:
@@ -353,6 +377,33 @@ def test_merge_sequence_matches_oracle_property(words, extra):
     text = " ".join(words)
     floor = len(SPECIALS) + len(set(text.replace(" ", "")) | {MARKER})
     _assert_matches_oracle([text], floor + extra, probes=[" ".join(reversed(words))])
+
+
+@st.composite
+def _hand_built_vocabs(draw):
+    """Pieces in any order and random merges over them.  "ab" is a piece before
+    ("a", "b") makes it again, and one merge is listed again further down."""
+    extra = draw(st.lists(st.sampled_from([MARKER, MARKER + "a"]), unique=True))
+    pieces, merges = ["a", "b", "c", "ab", "bc", *extra], [("a", "b"), ("b", "c")]
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        left, right = draw(st.sampled_from(pieces)), draw(st.sampled_from(pieces))
+        merges.insert(draw(st.integers(min_value=0, max_value=len(merges))), (left, right))
+        if left + right not in pieces:
+            pieces.append(left + right)
+    first = draw(st.integers(min_value=0, max_value=len(merges) - 1))
+    merges.insert(draw(st.integers(min_value=first + 1, max_value=len(merges))), merges[first])
+    return Vocab(pieces=SPECIALS + tuple(draw(st.permutations(pieces))), merges=tuple(merges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hand_built_vocabs(), st.text(alphabet="abc▁x ", max_size=40))
+# the later listing of (a, b) ranks below (b, c): "abc" is ▁ a bc, not ▁ ab c
+@example(Vocab(SPECIALS + ("a", "b", "c", "ab", "bc"), (("a", "b"), ("b", "c"), ("a", "b"))), "abc")
+# every (a, b) merges before (ab, a) is looked for: "abab" is ▁ ab ab, not ▁ aba b
+@example(Vocab(SPECIALS + ("a", "b", "ab", "aba"), (("ab", "a"), ("a", "b"))), "abab")
+def test_hand_built_vocab_encodes_as_oracle(vocab, text):
+    # "x" is never a piece, and the marker only sometimes
+    assert encode(text, vocab) == oracle_encode(text, vocab)
 
 
 class TestEncodeCache:

@@ -18,6 +18,7 @@ import tracemalloc
 
 import pytest
 
+from corpusprep.bpe import SPECIALS
 from corpusprep.cli import main
 
 
@@ -223,6 +224,37 @@ class TestBpe:
         capsys.readouterr()
         assert main(["bpe-encode", "--vocab", vocab_path, "--merges", merges_path]) == 1
         assert "give text arguments or --input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("merge", ["a x", "x a", "b a"])
+    @pytest.mark.parametrize("command", ["bpe-encode", "make-examples"])
+    def test_merge_of_a_non_piece_exits_1(self, capsys, tmp_path, fixture_corpus_path, command,
+                                          merge):
+        files = _hand_vocab(tmp_path, ("a", "b", "ab"), f"a b\n{merge}\n")
+        out_dir = str(tmp_path / "shards")
+        argv = {
+            "bpe-encode": ["bpe-encode", "ab", *files],
+            "make-examples": ["make-examples", fixture_corpus_path, *files, "--out-dir", out_dir],
+        }[command]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith("invalid value: ") and "not in the vocabulary" in err
+        assert not os.path.exists(out_dir)
+
+    def test_blank_line_inside_vocab_exits_2(self, capsys, tmp_path):
+        # "b" is on line 8, so its id is 7; skipping the blank line gave it 6
+        assert main(["bpe-encode", "b", *_hand_vocab(tmp_path, ("a", "", "b"), "")]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert "line 7: blank line in the vocabulary" in err
+
+
+def _hand_vocab(tmp_path, pieces, merges):
+    """Write vocab.txt (the specials, then pieces) and merges.txt; return their flags."""
+    vocab_path, merges_path = tmp_path / "vocab.txt", tmp_path / "merges.txt"
+    vocab_path.write_text("".join(p + "\n" for p in SPECIALS + pieces), encoding="utf-8")
+    merges_path.write_text(merges, encoding="utf-8")
+    return ["--vocab", str(vocab_path), "--merges", str(merges_path)]
 
 
 class TestExamples:
